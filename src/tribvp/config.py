@@ -16,7 +16,7 @@ which is what makes the constants reproducible as exact fractions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .certify import SamplingConfig, SearchConfig, ThresholdTriple
@@ -44,8 +44,6 @@ _SOLVER_KEYS = {
     "search_lo": float,
     "search_hi": float,
     "search_per_axis": int,
-    "newton_grid_u": int,
-    "newton_grid_s": int,
 }
 
 
@@ -73,24 +71,15 @@ class RunConfig:
                 raise ConfigError(f"solver option {key} must be a number, got {value!r}")
             if key.endswith(("tol", "c2", "lo", "hi", "u_max")) and not value > 0:
                 raise ConfigError(f"solver option {key} must be positive, got {value}")
+        coarse_n = self.solver_doc.get("coarse_n")
+        if coarse_n is not None and (coarse_n < 5 or coarse_n % 2 == 0):
+            raise ConfigError(f"solver option coarse_n must be odd and >= 5, got {coarse_n}")
 
     def solve_config(self) -> SolveConfig:
-        doc = self.solver_doc
-        tt = self.thresholds
-        grid = (doc.get("newton_grid_u", 16), doc.get("newton_grid_s", 16))
-        return SolveConfig(
-            grid_n=self.grid_n,
-            picard_tol=doc.get("picard_tol", 1e-10),
-            picard_max_iter=doc.get("picard_max_iter", 500),
-            residual_tol=doc.get("residual_tol", 1e-8),
-            ode_c2=doc.get("ode_c2", 100.0),
-            dedup_tol=doc.get("dedup_tol", 1e-4),
-            newton_tol=doc.get("newton_tol", 1e-12),
-            newton_max_iter=doc.get("newton_max_iter", 25),
-            coarse_n=doc.get("coarse_n", 257),
-            newton_grid=grid,
-            thresholds=tt,
-        )
+        """Solver knobs set in the document; every other field keeps its SolveConfig default."""
+        knobs = {f.name for f in fields(SolveConfig)} - {"grid_n", "thresholds"}
+        set_here = {key: value for key, value in self.solver_doc.items() if key in knobs}
+        return SolveConfig(grid_n=self.grid_n, thresholds=self.thresholds, **set_here)
 
     def sampling_config(self) -> SamplingConfig:
         return SamplingConfig(

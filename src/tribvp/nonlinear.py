@@ -2,14 +2,14 @@
 
 The solution operator A maps a candidate u to the solution of the linear
 problem with load y(t) = f(t, u(t)); its fixed points are exactly the
-solutions of the nonlinear problem.  Two independent routes look for them:
+solutions of the nonlinear problem.  Two routes look for them:
 
 - Picard iteration u <- A u from a handful of constant starts (finds the
   attracting fixed points), and
-- shooting: integrate the initial-value problem u'' = -f(t, u) from
-  (u(0), u'(0)) = (u0, s0) with fixed-step RK4 and drive the two boundary
-  residuals to zero with a damped finite-difference Newton method over a
-  log-spaced grid of starts (also reaches the repelling fixed points).
+- Newton on F(u) = u - A u with J = I - G diag(df/du), where G is the
+  matrix of the linear solve: dense on a coarse grid from the Picard levels
+  and a ladder of scaled concave profiles, then matrix-free Newton-GMRES on
+  the full grid (also reaches the repelling fixed points).
 
 Every candidate is re-verified against the discrete ODE/boundary residuals
 and the cone conditions (nonnegative, concave down) before it is reported,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .certify import ThresholdTriple
 from .errors import FunctionDomainError
-from .grid import SolutionCurve, interp_weights, partial_integral_weights
+from .grid import SolutionCurve, interp_cubic, partial_integral
 from .linear import (
     NONNEGATIVITY_TOL,
     ResidualReport,
@@ -52,13 +52,9 @@ class SolveConfig:
     ode_c2: float = 100.0  # ODE residual tolerance is ode_c2 * h^2
     dedup_tol: float = 1e-4  # relative sup-norm distance that merges two solutions
     divergence_norm: float = 1e6
-    blowup_limit: float = 1e9
-    newton_grid: tuple[int, int] = (16, 16)
-    newton_tol: float = 1e-12  # target driven by the iteration
-    newton_accept_tol: float = 1e-9  # a stalled start still counts at this level
+    newton_tol: float = 1e-12  # relative target driven by the iteration
     newton_max_iter: int = 25
-    newton_max_halvings: int = 20
-    coarse_n: int = 257
+    coarse_n: int = 65  # dense Newton grid; its roots only start the full-grid Newton
     thresholds: ThresholdTriple | None = None
 
     def ode_tol(self, h: float) -> float:
@@ -194,248 +190,244 @@ def picard_iterate(
     )
 
 
-# --- shooting route ---------------------------------------------------------
+# --- Newton route ------------------------------------------------------------
 
-
-def _integrate_batch(p: Problem, u0s: np.ndarray, s0s: np.ndarray, n: int, blowup_limit: float):
-    """RK4 for u'' = -f(t, u) from many starts at once.
-
-    Trajectories that leave [-blowup_limit, blowup_limit] (or go non-finite)
-    are frozen at their last finite state and reported as dead.  u is clamped
-    to zero before every f evaluation; clamp events are counted per start.
-    """
-    T = float(p.T)
-    h = T / (n - 1)
-    f = p.f
-    m = u0s.size
-    U = np.empty((n, m))
-    u = np.array(u0s, dtype=float)
-    v = np.array(s0s, dtype=float)
-    U[0] = u
-    clamped = np.zeros(m, dtype=int)
-    dead = np.zeros(m, dtype=bool)
-
-    def accel(t, uu):
-        uu = np.where(np.isfinite(uu), uu, 0.0)
-        neg = uu < 0.0
-        if np.any(neg):
-            clamped[neg] += 1
-            uu = np.maximum(uu, 0.0)
-        return -np.asarray(f(t, uu), dtype=float)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            t = i * h
-            k1u = v
-            k1v = accel(t, u)
-            k2u = v + 0.5 * h * k1v
-            k2v = accel(t + 0.5 * h, u + 0.5 * h * k1u)
-            k3u = v + 0.5 * h * k2v
-            k3v = accel(t + 0.5 * h, u + 0.5 * h * k2u)
-            k4u = v + h * k3v
-            k4v = accel(t + h, u + h * k3u)
-            new_u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            new_v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            bad = ~np.isfinite(new_u) | ~np.isfinite(new_v) | (np.abs(new_u) > blowup_limit)
-            if np.any(bad):
-                new_u = np.where(bad, u, new_u)
-                new_v = np.where(bad, v, new_v)
-                dead |= bad
-            u, v = new_u, new_v
-            U[i + 1] = u
-    return U, clamped, dead
-
-
-def _boundary_residuals_batch(p: Problem, U: np.ndarray, n: int):
-    T, eta, alpha, beta = p.floats()
-    h = T / (n - 1)
-    start, w_eta = interp_weights(n, h, eta)
-    w_int = partial_integral_weights(n, h, eta)
-    u_eta = w_eta @ U[start : start + 4]
-    r1 = U[0] - beta * u_eta
-    r2 = U[-1] - alpha * (w_int @ U)
-    return r1, r2
+BLOWUP_LIMIT = 1e9  # |u| at which the RK4 check trajectory counts as blown up
+# A Newton root counts when ||u - A u|| <= NEWTON_ACCEPT_TOL * max(1, ||u||),
+# even if the iteration stalled before newton_tol.
+NEWTON_ACCEPT_TOL = 1e-9
+NEWTON_MAX_HALVINGS = 12
+GMRES_RESTART = 20  # Krylov vectors per full-grid Newton step, one linear solve each
+GMRES_RTOL = 1e-12
+FD_STEP = 1e-6  # relative step of the central difference standing in for df/du
+LADDER_STEPS = 12  # scaled concave profiles among the Newton starts
 
 
 def shooting_residual(p: Problem, u0: float, s0: float, n: int = 2049) -> ShootingResult:
     """Boundary residuals of the RK4 trajectory from (u(0), u'(0)) = (u0, s0).
 
-    r1 = u0 - beta*u(eta), r2 = u(T) - alpha*integral_0^eta u.  A blown-up
-    trajectory reports signed-infinity residuals.
+    Integrates u'' = -f(t, u) with fixed-step RK4, clamping u to zero before
+    every f evaluation.  r1 = u0 - beta*u(eta), r2 = u(T) - alpha*integral_0^eta u.
+    A trajectory that leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] (or goes non-finite)
+    is frozen at its last finite state and reports signed-infinity residuals.
+    The solution routes never integrate the ODE, so this is an independent check.
     """
-    U, clamped, dead = _integrate_batch(
-        p, np.array([u0], dtype=float), np.array([s0], dtype=float), n, SolveConfig().blowup_limit
-    )
-    curve = SolutionCurve(0.0, float(p.T), U[:, 0])
-    if dead[0]:
-        marker = math.copysign(math.inf, U[-1, 0])
-        return ShootingResult(marker, marker, curve, int(clamped[0]), True)
-    r1, r2 = _boundary_residuals_batch(p, U, n)
-    return ShootingResult(float(r1[0]), float(r2[0]), curve, int(clamped[0]), False)
+    T, eta, alpha, beta = p.floats()
+    h = T / (n - 1)
+    U = np.empty(n)
+    u, v = float(u0), float(s0)
+    U[0] = u
+    clamped = 0
+
+    def accel(t, x):
+        nonlocal clamped
+        if x < 0.0:
+            clamped += 1
+        x = max(x, 0.0) if math.isfinite(x) else 0.0
+        return -float(p.f(t, np.array([x]))[0])
+
+    for i in range(n - 1):
+        t = i * h
+        k1u, k1v = v, accel(t, u)
+        k2u, k2v = v + 0.5 * h * k1v, accel(t + 0.5 * h, u + 0.5 * h * k1u)
+        k3u, k3v = v + 0.5 * h * k2v, accel(t + 0.5 * h, u + 0.5 * h * k2u)
+        k4u, k4v = v + h * k3v, accel(t + h, u + h * k3u)
+        new_u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        new_v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (math.isfinite(new_u) and math.isfinite(new_v) and abs(new_u) <= BLOWUP_LIMIT):
+            U[i + 1 :] = u
+            marker = math.copysign(math.inf, u)
+            return ShootingResult(marker, marker, SolutionCurve(0.0, T, U), clamped, True)
+        u, v = new_u, new_v
+        U[i + 1] = u
+    r1 = U[0] - beta * interp_cubic(U, h, eta)
+    r2 = U[-1] - alpha * partial_integral(U, h, eta)
+    return ShootingResult(float(r1), float(r2), SolutionCurve(0.0, T, U), clamped, False)
 
 
-def _newton_batch(p: Problem, u0s: np.ndarray, s0s: np.ndarray, n: int, cfg: SolveConfig):
-    """Damped Newton on (u0, s0) for many starts in lockstep.
-
-    Forward-difference Jacobians; steps that fail to reduce the residual norm
-    are halved up to the configured limit, after which the start is dropped.
-    Returns (u0*, s0*, final residual norms, converged mask, iterations).
-    """
-    x = np.stack([np.array(u0s, dtype=float), np.array(s0s, dtype=float)])
-    m = x.shape[1]
-
-    def res(xs):
-        U, _, dead = _integrate_batch(p, xs[0], xs[1], n, cfg.blowup_limit)
-        r1, r2 = _boundary_residuals_batch(p, U, n)
-        r = np.stack([r1, r2])
-        r[:, dead] = np.inf
-        return r
-
-    r = res(x)
-    rnorm = np.max(np.abs(r), axis=0)
-    stalled = ~np.isfinite(rnorm)
-    iterations = np.zeros(m, dtype=int)
-
-    for _ in range(cfg.newton_max_iter):
-        active = (rnorm > cfg.newton_tol) & ~stalled & np.isfinite(rnorm)
-        if not np.any(active):
-            break
-        idx = np.flatnonzero(active)
-        xa = x[:, idx]
-        ra = r[:, idx]
-        du = 1.5e-8 * np.maximum(1.0, np.abs(xa[0]))
-        ds = 1.5e-8 * np.maximum(1.0, np.abs(xa[1]))
-        r_du = res(np.stack([xa[0] + du, xa[1]]))
-        r_ds = res(np.stack([xa[0], xa[1] + ds]))
-        j11 = (r_du[0] - ra[0]) / du
-        j21 = (r_du[1] - ra[1]) / du
-        j12 = (r_ds[0] - ra[0]) / ds
-        j22 = (r_ds[1] - ra[1]) / ds
-        det = j11 * j22 - j12 * j21
-        bad_jac = ~np.isfinite(det) | (np.abs(det) < 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step_u = -(j22 * ra[0] - j12 * ra[1]) / det
-            step_s = -(-j21 * ra[0] + j11 * ra[1]) / det
-        step_u[bad_jac] = 0.0
-        step_s[bad_jac] = 0.0
-        stalled[idx[bad_jac]] = True
-
-        lam = np.ones(idx.size)
-        accepted = np.zeros(idx.size, dtype=bool)
-        accepted[bad_jac] = True  # nothing to do for these
-        best_r = ra.copy()
-        ra_norm = np.max(np.abs(ra), axis=0)
-        for _halving in range(cfg.newton_max_halvings + 1):
-            trying = ~accepted
-            if not np.any(trying):
-                break
-            cand = np.stack([xa[0] + lam * step_u, xa[1] + lam * step_s])
-            r_cand = res(cand[:, trying])
-            cand_norm = np.max(np.abs(r_cand), axis=0)
-            improved = cand_norm < ra_norm[trying]
-            tr_idx = np.flatnonzero(trying)
-            good = tr_idx[improved]
-            xa[:, good] = cand[:, good]
-            best_r[:, good] = r_cand[:, improved]
-            accepted[good] = True
-            lam[tr_idx[~improved]] *= 0.5
-        # a start whose every damped step increased the residual keeps its
-        # best point; it may still be accepted below if already good enough
-        stalled[idx[~accepted]] = True
-
-        x[:, idx] = xa
-        r[:, idx] = best_r
-        iterations[idx] += 1
-        rnorm = np.max(np.abs(r), axis=0)
-
-    converged = np.isfinite(rnorm) & (rnorm <= cfg.newton_accept_tol)
-    return x[0], x[1], rnorm, converged, iterations
+def _start_levels(cfg: SolveConfig) -> list[float]:
+    """Heights of the constant starts: 1e-2*a, a, b, (d,) c, or decades without thresholds."""
+    if cfg.thresholds is None:
+        return [1e-2, 1e-1, 1.0, 10.0, 100.0]
+    tt = cfg.thresholds
+    d = [] if tt.d is None else [float(tt.d)]
+    return [1e-2 * float(tt.a), float(tt.a), float(tt.b), *d, float(tt.c)]
 
 
-def _shooting_candidate_starts(p: Problem, cfg: SolveConfig):
+def _df_du(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Central difference for df/du at max(u, 0), one-sided where it would cross u = 0."""
+    u = np.maximum(u, 0.0)
+    d = FD_STEP * np.maximum(1.0, u)
+    lo = np.maximum(u - d, 0.0)
+    hi = u + d
+    return (p.f(t, hi) - p.f(t, lo)) / (hi - lo)
+
+
+def _solution_matrix(p: Problem, n: int) -> np.ndarray:
+    """G with G @ y == solve_linear(p, y).values on n nodes, one unit load per column."""
     T = float(p.T)
-    if cfg.thresholds is not None:
-        a, c = float(cfg.thresholds.a), float(cfg.thresholds.c)
-        u_lo, u_hi = 1e-4 * a, 2.0 * c
-        s_hi = 2.0 * c / T
-    else:
-        u_lo, u_hi = 1e-6, 1e2
-        s_hi = 2e2 / T
-    nu, ns = cfg.newton_grid
-    u_starts = np.geomspace(u_lo, u_hi, nu)
-    mags = np.geomspace(s_hi * 1e-6, s_hi, max(ns // 2, 1))
-    s_starts = np.concatenate([-mags[::-1], mags])
-    uu, ss = np.meshgrid(u_starts, s_starts, indexing="ij")
-    return uu.ravel(), ss.ravel()
+    return np.column_stack([solve_linear(p, SolutionCurve(0.0, T, unit)).values for unit in np.eye(n)])
 
 
-def _result_from_shot(p: Problem, u0: float, s0: float, r_norm: float, iters: int, cfg: SolveConfig):
-    U, clamped, dead = _integrate_batch(
-        p, np.array([u0]), np.array([s0]), cfg.grid_n, cfg.blowup_limit
-    )
-    curve = SolutionCurve(0.0, float(p.T), U[:, 0])
-    if dead[0] or curve.min_value() < -NONNEGATIVITY_TOL:
-        inf = math.inf
-        return FixedPointResult(
-            curve=curve,
-            converged=False,
-            iterations=int(iters),
-            final_update_norm=float(r_norm),
-            residuals=ResidualReport(inf, inf, inf),
-            source="shooting",
-            clamped_evals=int(clamped[0]),
-        )
+def _fixed_point_residual(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """F(u) = u - A u, with u clamped to zero where f is evaluated."""
+    y = SolutionCurve(0.0, float(p.T), p.f(t, np.maximum(u, 0.0)))
+    return u - solve_linear(p, y).values
+
+
+def _jacobian_matvec(p: Problem, t: np.ndarray, u: np.ndarray):
+    """v -> J v with J = I - G diag(df/du(t, u)), one linear solve per product."""
+    fu = _df_du(p, t, u)
+    T = float(p.T)
+    return lambda v: v - solve_linear(p, SolutionCurve(0.0, T, fu * v)).values
+
+
+def _gmres(matvec, b: np.ndarray) -> np.ndarray:
+    """Approximate x with matvec(x) = b: GMRES from x = 0 over at most GMRES_RESTART vectors.
+
+    Givens rotations keep the small least-squares problem triangular: its
+    residual is known at every step, and no LAPACK call is needed.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    m = GMRES_RESTART
+    V = [b / beta]
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    for j in range(m):
+        w = matvec(V[j])
+        for i in range(j + 1):  # modified Gram-Schmidt
+            H[i, j] = w @ V[i]
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        for i in range(j):
+            H[i, j], H[i + 1, j] = cs[i] * H[i, j] + sn[i] * H[i + 1, j], cs[i] * H[i + 1, j] - sn[i] * H[i, j]
+        rho = math.hypot(H[j, j], H[j + 1, j])
+        cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
+        H[j, j] = rho
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        if abs(g[j + 1]) <= GMRES_RTOL * beta:
+            break
+        V.append(w / H[j + 1, j])
+    k = j + 1
+    y = np.zeros(k)
+    for i in reversed(range(k)):
+        y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 :]) / H[i, i]
+    return sum(yi * vi for yi, vi in zip(y, V))
+
+
+def _newton(residual, step, u: np.ndarray, cfg: SolveConfig):
+    """Damped Newton on residual(u) = 0; step(u, r) solves J(u) du = -r.
+
+    A step is halved until the sup norm of the residual decreases; when no
+    halving does, the iteration stops where it is.  Returns (u, ||F(u)||_inf,
+    iterations).
+    """
+    r = residual(u)
+    rnorm = float(np.max(np.abs(r)))
+    iterations = 0
+    while iterations < cfg.newton_max_iter and rnorm > cfg.newton_tol * max(1.0, float(np.max(np.abs(u)))):
+        du = step(u, r)
+        lam = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS):
+            cand = u + lam * du
+            r_cand = residual(cand)
+            cand_norm = float(np.max(np.abs(r_cand)))
+            if cand_norm < rnorm:
+                break
+            lam *= 0.5
+        else:
+            break
+        u, r, rnorm = cand, r_cand, cand_norm
+        iterations += 1
+    return u, rnorm, iterations
+
+
+def _accepted(u: np.ndarray, rnorm: float) -> bool:
+    return rnorm <= NEWTON_ACCEPT_TOL * max(1.0, float(np.max(np.abs(u))))
+
+
+def _coarse_roots(p: Problem, cfg: SolveConfig):
+    """Dense Newton on coarse_n nodes from the Picard levels and a ladder of concave profiles.
+
+    Returns the coarse nodes and the distinct roots as (u, iterations).  A
+    start whose Jacobian is singular is dropped; the others go on.
+    """
+    n = cfg.coarse_n
+    t = np.linspace(0.0, float(p.T), n)
+    G = _solution_matrix(p, n)
+    J = np.empty_like(G)
+
+    def residual(u):
+        return u - G @ p.f(t, np.maximum(u, 0.0))
+
+    def step(u, r):
+        np.multiply(G, -_df_du(p, t, u), out=J)
+        J.flat[:: n + 1] += 1.0
+        return np.linalg.solve(J, -r)
+
+    levels = _start_levels(cfg)
+    profile = G @ np.ones(n)
+    profile /= profile.max()
+    starts = [np.full(n, level) for level in levels]
+    starts += [lam * profile for lam in np.geomspace(levels[0], levels[-1], LADDER_STEPS)]
+    roots: list[tuple[np.ndarray, int]] = []
+    for u0 in starts:
+        try:
+            u, rnorm, iterations = _newton(residual, step, u0, cfg)
+        except np.linalg.LinAlgError:
+            continue
+        if _accepted(u, rnorm) and not any(
+            np.max(np.abs(u - v)) <= cfg.dedup_tol * max(1.0, np.max(np.abs(v))) for v, _ in roots
+        ):
+            roots.append((u, iterations))
+    return t, roots
+
+
+def _polish(p: Problem, t_coarse: np.ndarray, u_coarse: np.ndarray, coarse_iterations: int, cfg: SolveConfig):
+    """Prolong a coarse root to grid_n, apply A once, and finish with Newton-GMRES."""
+    t = np.linspace(0.0, float(p.T), cfg.grid_n)
+    clamped = 0
+
+    def residual(u):
+        nonlocal clamped
+        clamped += int(np.count_nonzero(u < 0.0))
+        return _fixed_point_residual(p, t, u)
+
+    def step(u, r):
+        return _gmres(_jacobian_matvec(p, t, u), -r)
+
+    prolonged = np.interp(t, t_coarse, u_coarse)
+    u, rnorm, iterations = _newton(residual, step, prolonged - residual(prolonged), cfg)  # u - F(u) = A u
+    curve = SolutionCurve(0.0, float(p.T), u - residual(u))
     y, _ = _load_curve(p, curve)
     rep = residuals(p, curve, y)
-    ok = rep.within(cfg.ode_tol(curve.h), cfg.residual_tol)
     return FixedPointResult(
         curve=curve,
-        converged=ok,
-        iterations=int(iters),
-        final_update_norm=float(r_norm),
+        converged=_accepted(u, rnorm) and rep.within(cfg.ode_tol(curve.h), cfg.residual_tol),
+        iterations=coarse_iterations + iterations,
+        final_update_norm=rnorm,
         residuals=rep,
-        source="shooting",
-        clamped_evals=int(clamped[0]),
+        source="newton",
+        clamped_evals=clamped,
     )
 
 
-def shooting_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
-    """Multi-start Newton at coarse resolution, then polish survivors at full resolution."""
-    u0s, s0s = _shooting_candidate_starts(p, cfg)
-    u_c, s_c, _, conv, _ = _newton_batch(p, u0s, s0s, cfg.coarse_n, cfg)
-    if not np.any(conv):
-        return []
-    # collapse coarse duplicates before the expensive full-resolution polish
-    pairs = sorted(zip(u_c[conv], s_c[conv]))
-    unique: list[tuple[float, float]] = []
-    for u0, s0 in pairs:
-        if not any(
-            abs(u0 - pu) <= 1e-5 * max(1.0, abs(pu)) and abs(s0 - ps) <= 1e-5 * max(1.0, abs(ps))
-            for pu, ps in unique
-        ):
-            unique.append((float(u0), float(s0)))
-    u_arr = np.array([q[0] for q in unique])
-    s_arr = np.array([q[1] for q in unique])
-    u_f, s_f, rn, conv_f, iters = _newton_batch(p, u_arr, s_arr, cfg.grid_n, cfg)
-    results = []
-    for k in np.flatnonzero(conv_f):
-        results.append(_result_from_shot(p, float(u_f[k]), float(s_f[k]), float(rn[k]), int(iters[k]), cfg))
+def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
+    """Roots of F(u) = u - A u: coarse dense Newton from many starts, then full-grid polish."""
+    t_coarse, roots = _coarse_roots(p, cfg)
+    results = [_polish(p, t_coarse, u, iterations, cfg) for u, iterations in roots]
     return [r for r in results if r.converged]
 
 
 def picard_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
     """Picard iteration from the configured constant starts."""
     T = float(p.T)
-    if cfg.thresholds is not None:
-        tt = cfg.thresholds
-        levels = [1e-2 * float(tt.a), float(tt.a), float(tt.b)]
-        if tt.d is not None:
-            levels.append(float(tt.d))
-        levels.append(float(tt.c))
-    else:
-        levels = [1e-2, 1e-1, 1.0, 10.0, 100.0]
     results = []
-    for level in levels:
+    for level in _start_levels(cfg):
         start = SolutionCurve.constant(level, T, cfg.grid_n)
         try:
             result = picard_iterate(p, start, cfg.picard_tol, cfg.picard_max_iter, cfg)
@@ -492,7 +484,7 @@ def find_solutions(
     p: Problem, cfg: SolveConfig = SolveConfig()
 ) -> list[tuple[FixedPointResult, SolutionClass]]:
     """Run both routes, verify, dedup, and classify every surviving solution."""
-    candidates = picard_solutions(p, cfg) + shooting_solutions(p, cfg)
+    candidates = picard_solutions(p, cfg) + newton_solutions(p, cfg)
     verified = [r for r in candidates if r.converged and cone_membership(r.curve).ok]
     unique = _dedup(verified, cfg.dedup_tol)
     eta = float(p.eta)

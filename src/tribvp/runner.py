@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -10,7 +11,7 @@ import numpy as np
 from .certify import certify, search_thresholds
 from .config import RunConfig
 from .constants import compute_constants
-from .errors import ConfigError, GammaDomainError, TribvpError
+from .errors import ConfigError, TribvpError
 from .nonlinear import find_solutions
 from .problem import validate_hypotheses
 from .report import dump_report, render_report, write_sweep_csv
@@ -104,13 +105,7 @@ def run(cfg: RunConfig) -> RunOutcome:
                 )
             report_kwargs["solutions"] = summaries
 
-    except GammaDomainError as exc:
-        report = _finish(cfg, timer, report_kwargs)
-        return RunOutcome(EXIT_NUMERICAL_FAILURE, report, str(exc))
-    except TribvpError as exc:
-        report = _finish(cfg, timer, report_kwargs)
-        return RunOutcome(EXIT_NUMERICAL_FAILURE, report, str(exc))
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (TribvpError, np.linalg.LinAlgError, FloatingPointError) as exc:
         report = _finish(cfg, timer, report_kwargs)
         return RunOutcome(EXIT_NUMERICAL_FAILURE, report, str(exc))
 
@@ -161,7 +156,7 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     axis_names = [name for name, _ in axes]
     rows = []
-    for combo in _product([values for _, values in axes]):
+    for combo in itertools.product(*(values.tolist() for _, values in axes)):
         row = dict(zip(axis_names, combo))
         try:
             p = cfg.problem.with_params(**{name: float(v) for name, v in zip(axis_names, combo)})
@@ -190,13 +185,3 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
     write_sweep_csv(cfg.output_dir / "sweep.csv", axis_names, rows)
     report = {"rows": len(rows), "axes": axis_names}
     return RunOutcome(EXIT_OK, report)
-
-
-def _product(value_lists):
-    if not value_lists:
-        yield ()
-        return
-    head, *tail = value_lists
-    for v in head:
-        for rest in _product(tail):
-            yield (float(v),) + rest

@@ -27,7 +27,7 @@ from tribvp import (
 )
 from tribvp.config import parse_run_config
 from tribvp.functions import RationalSigmoid, SeparableExpPiecewise
-from tribvp.nonlinear import apply_operator_A, find_solutions, picard_solutions, shooting_solutions
+from tribvp.nonlinear import apply_operator_A, find_solutions, newton_solutions, picard_solutions, shooting_residual
 from tribvp.constants import gamma
 from tribvp.runner import run
 
@@ -63,12 +63,13 @@ def sigmoid_search():
     cfg = SolveConfig(thresholds=tt)
     start = time.perf_counter()
     picard = picard_solutions(p, cfg)
-    shooting = shooting_solutions(p, cfg)
+    newton = newton_solutions(p, cfg)
     combined = find_solutions(p, cfg)
     elapsed = time.perf_counter() - start
     return {
+        "problem": p,
         "picard": picard,
-        "shooting": shooting,
+        "newton": newton,
         "combined": combined,
         "elapsed": elapsed,
         "cfg": cfg,
@@ -192,21 +193,37 @@ def test_criterion_06_multiplicity_exhibit(sigmoid_search):
 
 def test_criterion_07_route_cross_validation(sigmoid_search):
     picard = sigmoid_search["picard"]
-    shooting = sigmoid_search["shooting"]
-    assert picard and shooting
+    newton = sigmoid_search["newton"]
+    assert picard and newton
     # every attracting fixed point reached by iteration must be matched by a
-    # shooting solution; matched pairs agree well inside 1e-6.  The middle
-    # solution is a repelling fixed point, so only shooting can reach it.
+    # Newton solution; matched pairs agree well inside 1e-6.  The middle
+    # solution is a repelling fixed point, so only Newton can reach it.
     matched_pairs = 0
     for pr in picard:
-        dists = [float(np.max(np.abs(pr.curve.values - sr.curve.values))) for sr in shooting]
+        dists = [float(np.max(np.abs(pr.curve.values - nr.curve.values))) for nr in newton]
         best = min(dists)
         assert best <= 1e-6, f"iteration solution with norm {pr.curve.sup_norm()} unmatched ({best})"
         matched_pairs += 1
     assert matched_pairs >= 2  # the zero and the large solution at minimum
+
+    # Both routes solve the same discrete equation u = A u.  RK4 integration of
+    # the ODE from each reported solution's initial data is independent of it:
+    # it must meet both boundary conditions and retrace the curve.
+    worst_bc = worst_gap = 0.0
+    for result, _ in sigmoid_search["combined"]:
+        u, h = result.curve.values, result.curve.h
+        slope = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+        shot = shooting_residual(sigmoid_search["problem"], float(u[0]), float(slope), n=u.size)
+        assert not shot.blew_up
+        bc = max(abs(shot.r1), abs(shot.r2))
+        gap = float(np.max(np.abs(shot.curve.values - u)))
+        assert bc <= 1e-6, f"RK4 boundary residual {bc} for the solution with norm {result.curve.sup_norm()}"
+        assert gap <= 1e-6 * max(1.0, result.curve.sup_norm()), f"RK4 trajectory {gap} off the curve"
+        worst_bc, worst_gap = max(worst_bc, bc), max(worst_gap, gap)
     print(
         f"CRITERION 7 PASS: all {matched_pairs} iteration-route solutions matched "
-        "by shooting within 1e-6 after dedup"
+        f"by Newton within 1e-6; RK4 re-integration of all {len(sigmoid_search['combined'])} "
+        f"solutions: boundary residuals <= {worst_bc:.1e}, trajectory gap <= {worst_gap:.1e}"
     )
 
 

@@ -105,6 +105,11 @@ def test_config_errors_exit_code(tmp_path):
     even_grid.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(even_grid), "--out", str(tmp_path)]) == 2
 
+    del doc["grid_n"]
+    doc["solver"] = {"coarse_n": 64}
+    even_grid.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(even_grid), "--out", str(tmp_path)]) == 2
+
 
 def test_reports_are_deterministic(tmp_path):
     out = tmp_path / "r"
@@ -113,6 +118,17 @@ def test_reports_are_deterministic(tmp_path):
         assert main(["certify", "--config", SIGMOID, "--out", str(out), "--no-timing"]) == 0
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_solve_outputs_are_deterministic(tmp_path):
+    for config in (SIGMOID, EXP):
+        out = tmp_path / Path(config).stem
+        runs = []
+        for _ in range(2):
+            assert main(["solve", "--config", config, "--out", str(out), "--no-timing"]) == 0
+            runs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert any(name.startswith("solution_") for name in runs[0])
+        assert runs[0] == runs[1]
 
 
 def test_report_config_roundtrip(tmp_path):
@@ -125,7 +141,7 @@ def test_report_config_roundtrip(tmp_path):
 
 def test_solve_mode_writes_solution_curves(tmp_path):
     cfg_doc = json.loads(Path(EXP).read_text())
-    cfg_doc["solver"] = {"coarse_n": 129, "newton_grid_u": 8, "newton_grid_s": 8}
+    cfg_doc["solver"] = {"coarse_n": 129}
     cfg_path = tmp_path / "solve.json"
     cfg_path.write_text(json.dumps(cfg_doc))
     out = tmp_path / "out"

@@ -20,7 +20,15 @@ from tribvp import (
 )
 from tribvp.grid import cumulative_simpson, partial_integral
 from tribvp.linear import residuals
-from tribvp.nonlinear import FixedPointResult, _dedup, _load_curve
+from tribvp.nonlinear import (
+    FixedPointResult,
+    _dedup,
+    _fixed_point_residual,
+    _jacobian_matvec,
+    _load_curve,
+    _solution_matrix,
+    newton_solutions,
+)
 from tribvp.functions import ConstantF
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
@@ -252,7 +260,7 @@ def test_dedup_merges_and_keeps_better_residual():
 
 def test_find_solutions_zero_nonlinearity_returns_zero_only():
     p = zero_f_problem()
-    cfg = SolveConfig(grid_n=513, coarse_n=129, newton_grid=(6, 6))
+    cfg = SolveConfig(grid_n=513, coarse_n=129)
     found = find_solutions(p, cfg)
     assert len(found) == 1
     result, cls = found[0]
@@ -262,7 +270,7 @@ def test_find_solutions_zero_nonlinearity_returns_zero_only():
 
 def test_find_solutions_exp_problem_two_verified(exp_thresholds):
     p = make_exp_piecewise_problem()
-    cfg = SolveConfig(grid_n=1025, coarse_n=129, newton_grid=(10, 10), thresholds=exp_thresholds)
+    cfg = SolveConfig(grid_n=1025, coarse_n=129, thresholds=exp_thresholds)
     found = find_solutions(p, cfg)
     assert len(found) >= 2
     labels = {cls.label for _, cls in found}
@@ -273,6 +281,48 @@ def test_find_solutions_exp_problem_two_verified(exp_thresholds):
         assert result.residuals.bc0_residual <= 1e-8
         assert result.residuals.bcT_residual <= 1e-8
         assert cone_membership(result.curve).ok
+
+
+def test_solution_matrix_reproduces_the_linear_solve(rng):
+    p = make_sigmoid_problem()
+    n = 257
+    G = _solution_matrix(p, n)
+    for _ in range(10):
+        y = random_nonnegative_load(1.0, n, rng)
+        assert np.max(np.abs(G @ y.values - solve_linear(p, y).values)) <= 1e-12
+
+
+def test_newton_jacobian_vector_product_matches_central_difference(rng):
+    p = make_sigmoid_problem()
+    t = np.linspace(0.0, 1.0, N)
+    u = solve_linear(p, random_nonnegative_load(1.0, N, rng)).values
+    v = rng.uniform(-1.0, 1.0, N)
+    eps = 1e-6
+    central = (_fixed_point_residual(p, t, u + eps * v) - _fixed_point_residual(p, t, u - eps * v)) / (2 * eps)
+    jv = _jacobian_matvec(p, t, u)(v)
+    assert np.max(np.abs(jv - central)) <= 1e-7 * np.max(np.abs(central))
+
+
+def test_newton_zero_nonlinearity_has_exactly_one_root():
+    roots = newton_solutions(zero_f_problem(), SolveConfig(grid_n=513))
+    assert len(roots) == 1
+    assert roots[0].curve.sup_norm() == 0.0
+
+
+def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds):
+    solve = np.linalg.solve
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_first)
+    found = find_solutions(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
+    assert len(calls) > 1
+    assert {"small", "middle", "large-min"} <= {cls.label for _, cls in found}
 
 
 def test_oracle_route_agreement_on_operator(rng):
