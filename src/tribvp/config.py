@@ -37,7 +37,6 @@ _SOLVER_KEYS = {
     "dedup_tol": float,
     "newton_tol": float,
     "newton_max_iter": int,
-    "coarse_n": int,
     "h1_u_max": float,
     "sampling_nt": int,
     "sampling_nu": int,
@@ -71,9 +70,6 @@ class RunConfig:
                 raise ConfigError(f"solver option {key} must be a number, got {value!r}")
             if key.endswith(("tol", "c2", "lo", "hi", "u_max")) and not value > 0:
                 raise ConfigError(f"solver option {key} must be positive, got {value}")
-        coarse_n = self.solver_doc.get("coarse_n")
-        if coarse_n is not None and (coarse_n < 5 or coarse_n % 2 == 0):
-            raise ConfigError(f"solver option coarse_n must be odd and >= 5, got {coarse_n}")
 
     def solve_config(self) -> SolveConfig:
         """Solver knobs set in the document; every other field keeps its SolveConfig default."""

@@ -54,7 +54,6 @@ class SolveConfig:
     divergence_norm: float = 1e6
     newton_tol: float = 1e-12  # relative target driven by the iteration
     newton_max_iter: int = 25
-    coarse_n: int = 65  # dense Newton grid; its roots only start the full-grid Newton
     thresholds: ThresholdTriple | None = None
 
     def ode_tol(self, h: float) -> float:
@@ -197,6 +196,7 @@ BLOWUP_LIMIT = 1e9  # |u| at which the RK4 check trajectory counts as blown up
 # even if the iteration stalled before newton_tol.
 NEWTON_ACCEPT_TOL = 1e-9
 NEWTON_MAX_HALVINGS = 12
+COARSE_N = 65  # nodes of the dense Newton search; its roots only start the full-grid Newton
 GMRES_RESTART = 20  # Krylov vectors per full-grid Newton step, one linear solve each
 GMRES_RTOL = 1e-12
 FD_STEP = 1e-6  # relative step of the central difference standing in for df/du
@@ -351,12 +351,12 @@ def _accepted(u: np.ndarray, rnorm: float) -> bool:
 
 
 def _coarse_roots(p: Problem, cfg: SolveConfig):
-    """Dense Newton on coarse_n nodes from the Picard levels and a ladder of concave profiles.
+    """Dense Newton on COARSE_N nodes from the Picard levels and a ladder of concave profiles.
 
     Returns the coarse nodes and the distinct roots as (u, iterations).  A
     start whose Jacobian is singular is dropped; the others go on.
     """
-    n = cfg.coarse_n
+    n = COARSE_N
     t = np.linspace(0.0, float(p.T), n)
     G = _solution_matrix(p, n)
     J = np.empty_like(G)

@@ -105,11 +105,6 @@ def test_config_errors_exit_code(tmp_path):
     even_grid.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(even_grid), "--out", str(tmp_path)]) == 2
 
-    del doc["grid_n"]
-    doc["solver"] = {"coarse_n": 64}
-    even_grid.write_text(json.dumps(doc))
-    assert main(["solve", "--config", str(even_grid), "--out", str(tmp_path)]) == 2
-
 
 def test_reports_are_deterministic(tmp_path):
     out = tmp_path / "r"
@@ -141,7 +136,6 @@ def test_report_config_roundtrip(tmp_path):
 
 def test_solve_mode_writes_solution_curves(tmp_path):
     cfg_doc = json.loads(Path(EXP).read_text())
-    cfg_doc["solver"] = {"coarse_n": 129}
     cfg_path = tmp_path / "solve.json"
     cfg_path.write_text(json.dumps(cfg_doc))
     out = tmp_path / "out"

@@ -260,7 +260,7 @@ def test_dedup_merges_and_keeps_better_residual():
 
 def test_find_solutions_zero_nonlinearity_returns_zero_only():
     p = zero_f_problem()
-    cfg = SolveConfig(grid_n=513, coarse_n=129)
+    cfg = SolveConfig(grid_n=513)
     found = find_solutions(p, cfg)
     assert len(found) == 1
     result, cls = found[0]
@@ -270,7 +270,7 @@ def test_find_solutions_zero_nonlinearity_returns_zero_only():
 
 def test_find_solutions_exp_problem_two_verified(exp_thresholds):
     p = make_exp_piecewise_problem()
-    cfg = SolveConfig(grid_n=1025, coarse_n=129, thresholds=exp_thresholds)
+    cfg = SolveConfig(grid_n=1025, thresholds=exp_thresholds)
     found = find_solutions(p, cfg)
     assert len(found) >= 2
     labels = {cls.label for _, cls in found}
