@@ -9,7 +9,6 @@ that exhibits and classifies them.
 from .certify import (
     Certificate,
     ConditionReport,
-    SamplingConfig,
     SearchConfig,
     ThresholdTriple,
     certify,
@@ -29,7 +28,7 @@ from .errors import (
     SingularConfigurationError,
     TribvpError,
 )
-from .functions import FunctionSpec, eval_f, parse_function_spec
+from .functions import FunctionSpec, parse_function_spec
 from .grid import SolutionCurve
 from .linear import (
     ResidualReport,
@@ -48,7 +47,6 @@ from .nonlinear import (
     cone_membership,
     find_solutions,
     picard_iterate,
-    psi,
     shooting_residual,
 )
 from .problem import HypothesisReport, Problem, lambda_constant, validate_hypotheses
@@ -67,7 +65,6 @@ __all__ = [
     "LWConstants",
     "Problem",
     "ResidualReport",
-    "SamplingConfig",
     "SearchConfig",
     "SingularConfigurationError",
     "SolutionClass",
@@ -87,14 +84,12 @@ __all__ = [
     "compute_constants",
     "cone_membership",
     "delta_constant",
-    "eval_f",
     "find_solutions",
     "gamma",
     "lambda_constant",
     "m_constant",
     "parse_function_spec",
     "picard_iterate",
-    "psi",
     "residuals",
     "search_thresholds",
     "shooting_residual",

@@ -6,22 +6,22 @@ For thresholds 0 < a < b < b/gamma <= c the three growth conditions are
     D2:  f(t, u) >= b/delta  on [eta, T] x [b, b/gamma]
     D3:  f(t, u) <= m*c      on [0, T]   x [0, c]
 
-Each box is checked by dense sampling with one refinement pass around the
-worst point, so a positive verdict is sound up to the reported sampling
-density; reports carry the margin, the worst point, and the sample count.
-When the nonlinearity is flagged monotone in u, the u-extreme side of each
-box is evaluated exactly at the relevant edge.
+Each box is bounded by the nonlinearity's own `range`: the exact extremum for
+forms monotone on each branch, a rigorous enclosure for polynomials.  A
+positive verdict is therefore a proof; reports carry the margin, the point
+that bounds f, and the method ("exact" or "enclosure").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .constants import LWConstants
 from .errors import CertificationError
+from .functions import Range
 from .numeric import Number, is_exact, render_number
 from .problem import FLOAT_STRICTNESS_TOL, Problem
 
@@ -51,17 +51,6 @@ class ThresholdTriple:
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    """Box sampling density and the refinement pass around the worst point."""
-
-    nt: int = 257
-    nu: int = 257
-    refine: bool = True
-    refine_factor: int = 3
-    refine_window: float = 0.05
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     """Bounds and budgets for the coarse-to-fine threshold search."""
 
@@ -69,30 +58,21 @@ class SearchConfig:
     hi: float = 1e4
     per_axis: int = 13
     max_levels: int = 8
-    scan_sampling: SamplingConfig = SamplingConfig(nt=33, nu=33, refine=False)
-    final_sampling: SamplingConfig = SamplingConfig()
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """One growth condition's outcome on its sampled box."""
+    """One growth condition's outcome on its box."""
 
     condition: str
     holds: bool
     margin: float
     bound: float
     worst_point: tuple[float, float]
-    samples_used: int
+    method: str
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds": self.holds,
-            "margin": self.margin,
-            "bound": self.bound,
-            "worst_point": list(self.worst_point),
-            "samples_used": self.samples_used,
-        }
+        return {**asdict(self), "worst_point": list(self.worst_point)}
 
 
 @dataclass(frozen=True)
@@ -128,107 +108,54 @@ def check_ordering(tt: ThresholdTriple, gamma: Number) -> bool:
     return bool(tt.a > tol and tt.b - tt.a > tol and d - tt.b > tol and tt.c >= d - tol)
 
 
-def _sample_box(p: Problem, t_lo, t_hi, u_lo, u_hi, grid: SamplingConfig, want_max: bool):
-    """Extremum of f over a box by grid sampling plus one local refinement."""
-    f = p.f
-    if f is None:
+def _box_range(p: Problem, *box) -> Range:
+    """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi]."""
+    if p.f is None:
         raise CertificationError("problem has no nonlinearity to certify")
-    t_lo, t_hi, u_lo, u_hi = float(t_lo), float(t_hi), float(u_lo), float(u_hi)
-
-    def scan(ts, us):
-        try:
-            values = f(ts[:, None], us[None, :])
-        except Exception as exc:
-            t_bad, u_bad = _locate_eval_failure(f, ts, us)
-            raise CertificationError(
-                f"f evaluation failed near (t, u) = ({t_bad}, {u_bad}): {exc}", t=t_bad, u=u_bad
-            ) from exc
-        pick = np.argmax if want_max else np.argmin
-        i, j = np.unravel_index(pick(values), values.shape)
-        return float(values[i, j]), float(ts[i]), float(us[j]), values.size
-
-    if f.monotone_in_u:
-        # u-extreme sits on a box edge; only the t direction needs sampling.
-        u_edge = u_hi if want_max else u_lo
-        us = np.array([u_edge])
-        ts = np.linspace(t_lo, t_hi, grid.nt)
-    else:
-        ts = np.linspace(t_lo, t_hi, grid.nt)
-        us = np.linspace(u_lo, u_hi, grid.nu)
-    best, t_star, u_star, used = scan(ts, us)
-
-    if grid.refine:
-        wt = grid.refine_window * (t_hi - t_lo)
-        wu = grid.refine_window * (u_hi - u_lo)
-        ts_r = np.linspace(
-            max(t_lo, t_star - wt), min(t_hi, t_star + wt), grid.refine_factor * max(grid.nt // 10, 3)
-        )
-        if f.monotone_in_u:
-            us_r = us
-        else:
-            us_r = np.linspace(
-                max(u_lo, u_star - wu), min(u_hi, u_star + wu), grid.refine_factor * max(grid.nu // 10, 3)
-            )
-        cand, t_c, u_c, used_r = scan(ts_r, us_r)
-        used += used_r
-        better = cand > best if want_max else cand < best
-        if better:
-            best, t_star, u_star = cand, t_c, u_c
-
-    return best, (t_star, u_star), used
+    t_lo, t_hi, u_lo, u_hi = (float(x) for x in box)
+    try:
+        return p.f.range(t_lo, t_hi, u_lo, u_hi)
+    except Exception as exc:  # any failure of a user-supplied f voids the certificate
+        raise CertificationError(f"f evaluation failed on [{t_lo}, {t_hi}] x [{u_lo}, {u_hi}]: {exc}") from exc
 
 
-def _locate_eval_failure(f, ts, us):
-    for t in ts:
-        for u in us:
-            try:
-                f(float(t), float(u))
-            except Exception:
-                return float(t), float(u)
-    return float("nan"), float("nan")
-
-
-def check_D1(p: Problem, m: Number, a: Number, grid: SamplingConfig = SamplingConfig()) -> ConditionReport:
+def check_D1(p: Problem, m: Number, a: Number) -> ConditionReport:
     """Small-range cap: f < m*a on [0, T] x [0, a] (strict)."""
     if not float(a) > 0:
         raise ValueError("threshold a must be positive")
     bound = float(m) * float(a)
-    fmax, worst, used = _sample_box(p, 0.0, p.T, 0.0, a, grid, want_max=True)
-    margin = bound - fmax
-    return ConditionReport("D1", holds=margin > 0, margin=margin, bound=bound, worst_point=worst, samples_used=used)
+    r = _box_range(p, 0.0, p.T, 0.0, a)
+    margin = bound - r.hi
+    return ConditionReport("D1", holds=margin > 0, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
 
 
-def check_D2(
-    p: Problem, delta: Number, b: Number, gamma: Number, grid: SamplingConfig = SamplingConfig()
-) -> ConditionReport:
+def check_D2(p: Problem, delta: Number, b: Number, gamma: Number) -> ConditionReport:
     """Tail floor: f >= b/delta on [eta, T] x [b, b/gamma]."""
     if not float(b) > 0:
         raise ValueError("threshold b must be positive")
     bound = float(b) / float(delta)
-    fmin, worst, used = _sample_box(p, p.eta, p.T, b, b / gamma, grid, want_max=False)
-    margin = fmin - bound
-    return ConditionReport("D2", holds=margin >= 0, margin=margin, bound=bound, worst_point=worst, samples_used=used)
+    r = _box_range(p, p.eta, p.T, b, b / gamma)
+    margin = r.lo - bound
+    return ConditionReport("D2", holds=margin >= 0, margin=margin, bound=bound, worst_point=r.lo_at, method=r.method)
 
 
-def check_D3(p: Problem, m: Number, c: Number, grid: SamplingConfig = SamplingConfig()) -> ConditionReport:
+def check_D3(p: Problem, m: Number, c: Number) -> ConditionReport:
     """Global cap: f <= m*c on [0, T] x [0, c]."""
     if not float(c) > 0:
         raise ValueError("threshold c must be positive")
     bound = float(m) * float(c)
-    fmax, worst, used = _sample_box(p, 0.0, p.T, 0.0, c, grid, want_max=True)
-    margin = bound - fmax
-    return ConditionReport("D3", holds=margin >= 0, margin=margin, bound=bound, worst_point=worst, samples_used=used)
+    r = _box_range(p, 0.0, p.T, 0.0, c)
+    margin = bound - r.hi
+    return ConditionReport("D3", holds=margin >= 0, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
 
 
-def certify(
-    p: Problem, tt: ThresholdTriple, k: LWConstants, grid: SamplingConfig = SamplingConfig()
-) -> Certificate:
+def certify(p: Problem, tt: ThresholdTriple, k: LWConstants) -> Certificate:
     """Check the ordering and all three growth conditions; verdict is their conjunction."""
     return Certificate(
         ordering_ok=check_ordering(tt, k.gamma),
-        d1=check_D1(p, k.m, tt.a, grid),
-        d2=check_D2(p, k.delta, tt.b, k.gamma, grid),
-        d3=check_D3(p, k.m, tt.c, grid),
+        d1=check_D1(p, k.m, tt.a),
+        d2=check_D2(p, k.delta, tt.b, k.gamma),
+        d3=check_D3(p, k.m, tt.c),
     )
 
 
@@ -261,21 +188,20 @@ def search_thresholds(
 ) -> ThresholdTriple | None:
     """Find a certifiable (a, b, c) by coarse-to-fine scanning; None if absent.
 
-    Each axis is prescreened at coarse sampling density with local zooming
-    (some problems admit only a narrow window, e.g. a pointwise-tight tail
-    floor); candidate triples in deterministic order (a ascending,
-    b ascending, c descending) are then re-validated at full density.
+    Each axis is scanned with local zooming (some problems admit only a
+    narrow window, e.g. a pointwise-tight tail floor).  The growth checks are
+    proofs, so every scanned point that holds stays valid; the first triple in
+    deterministic order (a ascending, b ascending, c descending) whose
+    ordering holds is returned.
     """
     gamma = float(k.gamma)
-    feasible_a = _feasible_axis_points(lambda a: check_D1(p, k.m, a, cfg.scan_sampling), cfg)
+    feasible_a = _feasible_axis_points(lambda a: check_D1(p, k.m, a), cfg)
     if not feasible_a:
         return None
-    feasible_b = _feasible_axis_points(
-        lambda b: check_D2(p, k.delta, b, gamma, cfg.scan_sampling), cfg
-    )
+    feasible_b = _feasible_axis_points(lambda b: check_D2(p, k.delta, b, gamma), cfg)
     if not feasible_b:
         return None
-    feasible_c = _feasible_axis_points(lambda c: check_D3(p, k.m, c, cfg.scan_sampling), cfg)
+    feasible_c = _feasible_axis_points(lambda c: check_D3(p, k.m, c), cfg)
     if not feasible_c:
         return None
 
@@ -287,6 +213,6 @@ def search_thresholds(
                 if c < b / gamma:
                     continue
                 tt = ThresholdTriple.from_abc(a, b, c, gamma)
-                if certify(p, tt, k, cfg.final_sampling).verdict:
+                if check_ordering(tt, k.gamma):
                     return tt
     return None

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .certify import SamplingConfig, SearchConfig, ThresholdTriple
+from .certify import SearchConfig, ThresholdTriple
 from .errors import ConfigError, FunctionSpecError
 from .functions import parse_function_spec
 from .nonlinear import SolveConfig
@@ -38,12 +38,14 @@ _SOLVER_KEYS = {
     "newton_tol": float,
     "newton_max_iter": int,
     "h1_u_max": float,
-    "sampling_nt": int,
-    "sampling_nu": int,
     "search_lo": float,
     "search_hi": float,
     "search_per_axis": int,
 }
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,13 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.grid_n < 65 or self.grid_n % 2 == 0:
-            raise ConfigError(f"grid_n must be odd and >= 65, got {self.grid_n}")
+        if not _is_count(self.grid_n) or self.grid_n < 65 or self.grid_n % 2 == 0:
+            raise ConfigError(f"grid_n must be an odd integer >= 65, got {self.grid_n!r}")
         for key, value in self.solver_doc.items():
             if key not in _SOLVER_KEYS:
                 raise ConfigError(f"unknown solver option {key!r}")
+            if _SOLVER_KEYS[key] is int and not _is_count(value):
+                raise ConfigError(f"solver option {key} must be an integer >= 1, got {value!r}")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"solver option {key} must be a number, got {value!r}")
             if key.endswith(("tol", "c2", "lo", "hi", "u_max")) and not value > 0:
@@ -77,19 +81,9 @@ class RunConfig:
         set_here = {key: value for key, value in self.solver_doc.items() if key in knobs}
         return SolveConfig(grid_n=self.grid_n, thresholds=self.thresholds, **set_here)
 
-    def sampling_config(self) -> SamplingConfig:
-        return SamplingConfig(
-            nt=self.solver_doc.get("sampling_nt", 257),
-            nu=self.solver_doc.get("sampling_nu", 257),
-        )
-
     def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            lo=self.solver_doc.get("search_lo", 1e-4),
-            hi=self.solver_doc.get("search_hi", 1e4),
-            per_axis=self.solver_doc.get("search_per_axis", 13),
-            final_sampling=self.sampling_config(),
-        )
+        """search_* keys set in the document; every other field keeps its SearchConfig default."""
+        return SearchConfig(**{k.removeprefix("search_"): v for k, v in self.solver_doc.items() if k.startswith("search_")})
 
     def h1_u_max(self) -> float:
         if "h1_u_max" in self.solver_doc:
@@ -140,7 +134,7 @@ def parse_run_config(
         if missing:
             raise ConfigError(f"problem section missing fields: {missing}")
         solver_doc = dict(doc.get("solver", {}))
-        n = int(grid_n if grid_n is not None else doc.get("grid_n", solver_doc.pop("grid_n", 2049)))
+        n = grid_n if grid_n is not None else doc.get("grid_n", solver_doc.pop("grid_n", 2049))
 
         t_val = parse_number(pdoc["T"])
         thresholds = None

@@ -33,9 +33,4 @@ class GammaDomainError(TribvpError):
 
 
 class CertificationError(TribvpError):
-    """Nonlinearity evaluation failed while sampling a growth-condition box."""
-
-    def __init__(self, message, t=None, u=None):
-        self.t = t
-        self.u = u
-        super().__init__(message)
+    """Nonlinearity evaluation failed while bounding it on a growth-condition box."""

@@ -7,13 +7,19 @@ there is deliberately no expression parser.  Each spec evaluates on scalars
 
 All specs must be nonnegative for t in [0, T], u >= 0, and piecewise forms
 must be continuous at their breakpoints; both are checked at construction.
+
+Every form bounds itself on a box with `range(t_lo, t_hi, u_lo, u_hi)`: exact
+from box edges and breakpoints for the forms monotone on each branch, and a
+rigorous interval enclosure for polynomials (Moore, *Interval Analysis*;
+Tucker, *Validated Numerics*).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +31,11 @@ NEGATIVE_U_TOL = 1e-10
 
 # Continuity requirement at piecewise breakpoints.
 BREAKPOINT_TOL = 1e-9
+
+# Bisection depth at which a polynomial's range takes the mean-value bound.
+POLY_DEPTH = 40
+
+EXACT, ENCLOSURE = "exact", "enclosure"
 
 
 def _check_u_domain(u):
@@ -39,11 +50,101 @@ def _clip_u(u):
     return max(u, type(u)(0))
 
 
+def _polyval(coeffs, x):
+    """Horner's rule; exact for Fractions, else double precision (x may be an array)."""
+    acc = np.zeros_like(x) if np.ndim(x) else 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class Range(NamedTuple):
+    """Bounds lo <= f <= hi on a box.  "exact": they are f's values at lo_at and
+    hi_at; "enclosure": they are proved, and lo_at, hi_at are sub-box centres."""
+
+    lo: float
+    hi: float
+    lo_at: tuple[float, float]
+    hi_at: tuple[float, float]
+    method: str
+
+
+def _range(lows, highs=None) -> Range:
+    """Range from (value, (t, u), method) candidates that contain the box extrema."""
+    lo = min(lows, key=lambda c: c[0])
+    hi = max(lows if highs is None else highs, key=lambda c: c[0])
+    method = EXACT if lo[2] == hi[2] == EXACT else ENCLOSURE
+    return Range(float(lo[0]), float(hi[0]), lo[1], hi[1], method)
+
+
+# --- outward-rounded interval arithmetic for polynomial enclosures ------------
+
+
+def _out(lo: float, hi: float) -> tuple[float, float]:
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _iadd(x, y) -> tuple[float, float]:
+    return _out(x[0] + y[0], x[1] + y[1])
+
+
+def _imul(x, y) -> tuple[float, float]:
+    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return _out(min(products), max(products))
+
+
+def _horner(coeffs, x) -> tuple[float, float]:
+    """Interval Horner: encloses sum_k coeffs[k] s^k for s in the interval x."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = _iadd(_imul(acc, x), c)
+    return acc
+
+
+def _taylor(coeffs, m: float) -> list:
+    """Enclosures of a_k with p(m + s) = sum_k a_k s^k (repeated synthetic division)."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] = _iadd(a[j], _imul((m, m), a[j + 1]))
+    return a
+
+
+def _poly_range(coeffs, lo: float, hi: float, at) -> Range:
+    """Range of p(x) = sum_k coeffs[k] x^k on [lo, hi]; at(x) is x's (t, u) point.
+
+    Where the enclosure of p' on a sub-interval X excludes 0, p is monotone and
+    its extrema there are endpoint values.  Other sub-intervals are bisected
+    until the mean-value bound p(m) + p'(X)(X - m) is within twice the rounding
+    error of p(m), or POLY_DEPTH times, and then enter that bound.  p' is taken
+    in its Taylor form at m, which keeps O(1) sub-intervals per level undecided
+    even at a multiple root of p'.  The sub-interval list is never capped.
+    """
+    fc = [float(c) for c in coeffs]
+    if not any(fc[1:]):
+        return _range([(fc[0], at(lo), EXACT)])
+    p = [_out(c, c) for c in fc]
+    ends, lows, highs, stack = [], [], [], [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        m = 0.5 * (a + b)
+        s = _out(a - m, b - m)
+        coef = _taylor(p, m)
+        slope = _horner([_imul((k, k), c) for k, c in enumerate(coef) if k], s)
+        value = _iadd(coef[0], _imul(slope, s))
+        if slope[0] >= 0 or slope[1] <= 0:
+            ends += [(_polyval(fc, x), at(x), EXACT) for x in (a, b)]
+        elif depth < POLY_DEPTH and 2 * (coef[0][1] - coef[0][0]) < value[1] - value[0] < math.inf:
+            stack += [(a, m, depth + 1), (m, b, depth + 1)]
+        else:
+            lows.append((value[0], at(m), ENCLOSURE))
+            highs.append((value[1], at(m), ENCLOSURE))
+    return _range(ends + lows, ends + highs)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """Base class: a nonnegative continuous nonlinearity f(t, u)."""
-
-    monotone_in_u: bool = field(default=False, kw_only=True)
 
     kind = "abstract"
 
@@ -54,19 +155,15 @@ class FunctionSpec:
     def _value(self, t, u):
         raise NotImplementedError
 
+    def range(self, t_lo: float, t_hi: float, u_lo: float, u_hi: float) -> Range:
+        """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi]."""
+        raise NotImplementedError(f"{type(self).__name__} has no range")
+
+    def _attained(self, points) -> Range:  # for forms whose box extrema lie among `points`
+        return _range([(float(self(t, u)), (t, u), EXACT) for t, u in points])
+
     def to_config(self) -> dict:
         raise NotImplementedError
-
-    def _base_config(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.monotone_in_u:
-            doc["monotone_in_u"] = True
-        return doc
-
-
-def eval_f(spec: FunctionSpec, t, u):
-    """Evaluate a nonlinearity; exact when spec params, t and u are rational."""
-    return spec(t, u)
 
 
 @dataclass(frozen=True)
@@ -85,13 +182,16 @@ class RationalSigmoid(FunctionSpec):
         uu = u * u
         return float(self.scale) * uu / (uu + 1.0)
 
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        return self._attained([(t_lo, u_lo), (t_lo, u_hi)])
+
     def to_config(self):
-        return {**self._base_config(), "params": [render_number(self.scale)]}
+        return {"kind": self.kind, "params": [render_number(self.scale)]}
 
 
 @dataclass(frozen=True)
 class ConstantF(FunctionSpec):
-    """f(t, u) = c.  c = 0 is allowed for tests but fails the sampled H1 check."""
+    """f(t, u) = c.  c = 0 is allowed for tests but fails the H1 check."""
 
     value: Number = 0
 
@@ -102,8 +202,11 @@ class ConstantF(FunctionSpec):
             return np.broadcast_to(float(self.value), np.broadcast_shapes(np.shape(t), np.shape(u))).copy()
         return self.value if isinstance(u, Fraction) else float(self.value)
 
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        return self._attained([(t_lo, u_lo)])
+
     def to_config(self):
-        return {**self._base_config(), "params": [render_number(self.value)]}
+        return {"kind": self.kind, "params": [render_number(self.value)]}
 
 
 @dataclass(frozen=True)
@@ -116,20 +219,17 @@ class PolynomialU(FunctionSpec):
 
     def _value(self, t, u):
         if isinstance(u, Fraction) and is_exact(*self.coeffs):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * u + c
-            return acc
-        u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
-        acc = np.zeros_like(u) if np.ndim(u) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * u + float(c)
+            return _polyval(self.coeffs, u)
+        acc = _polyval([float(c) for c in self.coeffs], np.asarray(u, dtype=float) if np.ndim(u) else float(u))
         if np.ndim(t) and not np.ndim(acc):
             acc = np.broadcast_to(acc, np.shape(t)).copy()
         return acc
 
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        return _poly_range(self.coeffs, u_lo, u_hi, lambda u: (t_lo, u))
+
     def to_config(self):
-        return {**self._base_config(), "params": [render_number(c) for c in self.coeffs]}
+        return {"kind": self.kind, "params": [render_number(c) for c in self.coeffs]}
 
 
 # --- piecewise machinery -------------------------------------------------
@@ -174,42 +274,6 @@ class Piece:
         }
 
 
-def _validate_pieces(pieces: tuple[Piece, ...]):
-    if not pieces:
-        raise FunctionSpecError("piecewise definition needs at least one branch")
-    if pieces[-1].until is not None:
-        raise FunctionSpecError("final branch must be unbounded (until = null)")
-    breakpoints = [p.until for p in pieces[:-1]]
-    if any(b is None for b in breakpoints):
-        raise FunctionSpecError("only the final branch may be unbounded")
-    for left, right in zip(breakpoints, breakpoints[1:]):
-        if not right > left:
-            raise FunctionSpecError(
-                f"breakpoints must be strictly ascending, got {left} then {right}"
-            )
-    for i, b in enumerate(breakpoints):
-        lo = pieces[i].evaluate(b if isinstance(b, Fraction) else float(b))
-        hi = pieces[i + 1].evaluate(b if isinstance(b, Fraction) else float(b))
-        if abs(float(lo) - float(hi)) > BREAKPOINT_TOL:
-            raise FunctionSpecError(
-                f"discontinuity at breakpoint u = {b}: "
-                f"left branch gives {float(lo)!r}, right branch gives {float(hi)!r}"
-            )
-
-
-def _piecewise_eval(pieces: tuple[Piece, ...], u):
-    # Branch membership is [x_i, x_{i+1}); continuity makes the edge choice moot.
-    if np.ndim(u) == 0:
-        for piece in pieces[:-1]:
-            if u < piece.until:
-                return piece.evaluate(u)
-        return pieces[-1].evaluate(u)
-    u = np.asarray(u, dtype=float)
-    conditions = [u < float(p.until) for p in pieces[:-1]]
-    values = [p.evaluate(u) for p in pieces]
-    return np.select(conditions, values[:-1], default=values[-1])
-
-
 @dataclass(frozen=True)
 class PiecewiseU(FunctionSpec):
     """Autonomous piecewise function of u with linear/constant/rational branches."""
@@ -219,16 +283,62 @@ class PiecewiseU(FunctionSpec):
     kind = "piecewise"
 
     def __post_init__(self):
-        _validate_pieces(self.pieces)
+        if not self.pieces:
+            raise FunctionSpecError("piecewise definition needs at least one branch")
+        if self.pieces[-1].until is not None:
+            raise FunctionSpecError("final branch must be unbounded (until = null)")
+        breakpoints = [p.until for p in self.pieces[:-1]]
+        if any(b is None for b in breakpoints):
+            raise FunctionSpecError("only the final branch may be unbounded")
+        for left, right in zip(breakpoints, breakpoints[1:]):
+            if not right > left:
+                raise FunctionSpecError(
+                    f"breakpoints must be strictly ascending, got {left} then {right}"
+                )
+        for i, b in enumerate(breakpoints):
+            lo = self.pieces[i].evaluate(b if isinstance(b, Fraction) else float(b))
+            hi = self.pieces[i + 1].evaluate(b if isinstance(b, Fraction) else float(b))
+            if abs(float(lo) - float(hi)) > BREAKPOINT_TOL:
+                raise FunctionSpecError(
+                    f"discontinuity at breakpoint u = {b}: "
+                    f"left branch gives {float(lo)!r}, right branch gives {float(hi)!r}"
+                )
+        for left, piece in zip([0, *breakpoints], self.pieces):
+            if piece.form == "rational-linear":
+                # No pole on the branch iff the denominator has one sign at both ends
+                # (at u = inf: the sign of b1, or of b0 when b1 = 0).
+                b1, b0 = piece.params[2:]
+                far = (b1 or b0) if piece.until is None else b1 * piece.until + b0
+                if (b1 * left + b0) * far <= 0:
+                    raise FunctionSpecError(f"rational-linear branch on [{left}, {piece.until}] has a pole")
 
     def _value(self, t, u):
-        out = _piecewise_eval(self.pieces, u)
+        # Branch membership is [x_i, x_{i+1}); continuity makes the edge choice moot.
+        if np.ndim(u) == 0:
+            out = next((p for p in self.pieces[:-1] if u < p.until), self.pieces[-1]).evaluate(u)
+        else:
+            u = np.asarray(u, dtype=float)
+            conditions = [u < float(p.until) for p in self.pieces[:-1]]
+            values = [p.evaluate(u) for p in self.pieces]
+            out = np.select(conditions, values[:-1], default=values[-1])
         if np.ndim(t) and not np.ndim(out):
             out = np.broadcast_to(out, np.shape(t)).copy()
         return out
 
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        # Each branch is monotone: its extrema are at the ends of its part of the box.
+        # Both one-sided values at a breakpoint cover the slack BREAKPOINT_TOL allows.
+        candidates, left = [], -math.inf
+        for piece in self.pieces:
+            right = math.inf if piece.until is None else float(piece.until)
+            a, b = max(left, u_lo), min(right, u_hi)
+            if a <= b:
+                candidates += [(float(piece.evaluate(u)), (t_lo, u), EXACT) for u in (a, b)]
+            left = right
+        return _range(candidates)
+
     def to_config(self):
-        return {**self._base_config(), "pieces": [p.to_config() for p in self.pieces]}
+        return {"kind": self.kind, "pieces": [p.to_config() for p in self.pieces]}
 
 
 @dataclass(frozen=True)
@@ -257,11 +367,12 @@ class PiecewiseLinearTable(FunctionSpec):
             out = np.broadcast_to(out, np.shape(t)).copy()
         return out
 
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        inside = [float(u) for u, _ in self.table if u_lo < u < u_hi]
+        return self._attained([(t_lo, u) for u in (u_lo, *inside, u_hi)])
+
     def to_config(self):
-        flat = []
-        for point in self.table:
-            flat.extend([render_number(point[0]), render_number(point[1])])
-        return {**self._base_config(), "params": flat}
+        return {"kind": self.kind, "params": [render_number(x) for point in self.table for x in point]}
 
 
 # --- time factors and products -------------------------------------------
@@ -291,6 +402,9 @@ class ExpDecay(TimeFactor):
             return np.exp(-float(self.rate) * np.asarray(t, dtype=float))
         return math.exp(-float(self.rate) * float(t))
 
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        return _range([(self.evaluate(t), (t, u_lo), EXACT) for t in (t_lo, t_hi)])
+
     def to_config(self):
         return {"kind": self.kind, "params": [render_number(self.rate)]}
 
@@ -302,11 +416,10 @@ class PolynomialT(TimeFactor):
     kind = "polynomial"
 
     def evaluate(self, t):
-        t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-        acc = np.zeros_like(t) if np.ndim(t) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
+        return _polyval([float(c) for c in self.coeffs], np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        return _poly_range(self.coeffs, t_lo, t_hi, lambda t: (t, u_lo))
 
     def to_config(self):
         return {"kind": self.kind, "params": [render_number(c) for c in self.coeffs]}
@@ -321,51 +434,24 @@ class ProductF(FunctionSpec):
 
     kind = "product"
 
-    def _value(self, t, u):
-        return self.time_factor.evaluate(t) * float_if_fraction(self.u_factor._value(t, u))
-
-    def to_config(self):
-        return {
-            **self._base_config(),
-            "time": self.time_factor.to_config(),
-            "u": self.u_factor.to_config(),
-        }
-
-
-@dataclass(frozen=True)
-class SeparableExpPiecewise(FunctionSpec):
-    """f(t, u) = exp(-rate * t) * h(u) with piecewise h."""
-
-    rate: Number = 1
-    pieces: tuple = ()
-
-    kind = "separable-exponential-piecewise"
-
     def __post_init__(self):
-        _validate_pieces(self.pieces)
+        if isinstance(self.u_factor, ProductF):
+            raise FunctionSpecError("a product's u factor must be a function of u alone")
 
     def _value(self, t, u):
-        decay = (
-            np.exp(-float(self.rate) * np.asarray(t, dtype=float))
-            if np.ndim(t)
-            else math.exp(-float(self.rate) * float(t))
-        )
-        return decay * float_if_fraction(_piecewise_eval(self.pieces, u))
+        h = self.u_factor._value(t, u)
+        return self.time_factor.evaluate(t) * (float(h) if isinstance(h, Fraction) else h)
 
-    def u_profile(self, u):
-        """The u-dependent factor h(u) alone; exact for Fraction input."""
-        return _piecewise_eval(self.pieces, u)
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        # t and u vary independently, so all four corners (each factor's lo or hi,
+        # zipped with its point) are attained, and a product's extrema lie on corners.
+        tr, ur = (f.range(t_lo, t_hi, u_lo, u_hi) for f in (self.time_factor, self.u_factor))
+        method = EXACT if tr.method == ur.method == EXACT else ENCLOSURE
+        return _range([(tv * uv, (tp[0], up[1]), method)
+                       for tv, tp in zip(tr[:2], tr[2:4]) for uv, up in zip(ur[:2], ur[2:4])])
 
     def to_config(self):
-        return {
-            **self._base_config(),
-            "params": [render_number(self.rate)],
-            "pieces": [p.to_config() for p in self.pieces],
-        }
-
-
-def float_if_fraction(x):
-    return float(x) if isinstance(x, Fraction) else x
+        return {"kind": self.kind, "time": self.time_factor.to_config(), "u": self.u_factor.to_config()}
 
 
 # --- parsing ---------------------------------------------------------------
@@ -391,40 +477,41 @@ def _parse_pieces(doc_pieces) -> tuple[Piece, ...]:
 def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> FunctionSpec:
     """Build a FunctionSpec from a config fragment and run construction checks.
 
-    Rejects unknown kinds, discontinuous piecewise tables, and any spec that
-    samples negative on a 128x128 grid over [0, t_max] x [0, u_max].
+    Rejects unknown kinds, discontinuous piecewise tables, rational-linear
+    branches with a pole, and any spec whose range on [0, t_max] x [0, u_max]
+    reaches below 0.  A `monotone_in_u` key is accepted and ignored: the range
+    finds each form's extrema without it.  `separable-exponential-piecewise`
+    [rate] with `pieces` is the product exp(-rate*t) * piecewise(u).
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FunctionSpecError(f"function spec must be an object with a 'kind': {doc!r}")
     kind = doc["kind"]
-    monotone = bool(doc.get("monotone_in_u", False))
     params = [parse_number(x) for x in doc.get("params", [])]
 
     if kind == "autonomous-rational-sigmoid":
         if len(params) != 1:
             raise FunctionSpecError("autonomous-rational-sigmoid takes params [scale]")
-        spec = RationalSigmoid(scale=params[0], monotone_in_u=monotone)
+        spec = RationalSigmoid(scale=params[0])
     elif kind == "constant":
         if len(params) != 1:
             raise FunctionSpecError("constant takes params [value]")
-        spec = ConstantF(value=params[0], monotone_in_u=monotone)
+        spec = ConstantF(value=params[0])
     elif kind == "polynomial":
         if not params:
             raise FunctionSpecError("polynomial needs at least one coefficient")
-        spec = PolynomialU(coeffs=tuple(params), monotone_in_u=monotone)
+        spec = PolynomialU(coeffs=tuple(params))
     elif kind == "piecewise":
-        spec = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", [])), monotone_in_u=monotone)
+        spec = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", [])))
     elif kind == "piecewise-linear-table":
         if len(params) < 4 or len(params) % 2:
             raise FunctionSpecError("piecewise-linear-table params are flattened (u, v) pairs")
         table = tuple((params[i], params[i + 1]) for i in range(0, len(params), 2))
-        spec = PiecewiseLinearTable(table=table, monotone_in_u=monotone)
+        spec = PiecewiseLinearTable(table=table)
     elif kind == "separable-exponential-piecewise":
         if len(params) != 1:
             raise FunctionSpecError("separable-exponential-piecewise takes params [rate]")
-        spec = SeparableExpPiecewise(
-            rate=params[0], pieces=_parse_pieces(doc.get("pieces", [])), monotone_in_u=monotone
-        )
+        h = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", [])))
+        spec = ProductF(time_factor=ExpDecay(rate=params[0]), u_factor=h)
     elif kind == "product":
         time_doc = doc.get("time")
         u_doc = doc.get("u")
@@ -440,21 +527,11 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
             tf = PolynomialT(coeffs=(tparams[0],))
         else:
             raise FunctionSpecError(f"unknown time-factor kind {tkind!r}")
-        spec = ProductF(time_factor=tf, u_factor=parse_function_spec(u_doc, t_max, u_max),
-                        monotone_in_u=monotone)
+        spec = ProductF(time_factor=tf, u_factor=parse_function_spec(u_doc, t_max, u_max))
     else:
         raise FunctionSpecError(f"unknown function kind {kind!r}")
 
-    _construction_sample_check(spec, t_max, u_max)
+    r = spec.range(0.0, float(t_max), 0.0, float(u_max))
+    if r.lo < 0:
+        raise FunctionSpecError(f"nonlinearity is negative at (t, u) = {r.lo_at}: {r.lo} ({r.method} bound)")
     return spec
-
-
-def _construction_sample_check(spec: FunctionSpec, t_max: float, u_max: float, n: int = 128):
-    ts = np.linspace(0.0, float(t_max), n)
-    us = np.linspace(0.0, float(u_max), n)
-    values = spec(ts[:, None], us[None, :])
-    if np.min(values) < 0.0:
-        i, j = np.unravel_index(np.argmin(values), values.shape)
-        raise FunctionSpecError(
-            f"nonlinearity is negative at (t, u) = ({ts[i]}, {us[j]}): {values[i, j]}"
-        )

@@ -30,6 +30,7 @@ from .grid import (
     cumulative_simpson,
     interp_cubic,
     partial_integral,
+    partial_integral_weights,
 )
 from .problem import Problem, lambda_constant
 
@@ -97,9 +98,10 @@ def _grid_quantities(p: Problem, y: SolutionCurve):
 def solve_linear(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Evaluate the closed-form solution of u'' + y = 0 on y's grid."""
     T, eta, alpha, beta, lam, t, h, v, conv = _grid_quantities(p, y)
-    y1_eta = partial_integral(v, h, eta)
-    y2_eta = partial_integral(t * v, h, eta)
-    y3_eta = partial_integral(t * t * v, h, eta)
+    w_eta = partial_integral_weights(y.n, h, eta)
+    y1_eta = np.dot(w_eta, v)
+    y2_eta = np.dot(w_eta, t * v)
+    y3_eta = np.dot(w_eta, t * t * v)
     i1 = eta * y1_eta - y2_eta
     i2 = eta * eta * y1_eta - 2.0 * eta * y2_eta + y3_eta
     i3 = conv[-1]

@@ -104,11 +104,6 @@ class ShootingResult(NamedTuple):
     blew_up: bool
 
 
-def psi(u: SolutionCurve) -> float:
-    """Minimum of u over the whole interval (a concave functional, <= sup norm)."""
-    return u.min_value()
-
-
 def cone_membership(u: SolutionCurve, tol: float = NONNEGATIVITY_TOL) -> ConeCheck:
     """Nonnegative and concave down, discretely: second differences <= slack."""
     violations = []
@@ -445,7 +440,7 @@ def _dedup(results: list[FixedPointResult], dedup_tol: float) -> list[FixedPoint
         rep = r.residuals
         return rep.ode_residual_max + rep.bc0_residual + rep.bcT_residual
 
-    ordered = sorted(results, key=lambda r: (r.curve.sup_norm(), psi(r.curve), badness(r)))
+    ordered = sorted(results, key=lambda r: (r.curve.sup_norm(), r.curve.min_value(), badness(r)))
     kept: list[FixedPointResult] = []
     for cand in ordered:
         merged = False
@@ -466,7 +461,7 @@ def classify_solution(
 ) -> SolutionClass:
     """Label a solution by the three size predicates; unclassified on the edges."""
     norm = u.sup_norm()
-    min_full = psi(u)
+    min_full = u.min_value()
     min_tail = u.min_from(eta) if eta is not None else None
     a, b = float(tt.a), float(tt.b)
     if norm < a:
@@ -496,7 +491,7 @@ def find_solutions(
             curve = result.curve
             cls = SolutionClass(
                 norm=curve.sup_norm(),
-                min_full=psi(curve),
+                min_full=curve.min_value(),
                 min_tail=curve.min_from(eta),
                 label="unclassified",
             )

@@ -3,16 +3,14 @@
 A problem couples u(0) = beta * u(eta) and u(T) = alpha * integral_0^eta u,
 with 0 < eta < T.  The admissible parameter region requires
 alpha < 2T/eta^2 and beta < (2T - alpha*eta^2)/(alpha*eta^2 - 2*eta + 2T);
-`validate_hypotheses` checks these bounds and a sampled surrogate of the
-nonnegativity/non-vanishing requirement on f.
+`validate_hypotheses` checks these bounds and the nonnegativity/non-vanishing
+requirement on f over a box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import asdict, dataclass
 
 from .functions import FunctionSpec
 from .numeric import Number, is_exact
@@ -79,33 +77,25 @@ class HypothesisReport:
 
     h2_alpha_ok: bool
     h2_beta_ok: bool
-    h1_sampled_ok: bool
+    h1_ok: bool
     messages: tuple = ()
 
     @property
     def ok(self) -> bool:
-        return self.h2_alpha_ok and self.h2_beta_ok and self.h1_sampled_ok
+        return self.h2_alpha_ok and self.h2_beta_ok and self.h1_ok
 
     def to_dict(self) -> dict:
-        return {
-            "h2_alpha_ok": self.h2_alpha_ok,
-            "h2_beta_ok": self.h2_beta_ok,
-            "h1_sampled_ok": self.h1_sampled_ok,
-            "ok": self.ok,
-            "messages": list(self.messages),
-        }
+        return {**asdict(self), "ok": self.ok, "messages": list(self.messages)}
 
 
-def validate_hypotheses(
-    p: Problem, u_max: float | None = None, sample_shape: tuple[int, int] = (64, 64)
-) -> HypothesisReport:
-    """Check the parameter bounds and a sampled surrogate of the f-hypothesis.
+def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisReport:
+    """Check the parameter bounds and the f-hypothesis.
 
     The bound checks are strict: zero tolerance when the parameters are exact
-    rationals, 1e-12 otherwise.  The f check samples a grid over
-    [0, T] x [0, u_max] (default u_max = 10) and requires f >= 0 everywhere
-    and f > 0 somewhere; this is a sampled surrogate for "does not vanish on
-    a set of positive measure", which no finite sample can decide.
+    rationals, 1e-12 otherwise.  The f check bounds f over [0, T] x [0, u_max]
+    (default u_max = 10) with its `range` and requires f >= 0 on the whole box
+    and f > 0 somewhere; f is continuous, so a positive value means f does not
+    vanish on a set of positive measure.
     """
     tol = 0 if p.exact else FLOAT_STRICTNESS_TOL
     messages = []
@@ -129,47 +119,32 @@ def validate_hypotheses(
             f"(2T - alpha*eta^2)/(alpha*eta^2 - 2*eta + 2T) = {float(beta_bound)}"
         )
 
-    h1_sampled_ok, h1_messages = _sample_f(p, u_max, sample_shape)
+    h1_ok, h1_messages = _check_f(p, 10.0 if u_max is None else float(u_max))
     messages.extend(h1_messages)
 
     return HypothesisReport(
         h2_alpha_ok=h2_alpha_ok,
         h2_beta_ok=h2_beta_ok,
-        h1_sampled_ok=h1_sampled_ok,
+        h1_ok=h1_ok,
         messages=tuple(messages),
     )
 
 
-def _sample_f(p: Problem, u_max: float | None, sample_shape: tuple[int, int]):
+def _check_f(p: Problem, u_hi: float):
     if p.f is None:
         return False, ("no nonlinearity configured",)
-    u_hi = 10.0 if u_max is None else float(u_max)
-    ts = np.linspace(0.0, float(p.T), sample_shape[0])
-    us = np.linspace(0.0, u_hi, sample_shape[1])
+    box = f"[0, {float(p.T)}] x [0, {u_hi}]"
     try:
-        values = p.f(ts[:, None], us[None, :])
-    except Exception as exc:  # report the offending point when possible
-        t_bad, u_bad = _locate_failure(p.f, ts, us)
-        return False, (f"f evaluation failed near (t, u) = ({t_bad}, {u_bad}): {exc}",)
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        return False, (f"f is not finite at (t, u) = ({ts[i]}, {us[j]})",)
-    if np.min(values) < 0:
-        i, j = np.unravel_index(np.argmin(values), values.shape)
-        return False, (f"f is negative at (t, u) = ({ts[i]}, {us[j]}): {values[i, j]}",)
-    if not np.any(values > 0):
-        return False, ("f vanishes identically on the sample grid",)
+        r = p.f.range(0.0, float(p.T), 0.0, u_hi)
+    except Exception as exc:  # report a failing user-supplied f as a failed hypothesis
+        return False, (f"f evaluation failed on {box}: {exc}",)
+    if not (math.isfinite(r.lo) and math.isfinite(r.hi)):
+        return False, (f"f is not finite on {box}",)
+    if r.lo < 0:
+        return False, (f"f is negative at (t, u) = {r.lo_at}: {r.lo} ({r.method} bound)",)
+    if not r.hi > 0:
+        return False, (f"f vanishes identically on {box}",)
     return True, ()
-
-
-def _locate_failure(f, ts, us):
-    for t in ts:
-        for u in us:
-            try:
-                f(float(t), float(u))
-            except Exception:
-                return float(t), float(u)
-    return float("nan"), float("nan")
 
 
 def lambda_constant(p: Problem) -> Number:

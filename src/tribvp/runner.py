@@ -78,7 +78,7 @@ def run(cfg: RunConfig) -> RunOutcome:
             if thresholds is not None:
                 thresholds = thresholds.with_gamma(constants.gamma)
                 with timer.time("certify"):
-                    certificate = certify(p, thresholds, constants, cfg.sampling_config())
+                    certificate = certify(p, thresholds, constants)
                 report_kwargs["certificate"] = certificate.to_dict()
             if thresholds is not None:
                 report_kwargs["thresholds"] = thresholds.to_dict()
@@ -174,7 +174,7 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
                     }
                 )
                 if cfg.thresholds is not None:
-                    cert = certify(p, cfg.thresholds.with_gamma(k.gamma), k, cfg.sampling_config())
+                    cert = certify(p, cfg.thresholds.with_gamma(k.gamma), k)
                     row["verdict"] = "true" if cert.verdict else "false"
                 else:
                     row["verdict"] = ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tribvp import Problem, SolutionCurve, ThresholdTriple
-from tribvp.functions import Piece, RationalSigmoid, SeparableExpPiecewise
+from tribvp.functions import ExpDecay, Piece, PiecewiseU, ProductF, RationalSigmoid
 
 # h(u) branches for the separable exponential problem: gentle linear ramp,
 # steep ramp, long plateau at 87, short ramp, saturating rational tail.
@@ -23,7 +23,7 @@ def make_sigmoid_problem() -> Problem:
         eta=F(1, 3),
         alpha=F(3),
         beta=F(1, 2),
-        f=RationalSigmoid(scale=F(40), monotone_in_u=True),
+        f=RationalSigmoid(scale=F(40)),
     )
 
 
@@ -33,7 +33,7 @@ def make_exp_piecewise_problem() -> Problem:
         eta=F(1, 2),
         alpha=F(1),
         beta=F(1),
-        f=SeparableExpPiecewise(rate=F(1), pieces=EXP_PIECES, monotone_in_u=True),
+        f=ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PiecewiseU(pieces=EXP_PIECES)),
     )
 
 

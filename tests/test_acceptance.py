@@ -26,7 +26,7 @@ from tribvp import (
     solve_linear_oracle,
 )
 from tribvp.config import parse_run_config
-from tribvp.functions import RationalSigmoid, SeparableExpPiecewise
+from tribvp.functions import PiecewiseU, RationalSigmoid
 from tribvp.nonlinear import apply_operator_A, find_solutions, newton_solutions, picard_solutions, shooting_residual
 from tribvp.constants import gamma
 from tribvp.runner import run
@@ -232,7 +232,7 @@ def test_criterion_08_function_catalog():
     assert f1(0, F(2)) == F(32)
     assert f1(0, F(1, 120)) == F(40, 14401)
 
-    h = SeparableExpPiecewise(rate=F(1), pieces=EXP_PIECES)
+    h = PiecewiseU(pieces=EXP_PIECES)
     for bp in (F(1), F(4), F(544)):
         idx = [p.until for p in EXP_PIECES[:-1]].index(bp)
         left = EXP_PIECES[idx].evaluate(bp)
@@ -243,7 +243,7 @@ def test_criterion_08_function_catalog():
     left = EXP_PIECES[3].evaluate(F(546))
     right = EXP_PIECES[4].evaluate(F(546))
     assert left == right == F(23751, 272)
-    assert h.u_profile(F(546)) == F(23751, 272)
+    assert h(0, F(546)) == F(23751, 272)
     print(
         "CRITERION 8 PASS: sigmoid values exact (32, 40/14401); piecewise "
         "continuous at 1, 4, 544; branch values at 546 exactly equal (23751/272)"

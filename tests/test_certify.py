@@ -7,7 +7,6 @@ import pytest
 from tribvp import (
     CertificationError,
     Problem,
-    SamplingConfig,
     SearchConfig,
     ThresholdTriple,
     certify,
@@ -18,7 +17,7 @@ from tribvp import (
     compute_constants,
     search_thresholds,
 )
-from tribvp.functions import ConstantF, FunctionSpec, PolynomialU, RationalSigmoid
+from tribvp.functions import ConstantF, FunctionSpec, PolynomialU, parse_function_spec
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
 
@@ -103,6 +102,8 @@ def test_certificates_for_both_example_problems(sigmoid_thresholds, exp_threshol
     p2 = make_exp_piecewise_problem()
     cert2 = certify(p2, exp_thresholds, compute_constants(p2))
     assert cert2.ordering_ok and cert2.verdict
+    for cert in (cert1, cert2):
+        assert [c.method for c in (cert.d1, cert.d2, cert.d3)] == ["exact"] * 3
 
 
 def test_certificate_fails_when_global_cap_too_low():
@@ -115,33 +116,40 @@ def test_certificate_fails_when_global_cap_too_low():
     assert cert.d1.holds and cert.d2.holds and cert.ordering_ok
 
 
-def test_margins_shrink_monotonically_with_density():
-    # non-monotone nonlinearity, no hint: a denser grid is a superset of
-    # samples (513 = 2*257 - 1), so the sampled extremum can only worsen
+# f rises from 0 at u = 1 to 20 at u = 50 and falls back to 0 at u = 60; its
+# maximum on [0, 55] sits inside the box, not on the u = 55 edge.
+PEAK_DOC = {
+    "kind": "piecewise",
+    "pieces": [
+        {"until": 1, "form": "constant", "params": [0]},
+        {"until": 50, "form": "linear", "params": ["20/49", "-20/49"]},
+        {"until": 60, "form": "linear", "params": [-2, 120]},
+        {"until": None, "form": "constant", "params": [0]},
+    ],
+}
+
+
+@pytest.mark.parametrize("hint", [False, True])
+def test_interior_peak_fails_global_cap_with_or_without_monotone_key(hint):
+    doc = {**PEAK_DOC, "monotone_in_u": True} if hint else PEAK_DOC
+    p = make_sigmoid_problem().with_params(f=parse_function_spec(doc, u_max=110.0))
+    k = compute_constants(p)
+    rep = check_D3(p, k.m, F(55))
+    assert not rep.holds
+    assert rep.margin == pytest.approx(-5.0 / 3.0, abs=1e-12)
+    assert rep.worst_point[1] == 50.0
+    assert rep.method == "exact"
+
+
+def test_polynomial_interior_maximum_is_enclosed():
+    # 1 + 3u - u^2 + u^3/10 peaks inside [0, 5], at u = (10 - sqrt(10))/3
     bump = PolynomialU(coeffs=(F(1), F(3), F(-1), F(1, 10)))
     p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=bump)
-    k = compute_constants(p)
-    coarse = SamplingConfig(nt=257, nu=257, refine=False)
-    fine = SamplingConfig(nt=513, nu=513, refine=False)
-    for checker, args in (
-        (check_D1, (p, k.m, F(5))),
-        (check_D2, (p, k.delta, F(2), k.gamma)),
-        (check_D3, (p, k.m, F(30))),
-    ):
-        margin_coarse = checker(*args, grid=coarse).margin
-        margin_fine = checker(*args, grid=fine).margin
-        assert margin_fine <= margin_coarse + 1e-12
-
-
-def test_monotone_hint_agrees_with_grid_sampling():
-    p = make_sigmoid_problem()
-    k = compute_constants(p)
-    no_hint = p.with_params(f=RationalSigmoid(scale=F(40), monotone_in_u=False))
-    for a in (F(1, 120), F(1, 2)):
-        with_hint = check_D1(p, k.m, a)
-        sampled = check_D1(no_hint, k.m, a)
-        assert with_hint.margin == pytest.approx(sampled.margin, rel=1e-12)
-        assert with_hint.samples_used < sampled.samples_used
+    rep = check_D1(p, F(1, 3), F(5))
+    fmax = rep.bound - rep.margin
+    assert 3.826835382234695 - 1e-14 <= fmax <= 3.826835382234695 + 1e-12
+    assert rep.method == "enclosure"
+    assert rep.worst_point[1] == pytest.approx((10 - np.sqrt(10)) / 3, abs=1e-6)
 
 
 def test_search_finds_certifiable_thresholds():
@@ -174,12 +182,5 @@ class _Fails(FunctionSpec):
 
 def test_evaluation_failure_raises_certification_error():
     p = make_sigmoid_problem().with_params(f=_Fails())
-    with pytest.raises(CertificationError, match="failed near"):
+    with pytest.raises(CertificationError, match="f evaluation failed on"):
         check_D1(p, F(1, 3), F(1))
-
-
-def test_reports_carry_sampling_density():
-    p = make_sigmoid_problem()
-    rep = check_D3(p, F(1, 3), F(124), SamplingConfig(nt=65, nu=65))
-    assert rep.samples_used > 0
-    assert rep.condition == "D3"

@@ -105,6 +105,24 @@ def test_config_errors_exit_code(tmp_path):
     even_grid.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(even_grid), "--out", str(tmp_path)]) == 2
 
+    # integer options must be ints >= 1, not floats, zero or truncated halves
+    for mode, solver in (
+        ("solve", {"picard_max_iter": 500.0}),
+        ("certify", {"search_per_axis": 13.0}),
+        ("certify", {"search_per_axis": 0}),
+        ("solve", {"grid_n": 2049.5}),
+    ):
+        bad = tmp_path / "bad_int.json"
+        bad.write_text(json.dumps({**json.loads(Path(SIGMOID).read_text()), "solver": solver}))
+        assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2, solver
+
+    # f is -1 at u = 0.115, between the points any coarse sample would take
+    dip = tmp_path / "dip.json"
+    doc = json.loads(Path(SIGMOID).read_text())
+    doc["problem"]["f"] = {"kind": "piecewise-linear-table", "params": [0, 1, "1/10", 1, "23/200", -1, "13/100", 1, 10, 1]}
+    dip.write_text(json.dumps(doc))
+    assert main(["constants", "--config", str(dip), "--out", str(tmp_path)]) == 2
+
 
 def test_reports_are_deterministic(tmp_path):
     out = tmp_path / "r"

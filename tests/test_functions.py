@@ -2,15 +2,20 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tribvp import FunctionDomainError, FunctionSpecError, eval_f, parse_function_spec
+from tribvp import FunctionDomainError, FunctionSpecError, parse_function_spec
 from tribvp.functions import (
     ConstantF,
+    ExpDecay,
     Piece,
+    PiecewiseLinearTable,
     PiecewiseU,
+    PolynomialT,
     PolynomialU,
+    ProductF,
     RationalSigmoid,
-    SeparableExpPiecewise,
 )
 
 from conftest import EXP_PIECES
@@ -34,14 +39,14 @@ EXP_DOC = {
 
 def test_sigmoid_exact_values():
     f = RationalSigmoid(scale=F(40))
-    assert eval_f(f, 0, F(2)) == F(32)
-    assert eval_f(f, 0, F(1, 120)) == F(40, 14401)
-    assert isinstance(eval_f(f, 0, F(2)), F)
+    assert f(0, F(2)) == F(32)
+    assert f(0, F(1, 120)) == F(40, 14401)
+    assert isinstance(f(0, F(2)), F)
 
 
 def test_sigmoid_saturates():
     f = RationalSigmoid(scale=F(40))
-    assert abs(eval_f(f, 0.0, 1e8) - 40.0) < 1e-6
+    assert abs(f(0.0, 1e8) - 40.0) < 1e-6
 
 
 def test_sigmoid_array_matches_scalar():
@@ -54,12 +59,12 @@ def test_sigmoid_array_matches_scalar():
 
 
 def test_piecewise_branch_values_exact():
-    h = SeparableExpPiecewise(rate=F(1), pieces=EXP_PIECES)
-    assert h.u_profile(F(1, 2)) == F(1, 25)
-    assert h.u_profile(F(2)) == F(2173, 75) * 2 - F(2167, 75)
-    assert h.u_profile(F(100)) == F(87)
-    assert h.u_profile(F(545)) == F(87, 544) * 545
-    assert h.u_profile(F(1000)) == F(117 * 1000 + 7371, 1270)
+    h = PiecewiseU(pieces=EXP_PIECES)
+    assert h(0, F(1, 2)) == F(1, 25)
+    assert h(0, F(2)) == F(2173, 75) * 2 - F(2167, 75)
+    assert h(0, F(100)) == F(87)
+    assert h(0, F(545)) == F(87, 544) * 545
+    assert h(0, F(1000)) == F(117 * 1000 + 7371, 1270)
 
 
 @pytest.mark.parametrize("breakpoint", [F(1), F(4), F(544), F(546)])
@@ -72,21 +77,21 @@ def test_piecewise_exactly_continuous(breakpoint):
 
 
 def test_exp_piecewise_at_t0():
-    f = SeparableExpPiecewise(rate=F(1), pieces=EXP_PIECES)
+    f = ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PiecewiseU(pieces=EXP_PIECES))
     assert f(0, F(4)) == pytest.approx(87.0, abs=1e-12)
     assert f(1.0, 4.0) == pytest.approx(87.0 * np.exp(-1.0), rel=1e-14)
 
 
 def test_parse_sigmoid_doc():
     f = parse_function_spec(SIGMOID_DOC)
-    assert isinstance(f, RationalSigmoid)
-    assert f.monotone_in_u
-    assert eval_f(f, 0, F(2)) == 32
+    assert f == RationalSigmoid(scale=F(40))  # the monotone_in_u key has no effect
+    assert f(0, F(2)) == 32
 
 
 def test_parse_exp_doc_matches_direct():
     f = parse_function_spec(EXP_DOC, t_max=1.0, u_max=1100.0)
-    direct = SeparableExpPiecewise(rate=F(1), pieces=EXP_PIECES, monotone_in_u=True)
+    direct = ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PiecewiseU(pieces=EXP_PIECES))
+    assert f == direct
     ts = np.linspace(0.0, 1.0, 7)
     us = np.array([0.0, 0.5, 1.0, 3.3, 100.0, 545.0, 800.0])
     assert np.allclose(f(ts[:, None], us[None, :]), direct(ts[:, None], us[None, :]), rtol=0, atol=0)
@@ -94,7 +99,7 @@ def test_parse_exp_doc_matches_direct():
 
 def test_parse_constant_zero_allowed():
     f = parse_function_spec({"kind": "constant", "params": [0]})
-    assert eval_f(f, 0.3, 2.0) == 0.0
+    assert f(0.3, 2.0) == 0.0
 
 
 def test_parse_unknown_kind_rejected():
@@ -145,9 +150,9 @@ def test_parse_product_kind():
 
 def test_piecewise_linear_table():
     f = parse_function_spec({"kind": "piecewise-linear-table", "params": [0, 0, 1, 2, 3, 2]})
-    assert eval_f(f, 0.0, 0.5) == pytest.approx(1.0)
-    assert eval_f(f, 0.0, 2.0) == pytest.approx(2.0)
-    assert eval_f(f, 0.0, 50.0) == pytest.approx(2.0)  # constant beyond the table
+    assert f(0.0, 0.5) == pytest.approx(1.0)
+    assert f(0.0, 2.0) == pytest.approx(2.0)
+    assert f(0.0, 50.0) == pytest.approx(2.0)  # constant beyond the table
 
 
 def test_domain_error_below_tolerance():
@@ -167,7 +172,7 @@ def test_constant_broadcasts_over_t():
 
 def test_polynomial_exact():
     f = PolynomialU(coeffs=(F(1), F(0), F(2)))
-    assert eval_f(f, 0, F(1, 2)) == F(3, 2)
+    assert f(0, F(1, 2)) == F(3, 2)
 
 
 def test_piecewise_membership_half_open():
@@ -179,3 +184,75 @@ def test_piecewise_membership_half_open():
     # continuity makes the boundary choice observationally irrelevant
     assert f(0.0, 1.0) == pytest.approx(1.0)
     assert f(0.0, 0.25) == pytest.approx(0.25)
+
+
+def test_parse_table_dip_between_samples_rejected():
+    doc = {"kind": "piecewise-linear-table", "params": [0, 1, "1/10", 1, "23/200", -1, "13/100", 1, 10, 1]}
+    with pytest.raises(FunctionSpecError, match="negative"):
+        parse_function_spec(doc)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        (Piece(None, "rational-linear", (F(1), F(0), F(1), F(-2))),),
+        (Piece(F(3), "rational-linear", (F(1), F(0), F(1), F(-2))), Piece(None, "constant", (F(3),))),
+    ],
+)
+def test_rational_linear_pole_on_branch_rejected(pieces):
+    # 1/(u - 2) has its pole at u = 2, inside the branch
+    with pytest.raises(FunctionSpecError, match="pole"):
+        PiecewiseU(pieces=pieces)
+
+
+def test_product_u_factor_must_not_depend_on_t():
+    inner = ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=ConstantF(value=F(1)))
+    with pytest.raises(FunctionSpecError, match="u alone"):
+        ProductF(time_factor=ExpDecay(rate=F(-1)), u_factor=inner)
+
+
+RANGE_FORMS = {
+    "sigmoid": RationalSigmoid(scale=F(40)),
+    "constant": ConstantF(value=F(3)),
+    "bump": PolynomialU(coeffs=(F(1), F(3), F(-1), F(1, 10))),
+    "spike-table": PiecewiseLinearTable(
+        table=((F(0), F(1)), (F(1, 10), F(1)), (F(23, 200), F(3)), (F(13, 100), F(1)), (F(10), F(2)))
+    ),
+    "exp-piecewise": ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PiecewiseU(pieces=EXP_PIECES)),
+    "peak": PiecewiseU(
+        pieces=(
+            Piece(F(1), "constant", (F(0),)),
+            Piece(F(50), "linear", (F(20, 49), F(-20, 49))),
+            Piece(F(60), "linear", (F(-2), F(120))),
+            Piece(None, "constant", (F(0),)),
+        )
+    ),
+    "rational-tail": PiecewiseU(
+        pieces=(Piece(F(2), "linear", (F(4, 3), F(0))), Piece(None, "rational-linear", (F(3), F(2), F(1), F(1))))
+    ),
+    # both factors change monotonicity inside the box, and the u factor changes sign
+    "polynomial-product": ProductF(
+        time_factor=PolynomialT(coeffs=(F(1), F(-3, 2), F(1))), u_factor=PolynomialU(coeffs=(F(2), F(-3), F(1)))
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RANGE_FORMS)),
+    t=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    u=st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 12.0)) | st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 600.0)),
+)
+def test_range_brackets_a_dense_sample(name, t, u):
+    # the dense sample is the oracle: every value must lie inside [lo, hi]
+    f = RANGE_FORMS[name]
+    (t_lo, t_hi), (u_lo, u_hi) = sorted(t), sorted(u)
+    r = f.range(t_lo, t_hi, u_lo, u_hi)
+    values = f(np.linspace(t_lo, t_hi, 41)[:, None], np.linspace(u_lo, u_hi, 801)[None, :])
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    assert r.lo <= np.min(values) + slack and np.max(values) <= r.hi + slack
+    assert r.method in ("exact", "enclosure")
+    if r.method == "exact":
+        for bound, (tb, ub) in ((r.lo, r.lo_at), (r.hi, r.hi_at)):
+            assert t_lo <= tb <= t_hi and u_lo <= ub <= u_hi
+            assert float(f(tb, ub)) == pytest.approx(bound, rel=1e-12, abs=1e-12)

@@ -13,7 +13,6 @@ from tribvp import (
     cone_membership,
     find_solutions,
     picard_iterate,
-    psi,
     shooting_residual,
     solve_linear,
     solve_linear_oracle,
@@ -43,9 +42,10 @@ def zero_f_problem() -> Problem:
 
 
 def test_psi_trivials():
-    assert psi(SolutionCurve.constant(5.0, 1.0, 65)) == 5.0
+    # psi(u) = min u, the concave functional of the Leggett-Williams cone
+    assert SolutionCurve.constant(5.0, 1.0, 65).min_value() == 5.0
     t = np.linspace(0.0, 1.0, 65)
-    assert psi(SolutionCurve(0.0, 1.0, t)) == 0.0
+    assert SolutionCurve(0.0, 1.0, t).min_value() == 0.0
 
 
 def test_psi_is_concave_functional(rng):
@@ -54,8 +54,8 @@ def test_psi_is_concave_functional(rng):
         v = random_nonnegative_load(1.0, 129, rng)
         lam = rng.uniform()
         mix = SolutionCurve(0.0, 1.0, lam * u.values + (1 - lam) * v.values)
-        assert psi(mix) >= lam * psi(u) + (1 - lam) * psi(v) - 1e-12
-        assert psi(u) <= u.sup_norm()
+        assert mix.min_value() >= lam * u.min_value() + (1 - lam) * v.min_value() - 1e-12
+        assert u.min_value() <= u.sup_norm()
 
 
 def test_cone_membership_trivials():

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribvp import Problem, lambda_constant, validate_hypotheses
-from tribvp.functions import ConstantF, FunctionSpec, RationalSigmoid
+from tribvp.functions import ConstantF, FunctionSpec, PiecewiseLinearTable, RationalSigmoid
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
 
 
 def test_sigmoid_problem_hypotheses_pass():
     rep = validate_hypotheses(make_sigmoid_problem())
-    assert rep.h2_alpha_ok and rep.h2_beta_ok and rep.h1_sampled_ok
+    assert rep.h2_alpha_ok and rep.h2_beta_ok and rep.h1_ok
     assert rep.ok and rep.messages == ()
 
 
@@ -51,13 +51,13 @@ def test_float_mode_uses_tolerance():
 def test_zero_nonlinearity_fails_sampled_check():
     p = make_sigmoid_problem().with_params(f=ConstantF(value=F(0)))
     rep = validate_hypotheses(p)
-    assert rep.h2_alpha_ok and rep.h2_beta_ok and not rep.h1_sampled_ok
+    assert rep.h2_alpha_ok and rep.h2_beta_ok and not rep.h1_ok
     assert any("vanishes" in m for m in rep.messages)
 
 
 def test_missing_nonlinearity_reported():
     p = make_sigmoid_problem().with_params(f=None)
-    assert not validate_hypotheses(p).h1_sampled_ok
+    assert not validate_hypotheses(p).h1_ok
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,16 @@ class _Boom(FunctionSpec):
 def test_evaluation_failure_reported_with_location():
     p = make_sigmoid_problem().with_params(f=_Boom())
     rep = validate_hypotheses(p)
-    assert not rep.h1_sampled_ok
-    assert any("failed near (t, u)" in m for m in rep.messages)
+    assert not rep.h1_ok
+    assert any("f evaluation failed on [0, 1.0] x [0, 10.0]" in m for m in rep.messages)
+
+
+def test_table_dip_fails_h1():
+    # -1 at u = 0.115, between the nodes of any uniform sample of [0, 10] coarser than 1/200
+    table = ((F(0), F(1)), (F(1, 10), F(1)), (F(23, 200), F(-1)), (F(13, 100), F(1)), (F(10), F(1)))
+    rep = validate_hypotheses(make_sigmoid_problem().with_params(f=PiecewiseLinearTable(table=table)))
+    assert not rep.h1_ok
+    assert any("negative at (t, u) = (0.0, 0.115): -1.0" in m for m in rep.messages)
 
 
 def test_validation_deterministic():
