@@ -107,11 +107,7 @@ class RunConfig:
             "grid_n": self.grid_n,
         }
         if self.thresholds is not None:
-            doc["thresholds"] = {
-                "a": render_number(self.thresholds.a),
-                "b": render_number(self.thresholds.b),
-                "c": render_number(self.thresholds.c),
-            }
+            doc["thresholds"] = self.thresholds.to_dict()
         if self.solver_doc:
             doc["solver"] = dict(sorted(self.solver_doc.items()))
         return doc

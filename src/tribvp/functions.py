@@ -32,7 +32,7 @@ NEGATIVE_U_TOL = 1e-10
 # Continuity requirement at piecewise breakpoints.
 BREAKPOINT_TOL = 1e-9
 
-# Bisection depth at which a polynomial's range takes the mean-value bound.
+# Bisection depth at which a polynomial's range takes its Taylor-form enclosure.
 POLY_DEPTH = 40
 
 EXACT, ENCLOSURE = "exact", "enclosure"
@@ -77,74 +77,86 @@ def _range(lows, highs=None) -> Range:
     return Range(float(lo[0]), float(hi[0]), lo[1], hi[1], method)
 
 
-# --- outward-rounded interval arithmetic for polynomial enclosures ------------
+# --- exact interval arithmetic for polynomial ranges -----------------------
 
 
-def _out(lo: float, hi: float) -> tuple[float, float]:
-    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-
-
-def _iadd(x, y) -> tuple[float, float]:
-    return _out(x[0] + y[0], x[1] + y[1])
-
-
-def _imul(x, y) -> tuple[float, float]:
-    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return _out(min(products), max(products))
-
-
-def _horner(coeffs, x) -> tuple[float, float]:
+def _horner(coeffs, x) -> tuple:
     """Interval Horner: encloses sum_k coeffs[k] s^k for s in the interval x."""
-    acc = coeffs[-1]
+    lo = hi = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        acc = _iadd(_imul(acc, x), c)
-    return acc
+        products = (lo * x[0], lo * x[1], hi * x[0], hi * x[1])
+        lo, hi = min(products) + c, max(products) + c
+    return lo, hi
 
 
-def _taylor(coeffs, m: float) -> list:
-    """Enclosures of a_k with p(m + s) = sum_k a_k s^k (repeated synthetic division)."""
+def _taylor(coeffs, x0) -> list:
+    """a_k with p(x0 + s) = sum_k a_k s^k (repeated synthetic division)."""
     a = list(coeffs)
     for i in range(len(a) - 1):
         for j in range(len(a) - 2, i - 1, -1):
-            a[j] = _iadd(a[j], _imul((m, m), a[j + 1]))
+            a[j] += x0 * a[j + 1]
     return a
+
+
+def _one_signed(a, s) -> bool:
+    """Whether p'(x0 + s) keeps one sign for s in s = [0, w] or [-w, 0], given p's
+    Taylor coefficients a at x0 (a factor s^j of p' keeps its sign through Horner)."""
+    lo, hi = _horner([k * c for k, c in enumerate(a)][1:] or [0], s)
+    return lo >= 0 or hi <= 0
+
+
+def _simplest(a, b) -> Fraction:
+    """The rational with the least denominator in the open interval (a, b)."""
+    n = math.floor(a)
+    if n + 1 < b:
+        return Fraction(n + 1)
+    return n + 1 / _simplest(1 / (b - n), 1 / (a - n) if a > n else math.inf)
+
+
+def _float(x: Fraction, toward: float) -> float:
+    """x rounded to a float in the direction of toward (-inf or inf)."""
+    f = float(x)
+    return f if Fraction(f) == x or (Fraction(f) > x) == (toward > 0) else math.nextafter(f, toward)
 
 
 def _poly_range(coeffs, lo: float, hi: float, at) -> Range:
     """Range of p(x) = sum_k coeffs[k] x^k on [lo, hi]; at(x) is x's (t, u) point.
 
-    Where the enclosure of p' on a sub-interval X excludes 0, p is monotone and
-    its extrema there are endpoint values.  Other sub-intervals are bisected
-    until the mean-value bound p(m) + p'(X)(X - m) is within twice the rounding
-    error of p(m), or POLY_DEPTH times, and then enter that bound.  p' is taken
-    in its Taylor form at m, which keeps O(1) sub-intervals per level undecided
-    even at a multiple root of p'.  The sub-interval list is never capped.
+    Exact rational arithmetic.  Where p' keeps one sign on a sub-interval X (by
+    interval Horner of its Taylor form at either end, which also proves it when
+    p' vanishes at that end), p is monotone on X with endpoint extrema.  Others
+    are split at the simplest rational inside if p' vanishes there (so rational
+    roots of p' become ends), else bisected, until the Taylor-form enclosure of
+    p on X lies within the values found, is as narrow as floats resolve, or
+    POLY_DEPTH levels deep; then it enters the range.  The list is never capped.
     """
-    fc = [float(c) for c in coeffs]
-    if not any(fc[1:]):
-        return _range([(fc[0], at(lo), EXACT)])
-    p = [_out(c, c) for c in fc]
-    ends, lows, highs, stack = [], [], [], [(lo, hi, 0)]
+    p = [Fraction(c) for c in coeffs]
+    dp = [k * c for k, c in enumerate(p)][1:]
+    ends = [(float(_polyval(p, x)), at(float(x)), EXACT) for x in (Fraction(lo), Fraction(hi))]
+    lows, highs, stack = [], [], [(Fraction(lo), Fraction(hi), 0)]
     while stack:
         a, b, depth = stack.pop()
-        m = 0.5 * (a + b)
-        s = _out(a - m, b - m)
-        coef = _taylor(p, m)
-        slope = _horner([_imul((k, k), c) for k, c in enumerate(coef) if k], s)
-        value = _iadd(coef[0], _imul(slope, s))
-        if slope[0] >= 0 or slope[1] <= 0:
-            ends += [(_polyval(fc, x), at(x), EXACT) for x in (a, b)]
-        elif depth < POLY_DEPTH and 2 * (coef[0][1] - coef[0][0]) < value[1] - value[0] < math.inf:
+        ta, tb, w = _taylor(p, a), _taylor(p, b), b - a
+        if _one_signed(ta, (0, w)) or _one_signed(tb, (-w, 0)):
+            ends += [(float(_polyval(p, x)), at(float(x)), EXACT) for x in (a, b)]
+            continue
+        (alo, ahi), (blo, bhi) = _horner(ta, (0, w)), _horner(tb, (-w, 0))
+        vlo, vhi = _float(max(alo, blo), -math.inf), _float(min(ahi, bhi), math.inf)
+        if min(ends)[0] <= vlo and vhi <= max(ends)[0]:
+            continue
+        if depth < POLY_DEPTH and math.nextafter(vlo, math.inf) < vhi:
+            c = _simplest(a, b)
+            m = c if _polyval(dp, c) == 0 else (a + b) / 2
             stack += [(a, m, depth + 1), (m, b, depth + 1)]
         else:
-            lows.append((value[0], at(m), ENCLOSURE))
-            highs.append((value[1], at(m), ENCLOSURE))
+            lows.append((vlo, at(float((a + b) / 2)), ENCLOSURE))
+            highs.append((vhi, at(float((a + b) / 2)), ENCLOSURE))
     return _range(ends + lows, ends + highs)
 
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Base class: a nonnegative continuous nonlinearity f(t, u)."""
+    """Base class: a nonnegative continuous f(t, u); subclasses define _value and range."""
 
     kind = "abstract"
 
@@ -157,7 +169,7 @@ class FunctionSpec:
 
     def range(self, t_lo: float, t_hi: float, u_lo: float, u_hi: float) -> Range:
         """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi]."""
-        raise NotImplementedError(f"{type(self).__name__} has no range")
+        raise FunctionSpecError(f"{type(self).__name__} defines no range, so f cannot be bounded on a box")
 
     def _attained(self, points) -> Range:  # for forms whose box extrema lie among `points`
         return _range([(float(self(t, u)), (t, u), EXACT) for t, u in points])

@@ -19,7 +19,7 @@ then classified against the thresholds (a, b, c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,12 +83,7 @@ class SolutionClass:
     label: str
 
     def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "min_full": self.min_full,
-            "min_tail": self.min_tail,
-            "label": self.label,
-        }
+        return asdict(self)
 
 
 class ConeCheck(NamedTuple):

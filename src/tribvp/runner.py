@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,18 +35,13 @@ class _StageTimer:
     def __init__(self):
         self.stages: dict[str, float] = {}
 
+    @contextmanager
     def time(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.stages[name] = time.perf_counter() - self.start
-                return False
-
-        return _Ctx()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = time.perf_counter() - start
 
 
 def run(cfg: RunConfig) -> RunOutcome:
@@ -165,14 +161,7 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
                 row["verdict"] = "H2-fail"
             else:
                 k = compute_constants(p)
-                row.update(
-                    {
-                        "lambda": float(k.lam),
-                        "gamma": float(k.gamma),
-                        "m": float(k.m),
-                        "delta": float(k.delta),
-                    }
-                )
+                row.update({"lambda": float(k.lam), "gamma": float(k.gamma), "m": float(k.m), "delta": float(k.delta)})
                 if cfg.thresholds is not None:
                     cert = certify(p, cfg.thresholds.with_gamma(k.gamma), k)
                     row["verdict"] = "true" if cert.verdict else "false"

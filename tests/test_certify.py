@@ -6,6 +6,7 @@ import pytest
 
 from tribvp import (
     CertificationError,
+    FunctionSpecError,
     Problem,
     SearchConfig,
     ThresholdTriple,
@@ -152,6 +153,16 @@ def test_polynomial_interior_maximum_is_enclosed():
     assert rep.worst_point[1] == pytest.approx((10 - np.sqrt(10)) / 3, abs=1e-6)
 
 
+def test_superlinear_polynomial_conditions_are_exact():
+    # u^3 vanishes to third order at the box edge u = 0, where f is smallest
+    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=PolynomialU(coeffs=(F(0), F(0), F(0), F(1))))
+    d1, d3 = check_D1(p, F(1, 3), F(1, 2)), check_D3(p, F(1, 3), F(1, 2))
+    assert d1.holds and d1.margin == pytest.approx(1 / 6 - 1 / 8, abs=1e-15) and d1.method == "exact"
+    assert d3.holds and d3.worst_point == (0.0, 0.5)
+    d2 = check_D2(p, F(1, 2), F(1), F(1, 2))
+    assert d2.margin == pytest.approx(1 - 2, abs=1e-15) and d2.worst_point == (1 / 3, 1.0)
+
+
 def test_search_finds_certifiable_thresholds():
     p = make_sigmoid_problem()
     k = compute_constants(p)
@@ -179,8 +190,23 @@ class _Fails(FunctionSpec):
     def _value(self, t, u):
         raise RuntimeError("no value here")
 
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        return self._attained([(t_lo, u_lo), (t_hi, u_hi)])
+
 
 def test_evaluation_failure_raises_certification_error():
     p = make_sigmoid_problem().with_params(f=_Fails())
-    with pytest.raises(CertificationError, match="f evaluation failed on"):
+    with pytest.raises(CertificationError, match=r"f evaluation failed on \[0.0, 1.0\] x \[0.0, 1.0\]: no value here"):
+        check_D1(p, F(1, 3), F(1))
+
+
+@dataclass(frozen=True)
+class _NoRange(FunctionSpec):
+    def _value(self, t, u):
+        return 1.0
+
+
+def test_form_without_range_is_a_spec_error():
+    p = make_sigmoid_problem().with_params(f=_NoRange())
+    with pytest.raises(FunctionSpecError, match="_NoRange defines no range"):
         check_D1(p, F(1, 3), F(1))

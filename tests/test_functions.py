@@ -125,6 +125,23 @@ def test_parse_negative_sampled_rejected():
         parse_function_spec(doc, u_max=10.0)
 
 
+@pytest.mark.parametrize("params", [[0, 0, 1], [0, 0, 0, 1], [1, -4, 6, -4, 1], [1, -6, 9]])
+def test_parse_polynomial_touching_zero_accepted(params):
+    # u^2 and u^3 vanish at the box edge u = 0; (u - 1)^4 and (3u - 1)^2 touch 0 at a rational point inside
+    r = parse_function_spec({"kind": "polynomial", "params": params}).range(0.0, 1.0, 0.0, 10.0)
+    assert r.lo == 0.0 and r.method == "exact"
+
+
+def test_parse_product_with_vanishing_time_factor():
+    doc = {
+        "kind": "product",
+        "time": {"kind": "polynomial", "params": [0, 0, 1]},
+        "u": {"kind": "polynomial", "params": [0, 0, 1]},
+    }
+    r = parse_function_spec(doc).range(0.0, 1.0, 0.0, 10.0)
+    assert (r.lo, r.hi, r.method) == (0.0, 100.0, "exact")
+
+
 def test_parse_unsorted_breakpoints_rejected():
     doc = {
         "kind": "piecewise",
@@ -230,6 +247,9 @@ RANGE_FORMS = {
     "rational-tail": PiecewiseU(
         pieces=(Piece(F(2), "linear", (F(4, 3), F(0))), Piece(None, "rational-linear", (F(3), F(2), F(1), F(1))))
     ),
+    "cube": PolynomialU(coeffs=(F(0), F(0), F(0), F(1))),
+    "quartic-touch": PolynomialU(coeffs=(F(1), F(-4), F(6), F(-4), F(1))),
+    "third-touch": PolynomialU(coeffs=(F(1), F(-6), F(9))),
     # both factors change monotonicity inside the box, and the u factor changes sign
     "polynomial-product": ProductF(
         time_factor=PolynomialT(coeffs=(F(1), F(-3, 2), F(1))), u_factor=PolynomialU(coeffs=(F(2), F(-3), F(1)))

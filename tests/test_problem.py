@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribvp import Problem, lambda_constant, validate_hypotheses
-from tribvp.functions import ConstantF, FunctionSpec, PiecewiseLinearTable, RationalSigmoid
+from tribvp import FunctionSpecError, Problem, lambda_constant, validate_hypotheses
+from tribvp.functions import ConstantF, FunctionSpec, PiecewiseLinearTable, PolynomialU, RationalSigmoid
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
 
@@ -63,16 +63,37 @@ def test_missing_nonlinearity_reported():
 @dataclass(frozen=True)
 class _Boom(FunctionSpec):
     def _value(self, t, u):
-        if np.ndim(u):
+        if u > 5:
             raise RuntimeError("cannot evaluate here")
         return 1.0
+
+    def range(self, t_lo, t_hi, u_lo, u_hi):
+        return self._attained([(t_lo, u_lo), (t_hi, u_hi)])
 
 
 def test_evaluation_failure_reported_with_location():
     p = make_sigmoid_problem().with_params(f=_Boom())
     rep = validate_hypotheses(p)
     assert not rep.h1_ok
-    assert any("f evaluation failed on [0, 1.0] x [0, 10.0]" in m for m in rep.messages)
+    assert any("f evaluation failed on [0, 1.0] x [0, 10.0]: cannot evaluate here" in m for m in rep.messages)
+
+
+def test_form_without_range_raises_spec_error():
+    @dataclass(frozen=True)
+    class _NoRange(FunctionSpec):
+        def _value(self, t, u):
+            return 1.0
+
+    with pytest.raises(FunctionSpecError, match="_NoRange defines no range"):
+        validate_hypotheses(make_sigmoid_problem().with_params(f=_NoRange()))
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0, 1), (0, 0, 0, 1), (1, -4, 6, -4, 1)])
+def test_polynomial_vanishing_at_a_point_passes_h1(coeffs):
+    # u^2 and u^3 vanish at the box edge u = 0, (u - 1)^4 inside the box
+    f = PolynomialU(coeffs=tuple(F(c) for c in coeffs))
+    rep = validate_hypotheses(make_sigmoid_problem().with_params(f=f))
+    assert rep.h1_ok and rep.messages == ()
 
 
 def test_table_dip_fails_h1():
