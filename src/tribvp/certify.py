@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import LWConstants
-from .errors import CertificationError, FunctionSpecError
+from .errors import CertificationError
 from .functions import Range
 from .numeric import Number, is_exact, render_number
 from .problem import FLOAT_STRICTNESS_TOL, Problem
@@ -115,8 +115,6 @@ def _box_range(p: Problem, *box) -> Range:
     t_lo, t_hi, u_lo, u_hi = (float(x) for x in box)
     try:
         return p.f.range(t_lo, t_hi, u_lo, u_hi)
-    except FunctionSpecError:  # a form without a range is a spec error, not a failed evaluation
-        raise
     except Exception as exc:  # any failure of a user-supplied f voids the certificate
         raise CertificationError(f"f evaluation failed on [{t_lo}, {t_hi}] x [{u_lo}, {u_hi}]: {exc}") from exc
 

@@ -17,6 +17,7 @@ Tucker, *Validated Numerics*).
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -155,7 +156,7 @@ def _poly_range(coeffs, lo: float, hi: float, at) -> Range:
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(ABC):
     """Base class: a nonnegative continuous f(t, u); subclasses define _value and range."""
 
     kind = "abstract"
@@ -164,12 +165,13 @@ class FunctionSpec:
         _check_u_domain(u)
         return self._value(t, _clip_u(u))
 
+    @abstractmethod
     def _value(self, t, u):
-        raise NotImplementedError
+        """f at (t, u) for u >= 0, on scalars or broadcasting numpy arrays."""
 
+    @abstractmethod
     def range(self, t_lo: float, t_hi: float, u_lo: float, u_hi: float) -> Range:
         """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi]."""
-        raise FunctionSpecError(f"{type(self).__name__} defines no range, so f cannot be bounded on a box")
 
     def _attained(self, points) -> Range:  # for forms whose box extrema lie among `points`
         return _range([(float(self(t, u)), (t, u), EXACT) for t, u in points])

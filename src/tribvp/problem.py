@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import FunctionSpecError
 from .functions import FunctionSpec
 from .numeric import Number, is_exact
 
@@ -137,8 +136,6 @@ def _check_f(p: Problem, u_hi: float):
     box = f"[0, {float(p.T)}] x [0, {u_hi}]"
     try:
         r = p.f.range(0.0, float(p.T), 0.0, u_hi)
-    except FunctionSpecError:  # a form without a range is a spec error, not a failed evaluation
-        raise
     except Exception as exc:  # report a failing user-supplied f as a failed hypothesis
         return False, (f"f evaluation failed on {box}: {exc}",)
     if not (math.isfinite(r.lo) and math.isfinite(r.hi)):

@@ -161,7 +161,14 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
                 row["verdict"] = "H2-fail"
             else:
                 k = compute_constants(p)
-                row.update({"lambda": float(k.lam), "gamma": float(k.gamma), "m": float(k.m), "delta": float(k.delta)})
+                row.update(
+                    {
+                        "lambda": float(k.lam),
+                        "gamma": float(k.gamma),
+                        "m": float(k.m),
+                        "delta": float(k.delta),
+                    }
+                )
                 if cfg.thresholds is not None:
                     cert = certify(p, cfg.thresholds.with_gamma(k.gamma), k)
                     row["verdict"] = "true" if cert.verdict else "false"

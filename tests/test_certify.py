@@ -6,7 +6,6 @@ import pytest
 
 from tribvp import (
     CertificationError,
-    FunctionSpecError,
     Problem,
     SearchConfig,
     ThresholdTriple,
@@ -197,16 +196,4 @@ class _Fails(FunctionSpec):
 def test_evaluation_failure_raises_certification_error():
     p = make_sigmoid_problem().with_params(f=_Fails())
     with pytest.raises(CertificationError, match=r"f evaluation failed on \[0.0, 1.0\] x \[0.0, 1.0\]: no value here"):
-        check_D1(p, F(1, 3), F(1))
-
-
-@dataclass(frozen=True)
-class _NoRange(FunctionSpec):
-    def _value(self, t, u):
-        return 1.0
-
-
-def test_form_without_range_is_a_spec_error():
-    p = make_sigmoid_problem().with_params(f=_NoRange())
-    with pytest.raises(FunctionSpecError, match="_NoRange defines no range"):
         check_D1(p, F(1, 3), F(1))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tribvp import FunctionDomainError, FunctionSpecError, parse_function_spec
 from tribvp.functions import (
     ConstantF,
+    FunctionSpec,
     ExpDecay,
     Piece,
     PiecewiseLinearTable,
@@ -220,6 +221,16 @@ def test_rational_linear_pole_on_branch_rejected(pieces):
     # 1/(u - 2) has its pole at u = 2, inside the branch
     with pytest.raises(FunctionSpecError, match="pole"):
         PiecewiseU(pieces=pieces)
+
+
+def test_form_without_range_cannot_be_constructed():
+    # certification and the H1 check rely on range, so a subclass must define it
+    class NoRange(FunctionSpec):
+        def _value(self, t, u):
+            return 1.0
+
+    with pytest.raises(TypeError, match="abstract.*range"):
+        NoRange()
 
 
 def test_product_u_factor_must_not_depend_on_t():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribvp import FunctionSpecError, Problem, lambda_constant, validate_hypotheses
+from tribvp import Problem, lambda_constant, validate_hypotheses
 from tribvp.functions import ConstantF, FunctionSpec, PiecewiseLinearTable, PolynomialU, RationalSigmoid
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
@@ -76,16 +76,6 @@ def test_evaluation_failure_reported_with_location():
     rep = validate_hypotheses(p)
     assert not rep.h1_ok
     assert any("f evaluation failed on [0, 1.0] x [0, 10.0]: cannot evaluate here" in m for m in rep.messages)
-
-
-def test_form_without_range_raises_spec_error():
-    @dataclass(frozen=True)
-    class _NoRange(FunctionSpec):
-        def _value(self, t, u):
-            return 1.0
-
-    with pytest.raises(FunctionSpecError, match="_NoRange defines no range"):
-        validate_hypotheses(make_sigmoid_problem().with_params(f=_NoRange()))
 
 
 @pytest.mark.parametrize("coeffs", [(0, 0, 1), (0, 0, 0, 1), (1, -4, 6, -4, 1)])
