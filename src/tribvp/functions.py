@@ -17,6 +17,7 @@ Tucker, *Validated Numerics*).
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,10 +115,13 @@ def _simplest(a, b) -> Fraction:
     return n + 1 / _simplest(1 / (b - n), 1 / (a - n) if a > n else math.inf)
 
 
-def _float(x: Fraction, toward: float) -> float:
-    """x rounded to a float in the direction of toward (-inf or inf)."""
+def _float(x: Fraction, toward: float = 0.0) -> float:
+    """x as the nearest float, or rounded toward -inf or inf; +-inf beyond the float range."""
+    if abs(x) > sys.float_info.max:
+        big = math.inf if toward == 0 or (toward > 0) == (x > 0) else sys.float_info.max
+        return big if x > 0 else -big
     f = float(x)
-    return f if Fraction(f) == x or (Fraction(f) > x) == (toward > 0) else math.nextafter(f, toward)
+    return f if toward == 0 or Fraction(f) == x or (Fraction(f) > x) == (toward > 0) else math.nextafter(f, toward)
 
 
 def _poly_range(coeffs, lo: float, hi: float, at) -> Range:
@@ -133,13 +137,13 @@ def _poly_range(coeffs, lo: float, hi: float, at) -> Range:
     """
     p = [Fraction(c) for c in coeffs]
     dp = [k * c for k, c in enumerate(p)][1:]
-    ends = [(float(_polyval(p, x)), at(float(x)), EXACT) for x in (Fraction(lo), Fraction(hi))]
+    ends = [(_float(_polyval(p, x)), at(float(x)), EXACT) for x in (Fraction(lo), Fraction(hi))]
     lows, highs, stack = [], [], [(Fraction(lo), Fraction(hi), 0)]
     while stack:
         a, b, depth = stack.pop()
         ta, tb, w = _taylor(p, a), _taylor(p, b), b - a
         if _one_signed(ta, (0, w)) or _one_signed(tb, (-w, 0)):
-            ends += [(float(_polyval(p, x)), at(float(x)), EXACT) for x in (a, b)]
+            ends += [(_float(_polyval(p, x)), at(float(x)), EXACT) for x in (a, b)]
             continue
         (alo, ahi), (blo, bhi) = _horner(ta, (0, w)), _horner(tb, (-w, 0))
         vlo, vhi = _float(max(alo, blo), -math.inf), _float(min(ahi, bhi), math.inf)

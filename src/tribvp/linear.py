@@ -19,7 +19,7 @@ cross-check of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,11 +55,7 @@ class ResidualReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "ode_residual_max": self.ode_residual_max,
-            "bc0_residual": self.bc0_residual,
-            "bcT_residual": self.bcT_residual,
-        }
+        return asdict(self)
 
 
 class NonnegativityCheck(NamedTuple):

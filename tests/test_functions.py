@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -131,6 +132,13 @@ def test_parse_polynomial_touching_zero_accepted(params):
     # u^2 and u^3 vanish at the box edge u = 0; (u - 1)^4 and (3u - 1)^2 touch 0 at a rational point inside
     r = parse_function_spec({"kind": "polynomial", "params": params}).range(0.0, 1.0, 0.0, 10.0)
     assert r.lo == 0.0 and r.method == "exact"
+
+
+def test_polynomial_range_beyond_the_float_range_is_infinite():
+    # u^80 at u = 1e4 is 1e320; the float evaluation gives inf, and so must the range
+    f = PolynomialU(coeffs=(F(0),) * 80 + (F(1),))
+    r = f.range(0.0, 1.0, 0.0, 1e4)
+    assert (r.lo, r.hi, r.method) == (0.0, math.inf, "exact") and f(0.0, 1e4) == math.inf
 
 
 def test_parse_product_with_vanishing_time_factor():
