@@ -8,6 +8,9 @@ there is deliberately no expression parser.  Each spec evaluates on scalars
 All specs must be nonnegative for t in [0, T], u >= 0, and piecewise forms
 must be continuous at their breakpoints; both are checked at construction.
 
+The array path converts each form's parameters to float once (a cached
+property of the frozen dataclass).
+
 Every form bounds itself on a box with `range(t_lo, t_hi, u_lo, u_hi)`: exact
 from box edges and breakpoints for the forms monotone on each branch, and a
 rigorous interval enclosure for polynomials (Moore, *Interval Analysis*;
@@ -21,6 +24,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -198,7 +202,9 @@ class RationalSigmoid(FunctionSpec):
             return self.scale * uu / (uu + 1)
         u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
         uu = u * u
-        return float(self.scale) * uu / (uu + 1.0)
+        return self._scale * uu / (uu + 1.0)
+
+    _scale = cached_property(lambda self: float(self.scale))
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return self._attained([(t_lo, u_lo), (t_lo, u_hi)])
@@ -238,10 +244,12 @@ class PolynomialU(FunctionSpec):
     def _value(self, t, u):
         if isinstance(u, Fraction) and is_exact(*self.coeffs):
             return _polyval(self.coeffs, u)
-        acc = _polyval([float(c) for c in self.coeffs], np.asarray(u, dtype=float) if np.ndim(u) else float(u))
+        acc = _polyval(self._coeffs, np.asarray(u, dtype=float) if np.ndim(u) else float(u))
         if np.ndim(t) and not np.ndim(acc):
             acc = np.broadcast_to(acc, np.shape(t)).copy()
         return acc
+
+    _coeffs = cached_property(lambda self: [float(c) for c in self.coeffs])
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return _poly_range(self.coeffs, u_lo, u_hi, lambda u: (t_lo, u))
@@ -270,7 +278,7 @@ class Piece:
 
     def evaluate(self, u):
         exact = isinstance(u, Fraction) and is_exact(*self.params)
-        p = self.params if exact else tuple(float(x) for x in self.params)
+        p = self.params if exact else self._floats
         if not exact and np.ndim(u) == 0:
             u = float(u)
         if self.form == "linear":
@@ -283,6 +291,8 @@ class Piece:
             a1, a0, b1, b0 = p
             return (a1 * u + a0) / (b1 * u + b0)
         raise FunctionSpecError(f"unknown piece form {self.form!r}")
+
+    _floats = cached_property(lambda self: tuple(float(x) for x in self.params))
 
     def to_config(self):
         return {
@@ -332,16 +342,21 @@ class PiecewiseU(FunctionSpec):
 
     def _value(self, t, u):
         # Branch membership is [x_i, x_{i+1}); continuity makes the edge choice moot.
+        # Each branch sees only its own points, so a rational branch never meets its pole.
         if np.ndim(u) == 0:
             out = next((p for p in self.pieces[:-1] if u < p.until), self.pieces[-1]).evaluate(u)
         else:
             u = np.asarray(u, dtype=float)
-            conditions = [u < float(p.until) for p in self.pieces[:-1]]
-            values = [p.evaluate(u) for p in self.pieces]
-            out = np.select(conditions, values[:-1], default=values[-1])
+            branch = np.searchsorted(self._breaks, u, side="right")
+            out = np.empty_like(u)
+            for i in range(branch.min(), branch.max() + 1):
+                on = branch == i
+                out[on] = self.pieces[i].evaluate(u[on])
         if np.ndim(t) and not np.ndim(out):
             out = np.broadcast_to(out, np.shape(t)).copy()
         return out
+
+    _breaks = cached_property(lambda self: np.array([float(p.until) for p in self.pieces[:-1]]))
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         # Each branch is monotone: its extrema are at the ends of its part of the box.
@@ -376,14 +391,14 @@ class PiecewiseLinearTable(FunctionSpec):
                 raise FunctionSpecError("table abscissae must be strictly ascending")
 
     def _value(self, t, u):
-        us = np.array([float(p[0]) for p in self.table])
-        vs = np.array([float(p[1]) for p in self.table])
-        out = np.interp(np.asarray(u, dtype=float), us, vs)
+        out = np.interp(np.asarray(u, dtype=float), *self._arrays)
         if np.ndim(u) == 0:
             out = float(out)
         if np.ndim(t) and not np.ndim(out):
             out = np.broadcast_to(out, np.shape(t)).copy()
         return out
+
+    _arrays = cached_property(lambda self: np.array(self.table, dtype=float).T)  # abscissae, values
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         inside = [float(u) for u, _ in self.table if u_lo < u < u_hi]
@@ -417,8 +432,10 @@ class ExpDecay(TimeFactor):
 
     def evaluate(self, t):
         if np.ndim(t):
-            return np.exp(-float(self.rate) * np.asarray(t, dtype=float))
-        return math.exp(-float(self.rate) * float(t))
+            return np.exp(self._neg_rate * np.asarray(t, dtype=float))
+        return math.exp(self._neg_rate * float(t))
+
+    _neg_rate = cached_property(lambda self: -float(self.rate))
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return _range([(self.evaluate(t), (t, u_lo), EXACT) for t in (t_lo, t_hi)])
@@ -434,7 +451,9 @@ class PolynomialT(TimeFactor):
     kind = "polynomial"
 
     def evaluate(self, t):
-        return _polyval([float(c) for c in self.coeffs], np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+        return _polyval(self._coeffs, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+
+    _coeffs = cached_property(lambda self: [float(c) for c in self.coeffs])
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return _poly_range(self.coeffs, t_lo, t_hi, lambda t: (t, u_lo))

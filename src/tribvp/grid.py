@@ -75,10 +75,9 @@ class SolutionCurve:
         return cls(t0, t1, np.full(n, float(value)))
 
     def to_csv(self, path):
+        rows = "".join("%.17g,%.17g\n" % tu for tu in zip(self.nodes.tolist(), self.values.tolist()))
         with open(path, "w", newline="") as fh:
-            fh.write("t,u\n")
-            for t, u in zip(self.nodes, self.values):
-                fh.write(f"{t:.17g},{u:.17g}\n")
+            fh.write("t,u\n" + rows)
 
     @classmethod
     def from_csv(cls, path) -> "SolutionCurve":
@@ -97,7 +96,7 @@ def simpson_integral(values: np.ndarray, h: float) -> float:
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral at every node.
+    """Cumulative integral at every node, along axis 0.
 
     Even indices close Simpson pairs.  Odd indices integrate the Simpson
     parabola of their pair over its first half, (h/12)(5*v0 + 8*v1 - v2);
@@ -105,11 +104,11 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     even nodes that second differences amplify to an O(h) ODE residual.
     """
     v = np.asarray(values, dtype=float)
-    n = v.size
-    out = np.zeros(n)
+    n = v.shape[0]
+    out = np.zeros_like(v)
     if n >= 3:
         pair = h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-        out[2::2] = np.cumsum(pair)
+        out[2::2] = np.cumsum(pair, axis=0)
     n_half = (n - 1) // 2  # odd nodes with a full pair ahead of them
     if n_half:
         out[1 : 2 * n_half : 2] = out[0 : 2 * n_half - 1 : 2] + h / 12.0 * (

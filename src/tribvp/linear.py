@@ -10,7 +10,9 @@
     I1 = integral_0^eta (eta - s) y,   I2 = integral_0^eta (eta - s)^2 y,
     I3 = integral_0^T (T - s) y,       D  = -(structural constant Lambda),
 
-with every integral computed by the shared Simpson rules.  `solve_linear_oracle`
+with every integral computed by the shared Simpson rules.  A `LinearPlan` holds
+what of it depends only on the problem and the grid, so a solution route
+builds it once per grid size and applies it to every load.  `solve_linear_oracle`
 never touches that formula: it builds the parametric solution
 u(t) = u0 + s0*t - integral_0^t (t - s) y and determines (u0, s0) from the two
 boundary conditions as a 2x2 solve, which makes it an independent
@@ -71,46 +73,58 @@ class GammaBoundCheck(NamedTuple):
     sup_norm: float
 
 
-def _grid_quantities(p: Problem, y: SolutionCurve):
-    T, eta, alpha, beta = p.floats()
+def _check_grid(p: Problem, y: SolutionCurve) -> None:
+    T = float(p.T)
     if abs(y.t0) > 1e-12 or abs(y.t1 - T) > 1e-9 * max(1.0, T):
         raise ValueError("input curve must be sampled on [0, T]")
     if y.n % 2 == 0:
         raise ValueError("linear solve needs an odd node count")
-    lam = float(lambda_constant(p))
-    if abs(lam) < SINGULAR_TOL:
-        raise SingularConfigurationError(
-            f"beta = {beta} makes the boundary system singular (Lambda = {lam})"
-        )
-    t = y.nodes
-    h = y.h
-    v = y.values
-    cum_y = cumulative_simpson(v, h)
-    cum_sy = cumulative_simpson(t * v, h)
-    conv = t * cum_y - cum_sy  # integral_0^t (t - s) y(s) ds at every node
-    return T, eta, alpha, beta, lam, t, h, v, conv
+
+
+class LinearPlan:
+    """The closed form's setup for one problem on n uniform nodes of [0, T], done once.
+
+    Calling the plan on a load of shape (n,), or (n, k) with one load per
+    column, returns the solution's nodal values exactly as solve_linear does:
+    two cumulative Simpson sums, three eta-weight products and the closed form.
+    """
+
+    def __init__(self, p: Problem, n: int):
+        T, eta, alpha, beta = p.floats()
+        lam = float(lambda_constant(p))
+        if abs(lam) < SINGULAR_TOL:
+            raise SingularConfigurationError(f"beta = {beta} makes the boundary system singular (Lambda = {lam})")
+        d = -lam  # the closed form's D
+        self.T, self.eta, self.h = T, eta, T / (n - 1)
+        self.t = t = np.linspace(0.0, T, n)
+        self.t2 = t * t
+        self.w_eta = partial_integral_weights(n, self.h, eta)
+        self.c1 = (beta * (2.0 * T - alpha * eta * eta) - 2.0 * beta * (1.0 - alpha * eta) * t) / d
+        self.c2 = (alpha * beta * eta - alpha * (beta - 1.0) * t) / d
+        self.c3 = (2.0 * (beta - 1.0) * t - 2.0 * beta * eta) / d
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        t, t2, c1, c2, c3 = (a if v.ndim == 1 else a[:, None] for a in (self.t, self.t2, self.c1, self.c2, self.c3))
+        tv, eta = t * v, self.eta
+        conv = t * cumulative_simpson(v, self.h) - cumulative_simpson(tv, self.h)  # integral_0^t (t - s) y(s) ds
+        y1_eta, y2_eta, y3_eta = self.w_eta @ v, self.w_eta @ tv, self.w_eta @ (t2 * v)
+        i1 = eta * y1_eta - y2_eta
+        i2 = eta * eta * y1_eta - 2.0 * eta * y2_eta + y3_eta
+        return c1 * i1 + c2 * i2 + c3 * conv[-1] - conv
 
 
 def solve_linear(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Evaluate the closed-form solution of u'' + y = 0 on y's grid."""
-    T, eta, alpha, beta, lam, t, h, v, conv = _grid_quantities(p, y)
-    w_eta = partial_integral_weights(y.n, h, eta)
-    y1_eta = np.dot(w_eta, v)
-    y2_eta = np.dot(w_eta, t * v)
-    y3_eta = np.dot(w_eta, t * t * v)
-    i1 = eta * y1_eta - y2_eta
-    i2 = eta * eta * y1_eta - 2.0 * eta * y2_eta + y3_eta
-    i3 = conv[-1]
-    d = -lam
-    c1 = (beta * (2.0 * T - alpha * eta * eta) - 2.0 * beta * (1.0 - alpha * eta) * t) / d
-    c2 = (alpha * beta * eta - alpha * (beta - 1.0) * t) / d
-    c3 = (2.0 * (beta - 1.0) * t - 2.0 * beta * eta) / d
-    return SolutionCurve(0.0, T, c1 * i1 + c2 * i2 + c3 * i3 - conv)
+    _check_grid(p, y)
+    return SolutionCurve(0.0, float(p.T), LinearPlan(p, y.n)(y.values))
 
 
 def solve_linear_oracle(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Direct construction: parametric double integral + 2x2 boundary solve."""
-    T, eta, alpha, beta, lam, t, h, v, conv = _grid_quantities(p, y)
+    _check_grid(p, y)
+    T, eta, alpha, beta = p.floats()
+    t, h, v = y.nodes, y.h, y.values
+    conv = t * cumulative_simpson(v, h) - cumulative_simpson(t * v, h)  # integral_0^t (t - s) y(s) ds
     conv_eta = eta * partial_integral(v, h, eta) - partial_integral(t * v, h, eta)
     conv_cum_eta = partial_integral(conv, h, eta)  # integral_0^eta of the convolution
     # u(t) = u0 + s0*t - conv(t); the boundary conditions give

@@ -18,6 +18,7 @@ then classified against the thresholds (a, b, c).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -29,6 +30,7 @@ from .errors import FunctionDomainError
 from .grid import SolutionCurve, interp_cubic, partial_integral
 from .linear import (
     NONNEGATIVITY_TOL,
+    LinearPlan,
     ResidualReport,
     check_nonnegativity,
     residuals,
@@ -113,22 +115,23 @@ def cone_membership(u: SolutionCurve, tol: float = NONNEGATIVITY_TOL) -> ConeChe
     return ConeCheck(ok=not violations, violations=tuple(violations))
 
 
-def _load_curve(p: Problem, u: SolutionCurve, count_clamps: bool = False):
-    """y(t) = f(t, u(t)) on u's grid, clamping transient negative undershoots."""
-    if u.min_value() < -NONNEGATIVITY_TOL:
-        raise FunctionDomainError(
-            f"operator input dips to {u.min_value()}, below the admissible domain"
-        )
-    clamped = int(np.count_nonzero(u.values < 0.0)) if count_clamps else 0
-    vals = np.maximum(u.values, 0.0)
-    y = p.f(u.nodes, vals)
-    return SolutionCurve(u.t0, u.t1, y), clamped
+def _load(p: Problem, t: np.ndarray, u: np.ndarray, strict: bool = True) -> np.ndarray:
+    """y = f(t, u) with transient negative undershoots of u clamped to zero.
+
+    FunctionDomainError when y is not finite, or (strict) when u dips below
+    the admissible domain; the solution routes drop such a start.
+    """
+    if strict and u.min() < -NONNEGATIVITY_TOL:
+        raise FunctionDomainError(f"operator input dips to {u.min()}, below the admissible domain")
+    y = p.f(t, np.maximum(u, 0.0))
+    if not np.all(np.isfinite(y)):
+        raise FunctionDomainError(f"f is not finite on an iterate of sup norm {np.max(np.abs(u))}")
+    return y
 
 
 def apply_operator_A(p: Problem, u: SolutionCurve) -> SolutionCurve:
     """One application of the solution operator: solve u'' + f(t, u) = 0 linearly."""
-    y, _ = _load_curve(p, u)
-    return solve_linear(p, y)
+    return solve_linear(p, SolutionCurve(u.t0, u.t1, _load(p, u.nodes, u.values)))
 
 
 def picard_iterate(
@@ -137,39 +140,42 @@ def picard_iterate(
     tol: float = 1e-10,
     max_iter: int = 500,
     cfg: SolveConfig | None = None,
+    plan: LinearPlan | None = None,
 ) -> FixedPointResult:
     """Iterate u <- A u until the sup-norm update drops below tol.
 
     There is no contraction guarantee, so the iteration caps at max_iter and
     stops early when the iterate norm passes the divergence threshold; a
-    converged result must additionally pass the residual check.
+    converged result must additionally pass the residual check.  `plan` is
+    the linear solve on u0's grid, built here when not given.
     """
     cfg = cfg or SolveConfig(grid_n=u0.n)
-    u = u0
+    plan = plan or LinearPlan(p, u0.n)
+    u = u0.values
     update = math.inf
     clamp_total = 0
     iterations = 0
     diverged = False
     for iterations in range(1, max_iter + 1):
-        y, clamps = _load_curve(p, u, count_clamps=True)
-        clamp_total += clamps
-        au = solve_linear(p, y)
-        update = float(np.max(np.abs(au.values - u.values)))
+        y = _load(p, plan.t, u)
+        clamp_total += int(np.count_nonzero(u < 0.0))
+        au = plan(y)
+        update = float(np.max(np.abs(au - u)))
         u = au
-        if u.sup_norm() > cfg.divergence_norm:
+        if float(np.max(np.abs(u))) > cfg.divergence_norm:
             diverged = True
             break
         if update <= tol:
             break
-    y_final, _ = _load_curve(p, u)
-    rep = residuals(p, u, y_final)
+    curve = SolutionCurve(0.0, plan.T, u)
+    rep = residuals(p, curve, SolutionCurve(0.0, plan.T, _load(p, plan.t, u)))
     ok = (
         not diverged
         and update <= tol
-        and rep.within(cfg.ode_tol(u.h), cfg.residual_tol)
+        and rep.within(cfg.ode_tol(curve.h), cfg.residual_tol)
     )
     return FixedPointResult(
-        curve=u,
+        curve=curve,
         converged=ok,
         iterations=iterations,
         final_update_norm=update,
@@ -253,23 +259,15 @@ def _df_du(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (p.f(t, hi) - p.f(t, lo)) / (hi - lo)
 
 
-def _solution_matrix(p: Problem, n: int) -> np.ndarray:
-    """G with G @ y == solve_linear(p, y).values on n nodes, one unit load per column."""
-    T = float(p.T)
-    return np.column_stack([solve_linear(p, SolutionCurve(0.0, T, unit)).values for unit in np.eye(n)])
+def _fixed_point_residual(p: Problem, plan: LinearPlan, u: np.ndarray) -> np.ndarray:
+    """F(u) = u - A u on the plan's grid, with u clamped to zero where f is evaluated."""
+    return u - plan(_load(p, plan.t, u, strict=False))
 
 
-def _fixed_point_residual(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """F(u) = u - A u, with u clamped to zero where f is evaluated."""
-    y = SolutionCurve(0.0, float(p.T), p.f(t, np.maximum(u, 0.0)))
-    return u - solve_linear(p, y).values
-
-
-def _jacobian_matvec(p: Problem, t: np.ndarray, u: np.ndarray):
+def _jacobian_matvec(p: Problem, plan: LinearPlan, u: np.ndarray):
     """v -> J v with J = I - G diag(df/du(t, u)), one linear solve per product."""
-    fu = _df_du(p, t, u)
-    T = float(p.T)
-    return lambda v: v - solve_linear(p, SolutionCurve(0.0, T, fu * v)).values
+    fu = _df_du(p, plan.t, u)
+    return lambda v: v - plan(fu * v)
 
 
 def _gmres(matvec, b: np.ndarray) -> np.ndarray:
@@ -347,8 +345,8 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
     start whose Jacobian is singular is dropped; the others go on.
     """
     n = COARSE_N
-    t = np.linspace(0.0, float(p.T), n)
-    G = _solution_matrix(p, n)
+    plan = LinearPlan(p, n)
+    t, G = plan.t, plan(np.eye(n))  # G @ y == solve_linear(p, y).values, one unit load per column
     J = np.empty_like(G)
 
     def residual(u):
@@ -377,24 +375,21 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
     return t, roots
 
 
-def _polish(p: Problem, t_coarse: np.ndarray, u_coarse: np.ndarray, coarse_iterations: int, cfg: SolveConfig):
-    """Prolong a coarse root to grid_n, apply A once, and finish with Newton-GMRES."""
-    t = np.linspace(0.0, float(p.T), cfg.grid_n)
+def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iterations: int, cfg: SolveConfig):
+    """Apply A once to a coarse root prolonged to the plan's grid, and finish with Newton-GMRES."""
     clamped = 0
 
     def residual(u):
         nonlocal clamped
         clamped += int(np.count_nonzero(u < 0.0))
-        return _fixed_point_residual(p, t, u)
+        return _fixed_point_residual(p, plan, u)
 
     def step(u, r):
-        return _gmres(_jacobian_matvec(p, t, u), -r)
+        return _gmres(_jacobian_matvec(p, plan, u), -r)
 
-    prolonged = np.interp(t, t_coarse, u_coarse)
     u, rnorm, iterations = _newton(residual, step, prolonged - residual(prolonged), cfg)  # u - F(u) = A u
-    curve = SolutionCurve(0.0, float(p.T), u - residual(u))
-    y, _ = _load_curve(p, curve)
-    rep = residuals(p, curve, y)
+    curve = SolutionCurve(0.0, plan.T, u - residual(u))
+    rep = residuals(p, curve, SolutionCurve(0.0, plan.T, _load(p, plan.t, curve.values)))
     return FixedPointResult(
         curve=curve,
         converged=_accepted(u, rnorm) and rep.within(cfg.ode_tol(curve.h), cfg.residual_tol),
@@ -406,21 +401,29 @@ def _polish(p: Problem, t_coarse: np.ndarray, u_coarse: np.ndarray, coarse_itera
     )
 
 
-def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
-    """Roots of F(u) = u - A u: coarse dense Newton from many starts, then full-grid polish."""
+def newton_solutions(p: Problem, cfg: SolveConfig, plan: LinearPlan | None = None) -> list[FixedPointResult]:
+    """Roots of F(u) = u - A u: coarse dense Newton from many starts, then full-grid polish.
+
+    `plan` is the linear solve on grid_n nodes, built here when not given.  A
+    root where f stops being finite on the full grid is dropped.
+    """
+    plan = plan or LinearPlan(p, cfg.grid_n)
     t_coarse, roots = _coarse_roots(p, cfg)
-    results = [_polish(p, t_coarse, u, iterations, cfg) for u, iterations in roots]
+    results = []
+    for u, iterations in roots:
+        with contextlib.suppress(FunctionDomainError):
+            results.append(_polish(p, plan, np.interp(plan.t, t_coarse, u), iterations, cfg))
     return [r for r in results if r.converged]
 
 
-def picard_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
-    """Picard iteration from the configured constant starts."""
-    T = float(p.T)
+def picard_solutions(p: Problem, cfg: SolveConfig, plan: LinearPlan | None = None) -> list[FixedPointResult]:
+    """Picard iteration from the configured constant starts on one linear plan for grid_n."""
+    plan = plan or LinearPlan(p, cfg.grid_n)
     results = []
     for level in _start_levels(cfg):
-        start = SolutionCurve.constant(level, T, cfg.grid_n)
+        start = SolutionCurve.constant(level, plan.T, cfg.grid_n)
         try:
-            result = picard_iterate(p, start, cfg.picard_tol, cfg.picard_max_iter, cfg)
+            result = picard_iterate(p, start, cfg.picard_tol, cfg.picard_max_iter, cfg, plan)
         except FunctionDomainError:
             continue  # iterate left the admissible domain; not a solution path
         if result.converged:
@@ -474,7 +477,9 @@ def find_solutions(
     p: Problem, cfg: SolveConfig = SolveConfig()
 ) -> list[tuple[FixedPointResult, SolutionClass]]:
     """Run both routes, verify, dedup, and classify every surviving solution."""
-    candidates = picard_solutions(p, cfg) + newton_solutions(p, cfg)
+    plan = LinearPlan(p, cfg.grid_n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
+        candidates = picard_solutions(p, cfg, plan) + newton_solutions(p, cfg, plan)
     verified = [r for r in candidates if r.converged and cone_membership(r.curve).ok]
     unique = _dedup(verified, cfg.dedup_tol)
     eta = float(p.eta)

@@ -211,3 +211,15 @@ def test_sweep_csv_has_full_precision(tmp_path):
     line = (tmp_path / "sweep.csv").read_text().splitlines()[1]
     lam = line.split(",")[1]
     assert len(lam.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def test_solve_survives_an_f_that_overflows(tmp_path, capsys):
+    # u^40 overflows to inf on a diverging Picard start; the start is dropped
+    doc = json.loads(Path(SIGMOID).read_text())
+    del doc["thresholds"]
+    doc["problem"]["f"] = {"kind": "polynomial", "params": [0] * 40 + [1]}
+    cfg_path = tmp_path / "u40.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--no-timing"])
+    assert code in (0, 5)
+    assert "Traceback" not in capsys.readouterr().err

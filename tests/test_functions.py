@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -295,3 +296,34 @@ def test_range_brackets_a_dense_sample(name, t, u):
         for bound, (tb, ub) in ((r.lo, r.lo_at), (r.hi, r.hi_at)):
             assert t_lo <= tb <= t_hi and u_lo <= ub <= u_hi
             assert float(f(tb, ub)) == pytest.approx(bound, rel=1e-12, abs=1e-12)
+
+
+def test_piecewise_array_equals_scalar_evaluation_bitwise():
+    h = PiecewiseU(pieces=EXP_PIECES)
+    breaks = [float(p.until) for p in EXP_PIECES[:-1]]
+    near = [math.nextafter(b, d) for b in breaks for d in (0.0, math.inf)]
+    us = np.concatenate([np.linspace(0.0, 600.0, 1201), breaks, near])
+    vec = h(0.0, us)
+    assert [h(0.0, float(u)) for u in us] == vec.tolist()
+
+
+def test_piecewise_evaluates_each_branch_only_on_its_own_points():
+    # the tail (3u - 2)/u from u = 2 has its pole at u = 0, outside its branch
+    h = PiecewiseU(pieces=(Piece(F(2), "linear", (F(1), F(0))), Piece(None, "rational-linear", (F(3), F(-2), F(1), F(0)))))
+    us = np.linspace(0.0, 4.0, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = h(0.0, us)
+    assert np.array_equal(vec, np.where(us < 2.0, us, (3.0 * us - 2.0) / np.maximum(us, 2.0)))
+
+
+def test_fraction_scalars_stay_exact_after_array_evaluation():
+    # the float parameters cached by an array call must not leak into the exact path
+    forms = {
+        RationalSigmoid(scale=F(40)): (F(2), F(32)),
+        PolynomialU(coeffs=(F(1), F(0), F(2))): (F(1, 2), F(3, 2)),
+        PiecewiseU(pieces=EXP_PIECES): (F(545), F(87, 544) * 545),
+    }
+    for f, (u, exact) in forms.items():
+        f(0.0, np.linspace(0.0, 600.0, 7))
+        assert f(0, u) == exact and isinstance(f(0, u), F)

@@ -14,6 +14,7 @@ from tribvp import (
     solve_linear_oracle,
 )
 from tribvp.constants import gamma
+from tribvp.linear import LinearPlan
 
 from conftest import (
     make_exp_piecewise_problem,
@@ -200,3 +201,33 @@ def test_convergence_order_curvy_load():
         step = (ref_n - 1) // (n - 1)
         errs.append(np.max(np.abs(u.values - u_ref.values[::step])))
     assert errs[0] / errs[1] >= 3.5
+
+
+@pytest.mark.parametrize("make", [make_sigmoid_problem, make_exp_piecewise_problem])
+@pytest.mark.parametrize("n", [5, 65, N])
+def test_plan_on_unit_loads_equals_the_column_solves_bitwise(make, n):
+    # the identity in blocks of at most 256 columns keeps n = 2049 small
+    p = make()
+    plan = LinearPlan(p, n)
+    for j in range(0, n, 256):
+        block = np.eye(n, min(256, n - j), -j)
+        columns = [solve_linear(p, SolutionCurve(0.0, 1.0, unit)).values for unit in block.T]
+        assert np.array_equal(plan(block), np.column_stack(columns))
+
+
+@pytest.mark.parametrize("make", [make_sigmoid_problem, make_exp_piecewise_problem])
+def test_plan_matches_the_oracle_on_random_loads(make, rng):
+    p = make()
+    plan = LinearPlan(p, N)
+    loads = np.column_stack([np.polyval(rng.uniform(-1.0, 1.0, 3), plan.t) ** 2 + rng.uniform() for _ in range(8)])
+    batch = plan(loads)
+    for k, y in enumerate(loads.T):
+        oracle = solve_linear_oracle(p, SolutionCurve(0.0, 1.0, y)).values
+        assert np.max(np.abs(plan(y) - oracle)) <= 1e-12
+        assert np.max(np.abs(batch[:, k] - oracle)) <= 1e-12
+
+
+def test_plan_for_a_singular_beta_raises():
+    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1))
+    with pytest.raises(SingularConfigurationError):
+        LinearPlan(p, 129)

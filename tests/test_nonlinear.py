@@ -18,17 +18,18 @@ from tribvp import (
     solve_linear_oracle,
 )
 from tribvp.grid import cumulative_simpson, partial_integral
-from tribvp.linear import residuals
+from tribvp import linear, nonlinear
+from tribvp.linear import LinearPlan, residuals
 from tribvp.nonlinear import (
     FixedPointResult,
     _dedup,
     _fixed_point_residual,
     _jacobian_matvec,
-    _load_curve,
-    _solution_matrix,
+    _load,
     newton_solutions,
 )
-from tribvp.functions import ConstantF
+from tribvp.errors import FunctionDomainError
+from tribvp.functions import ConstantF, PolynomialU
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
 
@@ -286,7 +287,7 @@ def test_find_solutions_exp_problem_two_verified(exp_thresholds):
 def test_solution_matrix_reproduces_the_linear_solve(rng):
     p = make_sigmoid_problem()
     n = 257
-    G = _solution_matrix(p, n)
+    G = LinearPlan(p, n)(np.eye(n))
     for _ in range(10):
         y = random_nonnegative_load(1.0, n, rng)
         assert np.max(np.abs(G @ y.values - solve_linear(p, y).values)) <= 1e-12
@@ -294,12 +295,12 @@ def test_solution_matrix_reproduces_the_linear_solve(rng):
 
 def test_newton_jacobian_vector_product_matches_central_difference(rng):
     p = make_sigmoid_problem()
-    t = np.linspace(0.0, 1.0, N)
+    plan = LinearPlan(p, N)
     u = solve_linear(p, random_nonnegative_load(1.0, N, rng)).values
     v = rng.uniform(-1.0, 1.0, N)
     eps = 1e-6
-    central = (_fixed_point_residual(p, t, u + eps * v) - _fixed_point_residual(p, t, u - eps * v)) / (2 * eps)
-    jv = _jacobian_matvec(p, t, u)(v)
+    central = (_fixed_point_residual(p, plan, u + eps * v) - _fixed_point_residual(p, plan, u - eps * v)) / (2 * eps)
+    jv = _jacobian_matvec(p, plan, u)(v)
     assert np.max(np.abs(jv - central)) <= 1e-7 * np.max(np.abs(central))
 
 
@@ -330,5 +331,39 @@ def test_oracle_route_agreement_on_operator(rng):
     # independent construction, for in-cone inputs
     p = make_sigmoid_problem()
     u = solve_linear(p, random_nonnegative_load(1.0, N, rng))
-    y, _ = _load_curve(p, u)
+    y = SolutionCurve(0.0, 1.0, _load(p, u.nodes, u.values))
     assert np.max(np.abs(solve_linear(p, y).values - solve_linear_oracle(p, y).values)) < 1e-8
+
+
+def u40_problem() -> Problem:
+    # f = u^40 overflows to inf once an iterate passes about 5e7
+    return Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=PolynomialU(coeffs=(F(0),) * 40 + (F(1),)))
+
+
+def test_find_solutions_computes_lambda_once_per_grid_size(monkeypatch, sigmoid_thresholds):
+    # a work count, not a timing: the linear setup is built once per grid, not per solve
+    calls = []
+    original = linear.lambda_constant
+    monkeypatch.setattr(linear, "lambda_constant", lambda p: calls.append(p) or original(p))
+    found = find_solutions(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
+    assert len(found) == 3
+    assert len(calls) == 2  # COARSE_N and grid_n
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_picard_drops_a_start_where_f_overflows():
+    p = u40_problem()
+    with pytest.raises(FunctionDomainError, match="not finite"):
+        picard_iterate(p, SolutionCurve.constant(100.0, 1.0, 129), 1e-10, 50)
+    kept = nonlinear.picard_solutions(p, SolveConfig(grid_n=129))
+    assert kept and all(r.curve.sup_norm() == 0.0 for r in kept)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_newton_polish_drops_a_root_where_f_overflows(monkeypatch):
+    p = u40_problem()
+    t = np.linspace(0.0, 1.0, nonlinear.COARSE_N)
+    roots = [(np.full(t.size, 1e10), 0), (np.zeros(t.size), 0)]
+    monkeypatch.setattr(nonlinear, "_coarse_roots", lambda p, cfg: (t, roots))
+    kept = newton_solutions(p, SolveConfig(grid_n=129))
+    assert [r.curve.sup_norm() for r in kept] == [0.0]
