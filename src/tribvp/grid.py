@@ -105,7 +105,7 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape)
     if n >= 3:
         pair = h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
         out[2::2] = np.cumsum(pair, axis=0)
