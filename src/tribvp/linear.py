@@ -73,7 +73,7 @@ class GammaBoundCheck(NamedTuple):
     sup_norm: float
 
 
-def _check_grid(p: Problem, y: SolutionCurve) -> None:
+def check_grid(p: Problem, y: SolutionCurve) -> None:
     T = float(p.T)
     if abs(y.t0) > 1e-12 or abs(y.t1 - T) > 1e-9 * max(1.0, T):
         raise ValueError("input curve must be sampled on [0, T]")
@@ -91,10 +91,9 @@ class LinearPlan:
 
     def __init__(self, p: Problem, n: int):
         T, eta, alpha, beta = p.floats()
-        lam = float(lambda_constant(p))
-        if abs(lam) < SINGULAR_TOL:
-            raise SingularConfigurationError(f"beta = {beta} makes the boundary system singular (Lambda = {lam})")
-        d = -lam  # the closed form's D
+        d = -float(lambda_constant(p))  # the closed form's D
+        if abs(d) < SINGULAR_TOL:
+            raise SingularConfigurationError(f"beta = {beta} makes the boundary system singular (Lambda = {-d})")
         self.T, self.eta, self.h = T, eta, T / (n - 1)
         self.t = t = np.linspace(0.0, T, n)
         self.t2 = t * t
@@ -115,13 +114,13 @@ class LinearPlan:
 
 def solve_linear(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Evaluate the closed-form solution of u'' + y = 0 on y's grid."""
-    _check_grid(p, y)
+    check_grid(p, y)
     return SolutionCurve(0.0, float(p.T), LinearPlan(p, y.n)(y.values))
 
 
 def solve_linear_oracle(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Direct construction: parametric double integral + 2x2 boundary solve."""
-    _check_grid(p, y)
+    check_grid(p, y)
     T, eta, alpha, beta = p.floats()
     t, h, v = y.nodes, y.h, y.values
     conv = t * cumulative_simpson(v, h) - cumulative_simpson(t * v, h)  # integral_0^t (t - s) y(s) ds

@@ -32,6 +32,7 @@ from .linear import (
     NONNEGATIVITY_TOL,
     LinearPlan,
     ResidualReport,
+    check_grid,
     check_nonnegativity,
     residuals,
     solve_linear,
@@ -150,6 +151,7 @@ def picard_iterate(
     the linear solve on u0's grid, built here when not given.
     """
     cfg = cfg or SolveConfig(grid_n=u0.n)
+    check_grid(p, u0)
     plan = plan or LinearPlan(p, u0.n)
     u = u0.values
     update = math.inf

@@ -367,3 +367,8 @@ def test_newton_polish_drops_a_root_where_f_overflows(monkeypatch):
     monkeypatch.setattr(nonlinear, "_coarse_roots", lambda p, cfg: (t, roots))
     kept = newton_solutions(p, SolveConfig(grid_n=129))
     assert [r.curve.sup_norm() for r in kept] == [0.0]
+
+
+def test_picard_rejects_a_start_off_the_problem_interval():
+    with pytest.raises(ValueError, match=r"\[0, T\]"):
+        picard_iterate(make_sigmoid_problem(), SolutionCurve.constant(1.0, 2.0, 129), 1e-10, 5)
