@@ -9,7 +9,6 @@ that exhibits and classifies them.
 from .certify import (
     Certificate,
     ConditionReport,
-    SearchConfig,
     ThresholdTriple,
     certify,
     check_D1,
@@ -65,7 +64,6 @@ __all__ = [
     "LWConstants",
     "Problem",
     "ResidualReport",
-    "SearchConfig",
     "SingularConfigurationError",
     "SolutionClass",
     "SolutionCurve",

@@ -25,6 +25,13 @@ from .functions import Range
 from .numeric import Number, is_exact, render_number
 from .problem import FLOAT_STRICTNESS_TOL, Problem
 
+# Threshold search: each axis is scanned on SEARCH_PER_AXIS log-spaced points
+# of [SEARCH_LO, SEARCH_HI], zooming in at most SEARCH_MAX_LEVELS times.
+SEARCH_LO = 1e-4
+SEARCH_HI = 1e4
+SEARCH_PER_AXIS = 13
+SEARCH_MAX_LEVELS = 8
+
 
 @dataclass(frozen=True)
 class ThresholdTriple:
@@ -48,16 +55,6 @@ class ThresholdTriple:
         if self.d is not None:
             doc["d"] = render_number(self.d)
         return doc
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Bounds and budgets for the coarse-to-fine threshold search."""
-
-    lo: float = 1e-4
-    hi: float = 1e4
-    per_axis: int = 13
-    max_levels: int = 8
 
 
 @dataclass(frozen=True)
@@ -159,17 +156,17 @@ def certify(p: Problem, tt: ThresholdTriple, k: LWConstants) -> Certificate:
     )
 
 
-def _feasible_axis_points(evaluate, cfg: SearchConfig) -> list[float]:
+def _feasible_axis_points(evaluate) -> list[float]:
     """Coarse-to-fine log-grid scan of one threshold axis.
 
-    evaluate(x) returns a ConditionReport.  Each level scans per_axis points;
+    evaluate(x) returns a ConditionReport.  Each level scans SEARCH_PER_AXIS points;
     if none holds, the next level zooms into the one-step bracket around the
     best relative margin.  Growth conditions depend on a single threshold
     each, so the axes can be searched independently like this.
     """
-    lo_log, hi_log = np.log10(cfg.lo), np.log10(cfg.hi)
-    for _ in range(cfg.max_levels + 1):
-        xs = np.logspace(lo_log, hi_log, cfg.per_axis)
+    lo_log, hi_log = np.log10(SEARCH_LO), np.log10(SEARCH_HI)
+    for _ in range(SEARCH_MAX_LEVELS + 1):
+        xs = np.logspace(lo_log, hi_log, SEARCH_PER_AXIS)
         reports = [evaluate(float(x)) for x in xs]
         feasible = [float(x) for x, rep in zip(xs, reports) if rep.holds]
         if feasible:
@@ -183,9 +180,7 @@ def _feasible_axis_points(evaluate, cfg: SearchConfig) -> list[float]:
     return []
 
 
-def search_thresholds(
-    p: Problem, k: LWConstants, cfg: SearchConfig = SearchConfig()
-) -> ThresholdTriple | None:
+def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     """Find a certifiable (a, b, c) by coarse-to-fine scanning; None if absent.
 
     Each axis is scanned with local zooming (some problems admit only a
@@ -195,13 +190,13 @@ def search_thresholds(
     ordering holds is returned.
     """
     gamma = float(k.gamma)
-    feasible_a = _feasible_axis_points(lambda a: check_D1(p, k.m, a), cfg)
+    feasible_a = _feasible_axis_points(lambda a: check_D1(p, k.m, a))
     if not feasible_a:
         return None
-    feasible_b = _feasible_axis_points(lambda b: check_D2(p, k.delta, b, gamma), cfg)
+    feasible_b = _feasible_axis_points(lambda b: check_D2(p, k.delta, b, gamma))
     if not feasible_b:
         return None
-    feasible_c = _feasible_axis_points(lambda c: check_D3(p, k.m, c), cfg)
+    feasible_c = _feasible_axis_points(lambda c: check_D3(p, k.m, c))
     if not feasible_c:
         return None
 

@@ -1,4 +1,4 @@
-"""Run configuration: the JSON problem document and solver knobs.
+"""Run configuration: the JSON problem document and the grid size.
 
 Document layout::
 
@@ -6,91 +6,67 @@ Document layout::
       "problem":    {"T": 1, "eta": "1/3", "alpha": 3, "beta": "1/2",
                      "f": {"kind": ..., "params": [...], ...}},
       "thresholds": {"a": "1/120", "b": 2, "c": 124},     # optional
-      "solver":     {"grid_n": 2049, "picard_tol": 1e-10, ...}  # optional
+      "solver":     {"grid_n": 2049}                      # optional, or top-level
     }
 
 Numbers given as integers or strings like "1/3" are kept as exact rationals,
-which is what makes the constants reproducible as exact fractions.
+which is what makes the constants reproducible as exact fractions.  Solver
+tolerances are module constants, so no document loosens what counts as verified.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
-from .certify import SearchConfig, ThresholdTriple
+from .certify import ThresholdTriple
 from .errors import ConfigError, FunctionSpecError
 from .functions import parse_function_spec
-from .nonlinear import SolveConfig
+from .nonlinear import DEFAULT_GRID_N
 from .numeric import parse_number, render_number
 from .problem import Problem
 
 MODES = ("constants", "certify", "solve", "sweep")
 
-_SOLVER_KEYS = {
-    "grid_n": int,
-    "picard_tol": float,
-    "picard_max_iter": int,
-    "residual_tol": float,
-    "ode_c2": float,
-    "dedup_tol": float,
-    "newton_tol": float,
-    "newton_max_iter": int,
-    "h1_u_max": float,
-    "search_lo": float,
-    "search_hi": float,
-    "search_per_axis": int,
-}
+
+def f_check_u_max(thresholds: ThresholdTriple | None) -> float:
+    """u range of the f >= 0 checks, at construction and for H1: 2c, or 10 without thresholds."""
+    return 2.0 * float(thresholds.c) if thresholds is not None else 10.0
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _parse_thresholds(tdoc) -> ThresholdTriple:
+    """a, b and c of a thresholds object, each finite and positive; their ordering is a certify verdict."""
+    if not isinstance(tdoc, dict):
+        raise ConfigError(f"thresholds section must be an object, got {tdoc!r}")
+    missing = [k for k in "abc" if k not in tdoc]
+    if missing:
+        raise ConfigError(f"thresholds section missing fields: {missing}")
+    values = [parse_number(tdoc[k]) for k in "abc"]
+    for name, value in zip("abc", values):
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"threshold {name} must be finite and positive, got {value}")
+    return ThresholdTriple.from_abc(*values)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one batch run needs: problem, thresholds, budgets, output."""
+    """Everything one batch run needs: problem, thresholds, grid size, output."""
 
     problem: Problem
     thresholds: ThresholdTriple | None
     mode: str
     output_dir: Path
-    grid_n: int = 2049
-    solver_doc: dict = field(default_factory=dict)
+    grid_n: int = DEFAULT_GRID_N
     include_timing: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not _is_count(self.grid_n) or self.grid_n < 65 or self.grid_n % 2 == 0:
-            raise ConfigError(f"grid_n must be an odd integer >= 65, got {self.grid_n!r}")
-        for key, value in self.solver_doc.items():
-            if key not in _SOLVER_KEYS:
-                raise ConfigError(f"unknown solver option {key!r}")
-            if _SOLVER_KEYS[key] is int and not _is_count(value):
-                raise ConfigError(f"solver option {key} must be an integer >= 1, got {value!r}")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"solver option {key} must be a number, got {value!r}")
-            if key.endswith(("tol", "c2", "lo", "hi", "u_max")) and not value > 0:
-                raise ConfigError(f"solver option {key} must be positive, got {value}")
-
-    def solve_config(self) -> SolveConfig:
-        """Solver knobs set in the document; every other field keeps its SolveConfig default."""
-        knobs = {f.name for f in fields(SolveConfig)} - {"grid_n", "thresholds"}
-        set_here = {key: value for key, value in self.solver_doc.items() if key in knobs}
-        return SolveConfig(grid_n=self.grid_n, thresholds=self.thresholds, **set_here)
-
-    def search_config(self) -> SearchConfig:
-        """search_* keys set in the document; every other field keeps its SearchConfig default."""
-        return SearchConfig(**{k.removeprefix("search_"): v for k, v in self.solver_doc.items() if k.startswith("search_")})
-
-    def h1_u_max(self) -> float:
-        if "h1_u_max" in self.solver_doc:
-            return float(self.solver_doc["h1_u_max"])
-        if self.thresholds is not None:
-            return 2.0 * float(self.thresholds.c)
-        return 10.0
+        n = self.grid_n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 65 or n % 2 == 0:
+            raise ConfigError(f"grid_n must be an odd integer >= 65, got {n!r}")
 
     def to_doc(self) -> dict:
         p = self.problem
@@ -108,8 +84,6 @@ class RunConfig:
         }
         if self.thresholds is not None:
             doc["thresholds"] = self.thresholds.to_dict()
-        if self.solver_doc:
-            doc["solver"] = dict(sorted(self.solver_doc.items()))
         return doc
 
 
@@ -129,25 +103,19 @@ def parse_run_config(
         missing = [k for k in ("T", "eta", "alpha", "beta", "f") if k not in pdoc]
         if missing:
             raise ConfigError(f"problem section missing fields: {missing}")
-        solver_doc = dict(doc.get("solver", {}))
-        n = grid_n if grid_n is not None else doc.get("grid_n", solver_doc.pop("grid_n", 2049))
+        solver_doc = doc.get("solver", {})
+        if not isinstance(solver_doc, dict):
+            raise ConfigError(f"solver section must be an object, got {solver_doc!r}")
+        unknown = sorted(solver_doc.keys() - {"grid_n"})
+        if unknown:
+            raise ConfigError(f"unknown solver option {unknown[0]!r}")
+        n = grid_n if grid_n is not None else doc.get("grid_n", solver_doc.get("grid_n", DEFAULT_GRID_N))
 
         t_val = parse_number(pdoc["T"])
-        thresholds = None
-        tdoc = doc.get("thresholds")
-        if thresholds_override is not None:
-            a, b, c = (parse_number(x) for x in thresholds_override)
-            thresholds = ThresholdTriple.from_abc(a, b, c)
-        elif tdoc is not None:
-            missing = [k for k in ("a", "b", "c") if k not in tdoc]
-            if missing:
-                raise ConfigError(f"thresholds section missing fields: {missing}")
-            thresholds = ThresholdTriple.from_abc(
-                parse_number(tdoc["a"]), parse_number(tdoc["b"]), parse_number(tdoc["c"])
-            )
+        tdoc = doc.get("thresholds") if thresholds_override is None else dict(zip("abc", thresholds_override))
+        thresholds = None if tdoc is None else _parse_thresholds(tdoc)
 
-        u_max = 2.0 * float(thresholds.c) if thresholds is not None else 10.0
-        f_spec = parse_function_spec(pdoc["f"], t_max=float(t_val), u_max=u_max)
+        f_spec = parse_function_spec(pdoc["f"], t_max=float(t_val), u_max=f_check_u_max(thresholds))
         problem = Problem(
             T=t_val,
             eta=parse_number(pdoc["eta"]),
@@ -155,7 +123,7 @@ def parse_run_config(
             beta=parse_number(pdoc["beta"]),
             f=f_spec,
         )
-    except (ValueError, FunctionSpecError) as exc:
+    except (ValueError, OverflowError, FunctionSpecError) as exc:  # OverflowError: a rational beyond float range
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
@@ -164,7 +132,6 @@ def parse_run_config(
         mode=mode,
         output_dir=Path(output_dir),
         grid_n=n,
-        solver_doc=solver_doc,
         include_timing=include_timing,
     )
 

@@ -552,13 +552,17 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
     elif kind == "product":
         time_doc = doc.get("time")
         u_doc = doc.get("u")
-        if not time_doc or not u_doc:
-            raise FunctionSpecError("product takes 'time' and 'u' factor specs")
+        if not isinstance(time_doc, dict) or not isinstance(u_doc, dict):
+            raise FunctionSpecError("product takes 'time' and 'u' factor specs, each an object")
         tkind = time_doc.get("kind")
         tparams = [parse_number(x) for x in time_doc.get("params", [])]
+        if tkind in ("exp-decay", "constant") and len(tparams) != 1:
+            raise FunctionSpecError(f"{tkind} time factor takes exactly one parameter")
         if tkind == "exp-decay":
             tf = ExpDecay(rate=tparams[0])
         elif tkind == "polynomial":
+            if not tparams:
+                raise FunctionSpecError("polynomial time factor needs at least one coefficient")
             tf = PolynomialT(coeffs=tuple(tparams))
         elif tkind == "constant":
             tf = PolynomialT(coeffs=(tparams[0],))

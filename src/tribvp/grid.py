@@ -64,9 +64,6 @@ class SolutionCurve:
     def __add__(self, other: "SolutionCurve") -> "SolutionCurve":
         return SolutionCurve(self.t0, self.t1, self.values + other.values)
 
-    def __sub__(self, other: "SolutionCurve") -> "SolutionCurve":
-        return SolutionCurve(self.t0, self.t1, self.values - other.values)
-
     def scaled(self, factor: float) -> "SolutionCurve":
         return SolutionCurve(self.t0, self.t1, factor * self.values)
 

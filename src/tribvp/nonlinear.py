@@ -43,24 +43,33 @@ from .problem import Problem
 # (equivalently u'' <= 1e-8 / h^2), absorbing quadrature noise only.
 CONCAVITY_SLACK = 1e-8
 
+DEFAULT_GRID_N = 2049  # grid nodes of every reported solution unless a run sets grid_n
+PICARD_TOL = 1e-10  # sup-norm update at which Picard iteration stops
+PICARD_MAX_ITER = 500
+DIVERGENCE_NORM = 1e6  # sup norm at which a Picard iterate counts as diverged
+RESIDUAL_TOL = 1e-8  # verification bound on the boundary residuals
+ODE_C2 = 100.0  # verification bound on the ODE residual is ODE_C2 * h^2
+DEDUP_TOL = 1e-4  # relative sup-norm distance that merges two solutions
+NEWTON_TOL = 1e-12  # relative target driven by the Newton iteration
+NEWTON_MAX_ITER = 25
+# A Newton root counts when ||u - A u|| <= NEWTON_ACCEPT_TOL * max(1, ||u||),
+# even if the iteration stalled before NEWTON_TOL.
+NEWTON_ACCEPT_TOL = 1e-9
+NEWTON_MAX_HALVINGS = 12
+COARSE_N = 65  # nodes of the dense Newton search; its roots only start the full-grid Newton
+GMRES_RESTART = 20  # Krylov vectors per full-grid Newton step, one linear solve each
+GMRES_RTOL = 1e-12
+FD_STEP = 1e-6  # relative step of the central difference standing in for df/du
+LADDER_STEPS = 12  # scaled concave profiles among the Newton starts
+BLOWUP_LIMIT = 1e9  # |u| at which the RK4 check trajectory counts as blown up
+
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Budgets and tolerances for the multi-start solution search."""
+    """Grid size and thresholds (start levels, size classes) of the multi-start solution search."""
 
-    grid_n: int = 2049
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 500
-    residual_tol: float = 1e-8
-    ode_c2: float = 100.0  # ODE residual tolerance is ode_c2 * h^2
-    dedup_tol: float = 1e-4  # relative sup-norm distance that merges two solutions
-    divergence_norm: float = 1e6
-    newton_tol: float = 1e-12  # relative target driven by the iteration
-    newton_max_iter: int = 25
+    grid_n: int = DEFAULT_GRID_N
     thresholds: ThresholdTriple | None = None
-
-    def ode_tol(self, h: float) -> float:
-        return self.ode_c2 * h * h
 
 
 @dataclass(frozen=True)
@@ -135,12 +144,17 @@ def apply_operator_A(p: Problem, u: SolutionCurve) -> SolutionCurve:
     return solve_linear(p, SolutionCurve(u.t0, u.t1, _load(p, u.nodes, u.values)))
 
 
+def _verify(p: Problem, plan: LinearPlan, curve: SolutionCurve) -> tuple[ResidualReport, bool]:
+    """Residuals of a candidate and whether they meet ODE_C2*h^2 (ODE) and RESIDUAL_TOL (boundary)."""
+    rep = residuals(p, curve, SolutionCurve(0.0, plan.T, _load(p, plan.t, curve.values)))
+    return rep, rep.within(ODE_C2 * curve.h * curve.h, RESIDUAL_TOL)
+
+
 def picard_iterate(
     p: Problem,
     u0: SolutionCurve,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    cfg: SolveConfig | None = None,
+    tol: float = PICARD_TOL,
+    max_iter: int = PICARD_MAX_ITER,
     plan: LinearPlan | None = None,
 ) -> FixedPointResult:
     """Iterate u <- A u until the sup-norm update drops below tol.
@@ -150,7 +164,6 @@ def picard_iterate(
     converged result must additionally pass the residual check.  `plan` is
     the linear solve on u0's grid, built here when not given.
     """
-    cfg = cfg or SolveConfig(grid_n=u0.n)
     check_grid(p, u0)
     plan = plan or LinearPlan(p, u0.n)
     u = u0.values
@@ -164,21 +177,16 @@ def picard_iterate(
         au = plan(y)
         update = float(np.max(np.abs(au - u)))
         u = au
-        if float(np.max(np.abs(u))) > cfg.divergence_norm:
+        if float(np.max(np.abs(u))) > DIVERGENCE_NORM:
             diverged = True
             break
         if update <= tol:
             break
     curve = SolutionCurve(0.0, plan.T, u)
-    rep = residuals(p, curve, SolutionCurve(0.0, plan.T, _load(p, plan.t, u)))
-    ok = (
-        not diverged
-        and update <= tol
-        and rep.within(cfg.ode_tol(curve.h), cfg.residual_tol)
-    )
+    rep, verified = _verify(p, plan, curve)
     return FixedPointResult(
         curve=curve,
-        converged=ok,
+        converged=not diverged and update <= tol and verified,
         iterations=iterations,
         final_update_norm=update,
         residuals=rep,
@@ -189,19 +197,8 @@ def picard_iterate(
 
 # --- Newton route ------------------------------------------------------------
 
-BLOWUP_LIMIT = 1e9  # |u| at which the RK4 check trajectory counts as blown up
-# A Newton root counts when ||u - A u|| <= NEWTON_ACCEPT_TOL * max(1, ||u||),
-# even if the iteration stalled before newton_tol.
-NEWTON_ACCEPT_TOL = 1e-9
-NEWTON_MAX_HALVINGS = 12
-COARSE_N = 65  # nodes of the dense Newton search; its roots only start the full-grid Newton
-GMRES_RESTART = 20  # Krylov vectors per full-grid Newton step, one linear solve each
-GMRES_RTOL = 1e-12
-FD_STEP = 1e-6  # relative step of the central difference standing in for df/du
-LADDER_STEPS = 12  # scaled concave profiles among the Newton starts
 
-
-def shooting_residual(p: Problem, u0: float, s0: float, n: int = 2049) -> ShootingResult:
+def shooting_residual(p: Problem, u0: float, s0: float, n: int = DEFAULT_GRID_N) -> ShootingResult:
     """Boundary residuals of the RK4 trajectory from (u(0), u'(0)) = (u0, s0).
 
     Integrates u'' = -f(t, u) with fixed-step RK4, clamping u to zero before
@@ -309,7 +306,7 @@ def _gmres(matvec, b: np.ndarray) -> np.ndarray:
     return sum(yi * vi for yi, vi in zip(y, V))
 
 
-def _newton(residual, step, u: np.ndarray, cfg: SolveConfig):
+def _newton(residual, step, u: np.ndarray):
     """Damped Newton on residual(u) = 0; step(u, r) solves J(u) du = -r.
 
     A step is halved until the sup norm of the residual decreases; when no
@@ -319,7 +316,7 @@ def _newton(residual, step, u: np.ndarray, cfg: SolveConfig):
     r = residual(u)
     rnorm = float(np.max(np.abs(r)))
     iterations = 0
-    while iterations < cfg.newton_max_iter and rnorm > cfg.newton_tol * max(1.0, float(np.max(np.abs(u)))):
+    while iterations < NEWTON_MAX_ITER and rnorm > NEWTON_TOL * max(1.0, float(np.max(np.abs(u)))):
         du = step(u, r)
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
@@ -367,17 +364,17 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
     roots: list[tuple[np.ndarray, int]] = []
     for u0 in starts:
         try:
-            u, rnorm, iterations = _newton(residual, step, u0, cfg)
+            u, rnorm, iterations = _newton(residual, step, u0)
         except np.linalg.LinAlgError:
             continue
         if _accepted(u, rnorm) and not any(
-            np.max(np.abs(u - v)) <= cfg.dedup_tol * max(1.0, np.max(np.abs(v))) for v, _ in roots
+            np.max(np.abs(u - v)) <= DEDUP_TOL * max(1.0, np.max(np.abs(v))) for v, _ in roots
         ):
             roots.append((u, iterations))
     return t, roots
 
 
-def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iterations: int, cfg: SolveConfig):
+def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iterations: int):
     """Apply A once to a coarse root prolonged to the plan's grid, and finish with Newton-GMRES."""
     clamped = 0
 
@@ -389,12 +386,12 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
     def step(u, r):
         return _gmres(_jacobian_matvec(p, plan, u), -r)
 
-    u, rnorm, iterations = _newton(residual, step, prolonged - residual(prolonged), cfg)  # u - F(u) = A u
+    u, rnorm, iterations = _newton(residual, step, prolonged - residual(prolonged))  # u - F(u) = A u
     curve = SolutionCurve(0.0, plan.T, u - residual(u))
-    rep = residuals(p, curve, SolutionCurve(0.0, plan.T, _load(p, plan.t, curve.values)))
+    rep, verified = _verify(p, plan, curve)
     return FixedPointResult(
         curve=curve,
-        converged=_accepted(u, rnorm) and rep.within(cfg.ode_tol(curve.h), cfg.residual_tol),
+        converged=_accepted(u, rnorm) and verified,
         iterations=coarse_iterations + iterations,
         final_update_norm=rnorm,
         residuals=rep,
@@ -414,7 +411,7 @@ def newton_solutions(p: Problem, cfg: SolveConfig, plan: LinearPlan | None = Non
     results = []
     for u, iterations in roots:
         with contextlib.suppress(FunctionDomainError):
-            results.append(_polish(p, plan, np.interp(plan.t, t_coarse, u), iterations, cfg))
+            results.append(_polish(p, plan, np.interp(plan.t, t_coarse, u), iterations))
     return [r for r in results if r.converged]
 
 
@@ -425,7 +422,7 @@ def picard_solutions(p: Problem, cfg: SolveConfig, plan: LinearPlan | None = Non
     for level in _start_levels(cfg):
         start = SolutionCurve.constant(level, plan.T, cfg.grid_n)
         try:
-            result = picard_iterate(p, start, cfg.picard_tol, cfg.picard_max_iter, cfg, plan)
+            result = picard_iterate(p, start, plan=plan)
         except FunctionDomainError:
             continue  # iterate left the admissible domain; not a solution path
         if result.converged:
@@ -483,7 +480,7 @@ def find_solutions(
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
         candidates = picard_solutions(p, cfg, plan) + newton_solutions(p, cfg, plan)
     verified = [r for r in candidates if r.converged and cone_membership(r.curve).ok]
-    unique = _dedup(verified, cfg.dedup_tol)
+    unique = _dedup(verified, DEDUP_TOL)
     eta = float(p.eta)
     out = []
     for result in unique:

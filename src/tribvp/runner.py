@@ -5,15 +5,15 @@ from __future__ import annotations
 import itertools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import certify, search_thresholds
-from .config import RunConfig
+from .config import RunConfig, f_check_u_max
 from .constants import compute_constants
 from .errors import ConfigError, TribvpError
-from .nonlinear import find_solutions
+from .nonlinear import SolveConfig, find_solutions
 from .problem import validate_hypotheses
 from .report import dump_report, render_report, write_sweep_csv
 
@@ -51,7 +51,7 @@ def run(cfg: RunConfig) -> RunOutcome:
     p = cfg.problem
 
     with timer.time("validate"):
-        hypothesis = validate_hypotheses(p, u_max=cfg.h1_u_max())
+        hypothesis = validate_hypotheses(p, u_max=f_check_u_max(cfg.thresholds))
     report_kwargs = {"config_doc": cfg.to_doc(), "hypothesis": hypothesis.to_dict()}
 
     if not hypothesis.ok:
@@ -69,7 +69,7 @@ def run(cfg: RunConfig) -> RunOutcome:
         if cfg.mode in ("certify", "solve"):
             if thresholds is None and cfg.mode == "certify":
                 with timer.time("search_thresholds"):
-                    thresholds = search_thresholds(p, constants, cfg.search_config())
+                    thresholds = search_thresholds(p, constants)
                 thresholds_source = "searched"
             if thresholds is not None:
                 thresholds = thresholds.with_gamma(constants.gamma)
@@ -82,9 +82,8 @@ def run(cfg: RunConfig) -> RunOutcome:
 
         solutions_failed_loudly = None
         if cfg.mode == "solve":
-            solve_cfg = replace(cfg.solve_config(), thresholds=thresholds)
             with timer.time("solve"):
-                found = find_solutions(p, solve_cfg)
+                found = find_solutions(p, SolveConfig(grid_n=cfg.grid_n, thresholds=thresholds))
             summaries = []
             for k, (result, cls) in enumerate(found):
                 path = cfg.output_dir / f"solution_{k}.csv"
@@ -156,7 +155,7 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
         row = dict(zip(axis_names, combo))
         try:
             p = cfg.problem.with_params(**{name: float(v) for name, v in zip(axis_names, combo)})
-            hyp = validate_hypotheses(p, u_max=cfg.h1_u_max())
+            hyp = validate_hypotheses(p, u_max=f_check_u_max(cfg.thresholds))
             if not (hyp.h2_alpha_ok and hyp.h2_beta_ok):
                 row["verdict"] = "H2-fail"
             else:

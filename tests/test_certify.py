@@ -7,7 +7,6 @@ import pytest
 from tribvp import (
     CertificationError,
     Problem,
-    SearchConfig,
     ThresholdTriple,
     certify,
     check_D1,
@@ -173,7 +172,7 @@ def test_search_finds_certifiable_thresholds():
 def test_search_exp_problem():
     p = make_exp_piecewise_problem()
     k = compute_constants(p)
-    tt = search_thresholds(p, k, SearchConfig(per_axis=9))
+    tt = search_thresholds(p, k)
     assert tt is not None
     assert certify(p, tt, k).verdict
 
@@ -181,7 +180,7 @@ def test_search_exp_problem():
 def test_search_returns_none_for_zero_nonlinearity():
     p = make_sigmoid_problem().with_params(f=ConstantF(value=F(0)))
     k = compute_constants(p)
-    assert search_thresholds(p, k, SearchConfig(per_axis=5)) is None
+    assert search_thresholds(p, k) is None
 
 
 @dataclass(frozen=True)

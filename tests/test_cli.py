@@ -105,16 +105,31 @@ def test_config_errors_exit_code(tmp_path):
     even_grid.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(even_grid), "--out", str(tmp_path)]) == 2
 
-    # integer options must be ints >= 1, not floats, zero or truncated halves
-    for mode, solver in (
-        ("solve", {"picard_max_iter": 500.0}),
-        ("certify", {"search_per_axis": 13.0}),
-        ("certify", {"search_per_axis": 0}),
-        ("solve", {"grid_n": 2049.5}),
+    # grid_n is the only solver option and must be an odd int, not a float or a truncated half;
+    # tolerances, budgets and the search grid are constants a document cannot set or loosen;
+    # thresholds are finite and positive (their ordering is a certify verdict, exit 4)
+    for mode, section in (
+        ("solve", {"solver": {"picard_max_iter": 500.0}}),
+        ("certify", {"solver": {"search_per_axis": 13.0}}),
+        ("certify", {"solver": {"search_per_axis": 0}}),
+        ("solve", {"solver": {"grid_n": 2049.5}}),
+        ("solve", {"solver": {"residual_tol": 1.0}}),
+        ("solve", {"solver": {"ode_c2": 1e6}}),
+        ("solve", {"solver": {"dedup_tol": 0.5}}),
+        ("constants", {"solver": {"h1_u_max": 1}}),
+        ("solve", {"solver": [1]}),
+        ("certify", {"thresholds": {"a": 0, "b": 2, "c": 124}}),
+        ("certify", {"thresholds": {"a": -1, "b": 2, "c": 124}}),
+        ("certify", {"thresholds": {"a": float("nan"), "b": 2, "c": 124}}),
+        ("solve", {"thresholds": {"a": "1/120", "b": 0, "c": 124}}),
+        ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": -5}}),
+        ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": float("inf")}}),
+        ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": "1e400"}}),
+        ("certify", {"thresholds": "abc"}),
     ):
-        bad = tmp_path / "bad_int.json"
-        bad.write_text(json.dumps({**json.loads(Path(SIGMOID).read_text()), "solver": solver}))
-        assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2, solver
+        bad = tmp_path / "bad_option.json"
+        bad.write_text(json.dumps({**json.loads(Path(SIGMOID).read_text()), **section}))
+        assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2, section
 
     # f is -1 at u = 0.115, between the points any coarse sample would take
     dip = tmp_path / "dip.json"
@@ -122,6 +137,14 @@ def test_config_errors_exit_code(tmp_path):
     doc["problem"]["f"] = {"kind": "piecewise-linear-table", "params": [0, 1, "1/10", 1, "23/200", -1, "13/100", 1, 10, 1]}
     dip.write_text(json.dumps(doc))
     assert main(["constants", "--config", str(dip), "--out", str(tmp_path)]) == 2
+
+
+def test_readme_configuration_example_parses(tmp_path):
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    example = section.split("```json", 1)[1].split("```", 1)[0]
+    cfg = parse_run_config(json.loads(example), "solve", tmp_path)
+    assert cfg.grid_n == 2049 and cfg.thresholds.c == 124
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -175,6 +175,23 @@ def test_parse_product_kind():
     assert f(0.5, 3.0) == pytest.approx(3.0 * np.exp(-1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "time, u",
+    [
+        ({"kind": "constant"}, {"kind": "polynomial", "params": [0, 1]}),
+        ({"kind": "exp-decay"}, {"kind": "polynomial", "params": [0, 1]}),
+        ({"kind": "exp-decay", "params": [1, 2]}, {"kind": "polynomial", "params": [0, 1]}),
+        ({"kind": "polynomial", "params": []}, {"kind": "polynomial", "params": [0, 1]}),
+        ("x", {"kind": "polynomial", "params": [0, 1]}),
+        ({"kind": "constant", "params": [1]}, "x"),
+    ],
+)
+def test_parse_product_rejects_malformed_factors(time, u):
+    # parameter counts as for the u forms: exp-decay and constant take one, polynomial at least one
+    with pytest.raises(FunctionSpecError):
+        parse_function_spec({"kind": "product", "time": time, "u": u})
+
+
 def test_piecewise_linear_table():
     f = parse_function_spec({"kind": "piecewise-linear-table", "params": [0, 0, 1, 2, 3, 2]})
     assert f(0.0, 0.5) == pytest.approx(1.0)
