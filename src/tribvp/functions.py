@@ -260,7 +260,7 @@ class PolynomialU(FunctionSpec):
 
 # --- piecewise machinery -------------------------------------------------
 
-_PIECE_FORMS = ("linear", "constant", "rational-linear")
+_PIECE_ARITY = {"linear": 2, "constant": 1, "rational-linear": 4}  # params of each branch form
 
 
 @dataclass(frozen=True)
@@ -276,6 +276,13 @@ class Piece:
     form: str
     params: tuple
 
+    def __post_init__(self):
+        arity = _PIECE_ARITY.get(self.form)
+        if arity is None:
+            raise FunctionSpecError(f"unknown piece form {self.form!r}")
+        if len(self.params) != arity:
+            raise FunctionSpecError(f"params of a {self.form} branch: expected {arity}, got {len(self.params)}")
+
     def evaluate(self, u):
         exact = isinstance(u, Fraction) and is_exact(*self.params)
         p = self.params if exact else self._floats
@@ -287,10 +294,8 @@ class Piece:
             if np.ndim(u):
                 return np.full_like(np.asarray(u, dtype=float), p[0])
             return p[0]
-        if self.form == "rational-linear":
-            a1, a0, b1, b0 = p
-            return (a1 * u + a0) / (b1 * u + b0)
-        raise FunctionSpecError(f"unknown piece form {self.form!r}")
+        a1, a0, b1, b0 = p  # rational-linear
+        return (a1 * u + a0) / (b1 * u + b0)
 
     _floats = cached_property(lambda self: tuple(float(x) for x in self.params))
 
@@ -494,20 +499,21 @@ class ProductF(FunctionSpec):
 # --- parsing ---------------------------------------------------------------
 
 
+def _params(doc: dict) -> list:
+    """The numbers of a spec's or a branch's `params`, which must be a list."""
+    params = doc.get("params", [])
+    if not isinstance(params, list):
+        raise FunctionSpecError(f"params must be a list, got {params!r}")
+    return [parse_number(x) for x in params]
+
+
 def _parse_pieces(doc_pieces) -> tuple[Piece, ...]:
+    if not isinstance(doc_pieces, list) or not all(isinstance(frag, dict) for frag in doc_pieces):
+        raise FunctionSpecError(f"pieces must be a list of objects, got {doc_pieces!r}")
     pieces = []
     for frag in doc_pieces:
-        form = frag.get("form")
-        if form not in _PIECE_FORMS:
-            raise FunctionSpecError(f"unknown piece form {form!r}")
         until = frag.get("until")
-        pieces.append(
-            Piece(
-                until=None if until is None else parse_number(until),
-                form=form,
-                params=tuple(parse_number(x) for x in frag.get("params", [])),
-            )
-        )
+        pieces.append(Piece(None if until is None else parse_number(until), frag.get("form"), tuple(_params(frag))))
     return tuple(pieces)
 
 
@@ -523,7 +529,7 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FunctionSpecError(f"function spec must be an object with a 'kind': {doc!r}")
     kind = doc["kind"]
-    params = [parse_number(x) for x in doc.get("params", [])]
+    params = _params(doc)
 
     if kind == "autonomous-rational-sigmoid":
         if len(params) != 1:
@@ -555,7 +561,7 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
         if not isinstance(time_doc, dict) or not isinstance(u_doc, dict):
             raise FunctionSpecError("product takes 'time' and 'u' factor specs, each an object")
         tkind = time_doc.get("kind")
-        tparams = [parse_number(x) for x in time_doc.get("params", [])]
+        tparams = _params(time_doc)
         if tkind in ("exp-decay", "constant") and len(tparams) != 1:
             raise FunctionSpecError(f"{tkind} time factor takes exactly one parameter")
         if tkind == "exp-decay":

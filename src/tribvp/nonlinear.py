@@ -9,7 +9,9 @@ solutions of the nonlinear problem.  Two routes look for them:
 - Newton on F(u) = u - A u with J = I - G diag(df/du), where G is the
   matrix of the linear solve: dense on a coarse grid from the Picard levels
   and a ladder of scaled concave profiles, then matrix-free Newton-GMRES on
-  the full grid (also reaches the repelling fixed points).
+  the full grid (also reaches the repelling fixed points).  The coarse
+  search advances all starts as one block; each row keeps its own stopping
+  test, budget and halvings, so every root is what its start alone gives.
 
 Every candidate is re-verified against the discrete ODE/boundary residuals
 and the cone conditions (nonnegative, concave down) before it is reported,
@@ -306,31 +308,49 @@ def _gmres(matvec, b: np.ndarray) -> np.ndarray:
     return sum(yi * vi for yi, vi in zip(y, V))
 
 
-def _newton(residual, step, u: np.ndarray):
-    """Damped Newton on residual(u) = 0; step(u, r) solves J(u) du = -r.
+def _newton(residual, step, U: np.ndarray):
+    """Damped Newton on residual(u) = 0 for every row u of the block U (k, n); rows never mix.
 
-    A step is halved until the sup norm of the residual decreases; when no
-    halving does, the iteration stops where it is.  Returns (u, ||F(u)||_inf,
-    iterations).
+    step(V, R) solves J(v) dv = -r for every row of V.  Each row halves its
+    step until the sup norm of its residual decreases, and stops where it is
+    when no halving does.  When step raises LinAlgError, the rows are solved
+    one at a time, and a row whose Jacobian is singular is dropped: it stops
+    with residual norm inf.  Returns (U, ||F(u)||_inf per row, iterations per row).
     """
-    r = residual(u)
-    rnorm = float(np.max(np.abs(r)))
-    iterations = 0
-    while iterations < NEWTON_MAX_ITER and rnorm > NEWTON_TOL * max(1.0, float(np.max(np.abs(u)))):
-        du = step(u, r)
+    U = U.copy()
+    R = residual(U)
+    rnorm = np.max(np.abs(R), axis=1)
+    iterations = np.zeros(len(U), dtype=int)
+    stopped = np.zeros(len(U), dtype=bool)
+    dU = np.empty_like(U)
+    while True:
+        tol = NEWTON_TOL * np.fmax(1.0, np.max(np.abs(U), axis=1))  # fmax, like max(1.0, x), skips a NaN
+        rows = np.flatnonzero(~stopped & (iterations < NEWTON_MAX_ITER) & (rnorm > tol))
+        if not rows.size:
+            return U, rnorm, iterations
+        try:
+            dU[rows] = step(U[rows], R[rows])
+        except np.linalg.LinAlgError:
+            for i in rows:
+                try:
+                    dU[i] = step(U[i : i + 1], R[i : i + 1])[0]
+                except np.linalg.LinAlgError:
+                    stopped[i], rnorm[i] = True, math.inf
+            rows = rows[~stopped[rows]]
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            cand = u + lam * du
-            r_cand = residual(cand)
-            cand_norm = float(np.max(np.abs(r_cand)))
-            if cand_norm < rnorm:
+            if not rows.size:
                 break
+            cand = U[rows] + lam * dU[rows]
+            r_cand = residual(cand)
+            cand_norm = np.max(np.abs(r_cand), axis=1)
+            better = cand_norm < rnorm[rows]
+            done = rows[better]
+            U[done], R[done], rnorm[done] = cand[better], r_cand[better], cand_norm[better]
+            iterations[done] += 1
+            rows = rows[~better]
             lam *= 0.5
-        else:
-            break
-        u, r, rnorm = cand, r_cand, cand_norm
-        iterations += 1
-    return u, rnorm, iterations
+        stopped[rows] = True
 
 
 def _accepted(u: np.ndarray, rnorm: float) -> bool:
@@ -340,37 +360,35 @@ def _accepted(u: np.ndarray, rnorm: float) -> bool:
 def _coarse_roots(p: Problem, cfg: SolveConfig):
     """Dense Newton on COARSE_N nodes from the Picard levels and a ladder of concave profiles.
 
-    Returns the coarse nodes and the distinct roots as (u, iterations).  A
-    start whose Jacobian is singular is dropped; the others go on.
+    All starts advance as one block.  Returns the coarse nodes and the
+    distinct roots as (u, iterations).  A start whose Jacobian is singular is
+    dropped; the others go on.
     """
     n = COARSE_N
     plan = LinearPlan(p, n)
     t, G = plan.t, plan(np.eye(n))  # G @ y == solve_linear(p, y).values, one unit load per column
-    J = np.empty_like(G)
-
-    def residual(u):
-        return u - G @ p.f(t, np.maximum(u, 0.0))
-
-    def step(u, r):
-        np.multiply(G, -_df_du(p, t, u), out=J)
-        J.flat[:: n + 1] += 1.0
-        return np.linalg.solve(J, -r)
-
     levels = _start_levels(cfg)
     profile = G @ np.ones(n)
     profile /= profile.max()
     starts = [np.full(n, level) for level in levels]
     starts += [lam * profile for lam in np.geomspace(levels[0], levels[-1], LADDER_STEPS)]
+    J = np.empty((len(starts), n, n))  # one Jacobian per row, reused at every step
+
+    def residual(U):  # G @ y per row as a stacked matmul, which keeps the bits of a matrix-vector product
+        return U - (G @ p.f(t, np.maximum(U, 0.0))[:, :, None])[:, :, 0]
+
+    def step(U, R):
+        Jk = J[: len(U)]
+        np.multiply(G, -_df_du(p, t, U)[:, None, :], out=Jk)
+        Jk.reshape(len(U), -1)[:, :: n + 1] += 1.0
+        return np.linalg.solve(Jk, -R[:, :, None])[:, :, 0]
+
     roots: list[tuple[np.ndarray, int]] = []
-    for u0 in starts:
-        try:
-            u, rnorm, iterations = _newton(residual, step, u0)
-        except np.linalg.LinAlgError:
-            continue
+    for u, rnorm, iterations in zip(*_newton(residual, step, np.array(starts))):
         if _accepted(u, rnorm) and not any(
             np.max(np.abs(u - v)) <= DEDUP_TOL * max(1.0, np.max(np.abs(v))) for v, _ in roots
         ):
-            roots.append((u, iterations))
+            roots.append((u, int(iterations)))
     return t, roots
 
 
@@ -378,22 +396,23 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
     """Apply A once to a coarse root prolonged to the plan's grid, and finish with Newton-GMRES."""
     clamped = 0
 
-    def residual(u):
+    def residual(U):  # U is a one-row block
         nonlocal clamped
-        clamped += int(np.count_nonzero(u < 0.0))
-        return _fixed_point_residual(p, plan, u)
+        clamped += int(np.count_nonzero(U < 0.0))
+        return _fixed_point_residual(p, plan, U[0])[None]
 
-    def step(u, r):
-        return _gmres(_jacobian_matvec(p, plan, u), -r)
+    def step(U, R):
+        return _gmres(_jacobian_matvec(p, plan, U[0]), -R[0])[None]
 
-    u, rnorm, iterations = _newton(residual, step, prolonged - residual(prolonged))  # u - F(u) = A u
-    curve = SolutionCurve(0.0, plan.T, u - residual(u))
+    U = prolonged[None]
+    (u,), (rnorm,), (iterations,) = _newton(residual, step, U - residual(U))  # u - F(u) = A u
+    curve = SolutionCurve(0.0, plan.T, u - residual(u[None])[0])
     rep, verified = _verify(p, plan, curve)
     return FixedPointResult(
         curve=curve,
         converged=_accepted(u, rnorm) and verified,
-        iterations=coarse_iterations + iterations,
-        final_update_norm=rnorm,
+        iterations=coarse_iterations + int(iterations),
+        final_update_norm=float(rnorm),
         residuals=rep,
         source="newton",
         clamped_evals=clamped,

@@ -91,7 +91,7 @@ def test_hypothesis_violation_exit_code(tmp_path):
     assert any("alpha" in m for m in rep["hypothesis"]["messages"])
 
 
-def test_config_errors_exit_code(tmp_path):
+def test_config_errors_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["constants", "--config", str(missing), "--out", str(tmp_path)]) == 2
 
@@ -107,8 +107,10 @@ def test_config_errors_exit_code(tmp_path):
 
     # grid_n is the only solver option and must be an odd int, not a float or a truncated half;
     # tolerances, budgets and the search grid are constants a document cannot set or loosen;
-    # thresholds are finite and positive (their ordering is a certify verdict, exit 4)
-    for mode, section in (
+    # thresholds are finite and positive (their ordering is a certify verdict, exit 4);
+    # a number beyond float range names its field
+    problem = json.loads(Path(SIGMOID).read_text())["problem"]
+    for mode, section, *message in (
         ("solve", {"solver": {"picard_max_iter": 500.0}}),
         ("certify", {"solver": {"search_per_axis": 13.0}}),
         ("certify", {"solver": {"search_per_axis": 0}}),
@@ -124,12 +126,31 @@ def test_config_errors_exit_code(tmp_path):
         ("solve", {"thresholds": {"a": "1/120", "b": 0, "c": 124}}),
         ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": -5}}),
         ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": float("inf")}}),
-        ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": "1e400"}}),
+        ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": "1e400"}}, "thresholds.c"),
+        ("constants", {"problem": {**problem, "T": "1e400"}}, "problem.T"),
         ("certify", {"thresholds": "abc"}),
     ):
         bad = tmp_path / "bad_option.json"
         bad.write_text(json.dumps({**json.loads(Path(SIGMOID).read_text()), **section}))
         assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2, section
+        err = capsys.readouterr().err
+        assert all(m in err for m in message), err
+
+    # f documents of the wrong shape, or branches with the wrong parameter count, are config errors
+    tail = {"until": None, "form": "constant", "params": [1]}
+    for f_doc in (
+        {"kind": "constant", "params": 5},
+        {"kind": "piecewise", "pieces": "x"},
+        {"kind": "piecewise", "pieces": [5]},
+        {"kind": "piecewise", "pieces": [{"until": None, "form": "constant"}]},
+        {"kind": "piecewise", "pieces": [{"until": 1, "form": "linear", "params": [1]}, tail]},
+        {"kind": "piecewise", "pieces": [{"until": 1, "form": "linear", "params": [1, 0, 7]}, tail]},
+        {"kind": "piecewise", "pieces": [{"until": None, "form": "rational-linear", "params": [1, 0, 1]}]},
+        {"kind": "product", "time": {"kind": "exp-decay", "params": 1}, "u": {"kind": "constant", "params": [1]}},
+    ):
+        bad = tmp_path / "bad_f.json"
+        bad.write_text(json.dumps({"problem": {**problem, "f": f_doc}}))
+        assert main(["constants", "--config", str(bad), "--out", str(tmp_path)]) == 2, f_doc
 
     # f is -1 at u = 0.115, between the points any coarse sample would take
     dip = tmp_path / "dip.json"

@@ -26,6 +26,7 @@ from tribvp.nonlinear import (
     _fixed_point_residual,
     _jacobian_matvec,
     _load,
+    _newton,
     newton_solutions,
 )
 from tribvp.errors import FunctionDomainError
@@ -310,20 +311,77 @@ def test_newton_zero_nonlinearity_has_exactly_one_root():
     assert roots[0].curve.sup_norm() == 0.0
 
 
-def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds):
-    solve = np.linalg.solve
+def _spy_newton(monkeypatch):
+    """Record the residual, step and start block of every _newton call, and its result."""
     calls = []
+    newton = nonlinear._newton
 
-    def fail_first(*args):
-        calls.append(args)
-        if len(calls) == 1:
+    def spy(residual, step, U):
+        calls.append({"residual": residual, "step": step, "U": U, "result": newton(residual, step, U)})
+        return calls[-1]["result"]
+
+    monkeypatch.setattr(nonlinear, "_newton", spy)
+    return calls
+
+
+def test_newton_rows_never_mix(monkeypatch, sigmoid_thresholds):
+    calls = _spy_newton(monkeypatch)
+    nonlinear._coarse_roots(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
+    residual, step = calls[0]["residual"], calls[0]["step"]
+
+    def uneven_step(U, R):
+        # Newton's step except on two extra rows far below every iterate of the search:
+        # where max u < -1e5 it points uphill, so every halving fails and the row stops where
+        # it is; where -1e5 <= max u < -1e3 it is a hundredth of Newton's, so the row spends
+        # its whole iteration budget
+        dU, top = step(U, R), U.max(axis=1)
+        dU[top < -1e5] *= -1.0
+        dU[(top >= -1e5) & (top < -1e3)] *= 0.01
+        return dU
+
+    # the search's Jacobian block holds one matrix per start, so two starts make way for the extra rows
+    starts = np.vstack([calls[0]["U"][:-2], np.full((2, nonlinear.COARSE_N), [[-1e6], [-1e4]])])
+    U, rnorm, iterations = _newton(residual, uneven_step, starts)
+    assert iterations[-2] == 0 and iterations[-1] == nonlinear.NEWTON_MAX_ITER
+    assert np.all(rnorm[:-2] <= nonlinear.NEWTON_TOL * np.maximum(1.0, np.max(np.abs(U[:-2]), axis=1)))
+    for i, u0 in enumerate(starts):
+        (u,), (r,), (k,) = _newton(residual, uneven_step, u0[None])
+        assert np.array_equal(u, U[i]) and r == rnorm[i] and k == iterations[i], i
+
+
+def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds):
+    # One start's Jacobian is singular at its first step, in the block solve and in the
+    # row-by-row fallback alike.  Only that start is dropped; every other start runs bit
+    # for bit as without the fault.  The dropped start is the first to reach the middle root.
+    p, cfg = make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds)
+    calls = _spy_newton(monkeypatch)
+    _, expected = nonlinear._coarse_roots(p, cfg)
+    U, rnorm, iterations = calls[0]["result"]
+    middle = sorted(expected, key=lambda root: np.max(root[0]))[1][0]
+    j = next(i for i, u in enumerate(U) if np.array_equal(u, middle))
+
+    solve = np.linalg.solve
+    singular = []
+
+    def fail_on_start_j(a, b):
+        if not singular:
+            assert len(a) == len(U)  # the first call solves every start at once
+            singular.append(a[j].copy())
+        if any(np.array_equal(m, singular[0]) for m in a):
             raise np.linalg.LinAlgError("Singular matrix")
-        return solve(*args)
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", fail_first)
-    found = find_solutions(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
-    assert len(calls) > 1
-    assert {"small", "middle", "large-min"} <= {cls.label for _, cls in found}
+    monkeypatch.setattr(np.linalg, "solve", fail_on_start_j)
+    _, found = nonlinear._coarse_roots(p, cfg)
+    U1, rnorm1, iterations1 = calls[1]["result"]
+    others = np.arange(len(U)) != j
+    assert rnorm1[j] == np.inf and iterations1[j] == 0
+    assert np.array_equal(U1[others], U[others]) and np.array_equal(rnorm1[others], rnorm[others])
+    assert np.array_equal(iterations1[others], iterations[others])
+    assert not any(np.array_equal(u, middle) for u, _ in found)
+    assert len(found) == len(expected)  # a later start reaches the middle root
+    for u, k in found:
+        assert any(np.array_equal(u, v) and k == n for v, n in zip(U[others], iterations[others]))
 
 
 def test_oracle_route_agreement_on_operator(rng):
