@@ -25,7 +25,7 @@ from .certify import ThresholdTriple
 from .errors import ConfigError, FunctionSpecError
 from .functions import parse_function_spec
 from .nonlinear import DEFAULT_GRID_N
-from .numeric import parse_number, render_number
+from .numeric import parse_field, render_number
 from .problem import Problem
 
 MODES = ("constants", "certify", "solve", "sweep")
@@ -36,18 +36,6 @@ def f_check_u_max(thresholds: ThresholdTriple | None) -> float:
     return 2.0 * float(thresholds.c) if thresholds is not None else 10.0
 
 
-def _number(section: dict, key: str, where: str):
-    """section[key] as parse_number reads it; a malformed value, or one beyond float range, names where.key."""
-    try:
-        value = parse_number(section[key])
-        float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from exc
-    except OverflowError as exc:
-        raise ConfigError(f"{where}.{key} = {section[key]!r} is beyond float range") from exc
-    return value
-
-
 def _parse_thresholds(tdoc) -> ThresholdTriple:
     """a, b and c of a thresholds object, each finite and positive; their ordering is a certify verdict."""
     if not isinstance(tdoc, dict):
@@ -55,7 +43,7 @@ def _parse_thresholds(tdoc) -> ThresholdTriple:
     missing = [k for k in "abc" if k not in tdoc]
     if missing:
         raise ConfigError(f"thresholds section missing fields: {missing}")
-    values = [_number(tdoc, k, "thresholds") for k in "abc"]
+    values = [parse_field(tdoc[k], f"thresholds.{k}") for k in "abc"]
     for name, value in zip("abc", values):
         if not (value > 0 and math.isfinite(value)):
             raise ConfigError(f"threshold {name} must be finite and positive, got {value}")
@@ -123,16 +111,16 @@ def parse_run_config(
             raise ConfigError(f"unknown solver option {unknown[0]!r}")
         n = grid_n if grid_n is not None else doc.get("grid_n", solver_doc.get("grid_n", DEFAULT_GRID_N))
 
-        t_val = _number(pdoc, "T", "problem")
+        t_val = parse_field(pdoc["T"], "problem.T")
         tdoc = doc.get("thresholds") if thresholds_override is None else dict(zip("abc", thresholds_override))
         thresholds = None if tdoc is None else _parse_thresholds(tdoc)
 
         f_spec = parse_function_spec(pdoc["f"], t_max=float(t_val), u_max=f_check_u_max(thresholds))
         problem = Problem(
             T=t_val,
-            eta=_number(pdoc, "eta", "problem"),
-            alpha=_number(pdoc, "alpha", "problem"),
-            beta=_number(pdoc, "beta", "problem"),
+            eta=parse_field(pdoc["eta"], "problem.eta"),
+            alpha=parse_field(pdoc["alpha"], "problem.alpha"),
+            beta=parse_field(pdoc["beta"], "problem.beta"),
             f=f_spec,
         )
     except (ValueError, OverflowError, FunctionSpecError) as exc:  # OverflowError: a rational beyond float range

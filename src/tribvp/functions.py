@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FunctionDomainError, FunctionSpecError
-from .numeric import Number, is_exact, parse_number, render_number
+from .numeric import Number, is_exact, parse_field, render_number
 
 # Below this, a negative u is treated as a domain violation rather than noise.
 NEGATIVE_U_TOL = 1e-10
@@ -499,21 +499,22 @@ class ProductF(FunctionSpec):
 # --- parsing ---------------------------------------------------------------
 
 
-def _params(doc: dict) -> list:
-    """The numbers of a spec's or a branch's `params`, which must be a list."""
+def _params(doc: dict, where: str) -> list:
+    """The numbers of a spec's or a branch's `params`, which must be a list; a bad one names where.params[i]."""
     params = doc.get("params", [])
     if not isinstance(params, list):
-        raise FunctionSpecError(f"params must be a list, got {params!r}")
-    return [parse_number(x) for x in params]
+        raise FunctionSpecError(f"{where}.params must be a list, got {params!r}")
+    return [parse_field(x, f"{where}.params[{i}]") for i, x in enumerate(params)]
 
 
-def _parse_pieces(doc_pieces) -> tuple[Piece, ...]:
+def _parse_pieces(doc_pieces, where: str) -> tuple[Piece, ...]:
     if not isinstance(doc_pieces, list) or not all(isinstance(frag, dict) for frag in doc_pieces):
-        raise FunctionSpecError(f"pieces must be a list of objects, got {doc_pieces!r}")
+        raise FunctionSpecError(f"{where}.pieces must be a list of objects, got {doc_pieces!r}")
     pieces = []
-    for frag in doc_pieces:
-        until = frag.get("until")
-        pieces.append(Piece(None if until is None else parse_number(until), frag.get("form"), tuple(_params(frag))))
+    for i, frag in enumerate(doc_pieces):
+        until, at = frag.get("until"), f"{where}.pieces[{i}]"
+        until = None if until is None else parse_field(until, f"{at}.until")
+        pieces.append(Piece(until, frag.get("form"), tuple(_params(frag, at))))
     return tuple(pieces)
 
 
@@ -524,12 +525,17 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
     branches with a pole, and any spec whose range on [0, t_max] x [0, u_max]
     reaches below 0.  A `monotone_in_u` key is accepted and ignored: the range
     finds each form's extrema without it.  `separable-exponential-piecewise`
-    [rate] with `pieces` is the product exp(-rate*t) * piecewise(u).
+    [rate] with `pieces` is the product exp(-rate*t) * piecewise(u).  A number
+    malformed or beyond float range is a ValueError naming it, as f.params[0].
     """
+    return _parse_spec(doc, t_max, u_max, "f")
+
+
+def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FunctionSpecError(f"function spec must be an object with a 'kind': {doc!r}")
     kind = doc["kind"]
-    params = _params(doc)
+    params = _params(doc, where)
 
     if kind == "autonomous-rational-sigmoid":
         if len(params) != 1:
@@ -544,7 +550,7 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
             raise FunctionSpecError("polynomial needs at least one coefficient")
         spec = PolynomialU(coeffs=tuple(params))
     elif kind == "piecewise":
-        spec = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", [])))
+        spec = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", []), where))
     elif kind == "piecewise-linear-table":
         if len(params) < 4 or len(params) % 2:
             raise FunctionSpecError("piecewise-linear-table params are flattened (u, v) pairs")
@@ -553,7 +559,7 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
     elif kind == "separable-exponential-piecewise":
         if len(params) != 1:
             raise FunctionSpecError("separable-exponential-piecewise takes params [rate]")
-        h = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", [])))
+        h = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", []), where))
         spec = ProductF(time_factor=ExpDecay(rate=params[0]), u_factor=h)
     elif kind == "product":
         time_doc = doc.get("time")
@@ -561,7 +567,7 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
         if not isinstance(time_doc, dict) or not isinstance(u_doc, dict):
             raise FunctionSpecError("product takes 'time' and 'u' factor specs, each an object")
         tkind = time_doc.get("kind")
-        tparams = _params(time_doc)
+        tparams = _params(time_doc, f"{where}.time")
         if tkind in ("exp-decay", "constant") and len(tparams) != 1:
             raise FunctionSpecError(f"{tkind} time factor takes exactly one parameter")
         if tkind == "exp-decay":
@@ -574,7 +580,7 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> F
             tf = PolynomialT(coeffs=(tparams[0],))
         else:
             raise FunctionSpecError(f"unknown time-factor kind {tkind!r}")
-        spec = ProductF(time_factor=tf, u_factor=parse_function_spec(u_doc, t_max, u_max))
+        spec = ProductF(time_factor=tf, u_factor=_parse_spec(u_doc, t_max, u_max, f"{where}.u"))
     else:
         raise FunctionSpecError(f"unknown function kind {kind!r}")
 

@@ -72,14 +72,25 @@ class SolutionCurve:
         return cls(t0, t1, np.full(n, float(value)))
 
     def to_csv(self, path):
-        rows = "".join("%.17g,%.17g\n" % tu for tu in zip(self.nodes.tolist(), self.values.tolist()))
-        with open(path, "w", newline="") as fh:
-            fh.write("t,u\n" + rows)
+        write_csv([self], [path])
 
     @classmethod
     def from_csv(cls, path) -> "SolutionCurve":
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         return cls(float(rows[0, 0]), float(rows[-1, 0]), rows[:, 1])
+
+
+def write_csv(curves, paths):
+    """Write each curve to its path as "t,u" and "%.17g,%.17g" rows; each distinct grid's t column is formatted once."""
+    columns = {}
+    for curve, path in zip(curves, paths):
+        grid = (curve.t0, curve.t1, curve.n)
+        if grid not in columns:
+            columns[grid] = ["%.17g" % t for t in curve.nodes.tolist()]
+        row_args = [None] * (2 * curve.n)
+        row_args[::2], row_args[1::2] = columns[grid], curve.values.tolist()
+        with open(path, "w", newline="") as fh:
+            fh.write("t,u\n" + "%s,%.17g\n" * curve.n % tuple(row_args))
 
 
 def simpson_integral(values: np.ndarray, h: float) -> float:

@@ -2,16 +2,15 @@
 
 The solution operator A maps a candidate u to the solution of the linear
 problem with load y(t) = f(t, u(t)); its fixed points are exactly the
-solutions of the nonlinear problem.  Two routes look for them:
-
-- Picard iteration u <- A u from a handful of constant starts (finds the
-  attracting fixed points), and
-- Newton on F(u) = u - A u with J = I - G diag(df/du), where G is the
-  matrix of the linear solve: dense on a coarse grid from the Picard levels
-  and a ladder of scaled concave profiles, then matrix-free Newton-GMRES on
-  the full grid (also reaches the repelling fixed points).  The coarse
-  search advances all starts as one block; each row keeps its own stopping
-  test, budget and halvings, so every root is what its start alone gives.
+solutions of the nonlinear problem.  One route looks for them: Newton on
+F(u) = u - A u with J = I - G diag(df/du), where G is the matrix of the
+linear solve, dense on a coarse grid from a few constant levels and a ladder
+of scaled concave profiles, then matrix-free Newton-GMRES on the full grid.
+It reaches the attracting and the repelling fixed points alike.  The coarse
+search advances all starts as one block; each row keeps its own stopping
+test, budget and halvings, so every root is what its start alone gives.
+Picard iteration u <- A u (`picard_iterate`, `picard_solutions`) reaches
+only the attracting ones and stays as an independent check.
 
 Every candidate is re-verified against the discrete ODE/boundary residuals
 and the cone conditions (nonnegative, concave down) before it is reported,
@@ -83,7 +82,7 @@ class FixedPointResult:
     iterations: int
     final_update_norm: float
     residuals: ResidualReport
-    source: str = "picard"
+    source: str
     clamped_evals: int = 0
 
 
@@ -358,7 +357,7 @@ def _accepted(u: np.ndarray, rnorm: float) -> bool:
 
 
 def _coarse_roots(p: Problem, cfg: SolveConfig):
-    """Dense Newton on COARSE_N nodes from the Picard levels and a ladder of concave profiles.
+    """Dense Newton on COARSE_N nodes from the constant start levels and a ladder of concave profiles.
 
     All starts advance as one block.  Returns the coarse nodes and the
     distinct roots as (u, iterations).  A start whose Jacobian is singular is
@@ -419,13 +418,12 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
     )
 
 
-def newton_solutions(p: Problem, cfg: SolveConfig, plan: LinearPlan | None = None) -> list[FixedPointResult]:
+def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
     """Roots of F(u) = u - A u: coarse dense Newton from many starts, then full-grid polish.
 
-    `plan` is the linear solve on grid_n nodes, built here when not given.  A
-    root where f stops being finite on the full grid is dropped.
+    A root where f stops being finite on the full grid is dropped.
     """
-    plan = plan or LinearPlan(p, cfg.grid_n)
+    plan = LinearPlan(p, cfg.grid_n)
     t_coarse, roots = _coarse_roots(p, cfg)
     results = []
     for u, iterations in roots:
@@ -434,9 +432,9 @@ def newton_solutions(p: Problem, cfg: SolveConfig, plan: LinearPlan | None = Non
     return [r for r in results if r.converged]
 
 
-def picard_solutions(p: Problem, cfg: SolveConfig, plan: LinearPlan | None = None) -> list[FixedPointResult]:
+def picard_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
     """Picard iteration from the configured constant starts on one linear plan for grid_n."""
-    plan = plan or LinearPlan(p, cfg.grid_n)
+    plan = LinearPlan(p, cfg.grid_n)
     results = []
     for level in _start_levels(cfg):
         start = SolutionCurve.constant(level, plan.T, cfg.grid_n)
@@ -494,11 +492,10 @@ def classify_solution(
 def find_solutions(
     p: Problem, cfg: SolveConfig = SolveConfig()
 ) -> list[tuple[FixedPointResult, SolutionClass]]:
-    """Run both routes, verify, dedup, and classify every surviving solution."""
-    plan = LinearPlan(p, cfg.grid_n)
+    """Newton roots of u = A u on grid_n nodes, kept when in the cone, deduplicated and classified."""
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
-        candidates = picard_solutions(p, cfg, plan) + newton_solutions(p, cfg, plan)
-    verified = [r for r in candidates if r.converged and cone_membership(r.curve).ok]
+        candidates = newton_solutions(p, cfg)
+    verified = [r for r in candidates if cone_membership(r.curve).ok]
     unique = _dedup(verified, DEDUP_TOL)
     eta = float(p.eta)
     out = []

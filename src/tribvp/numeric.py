@@ -30,6 +30,18 @@ def parse_number(value) -> Number:
     raise ValueError(f"expected a number, got {value!r}")
 
 
+def parse_field(value, where: str) -> Number:
+    """parse_number(value); a malformed value, or one beyond float range, is a ValueError naming `where`."""
+    try:
+        number = parse_number(value)
+        float(number)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{where} = {value!r} is beyond float range") from exc
+    return number
+
+
 def is_exact(*values) -> bool:
     """True when every value supports exact rational arithmetic."""
     return all(isinstance(v, Rational) for v in values)

@@ -13,6 +13,7 @@ from .certify import certify, search_thresholds
 from .config import RunConfig, f_check_u_max
 from .constants import compute_constants
 from .errors import ConfigError, TribvpError
+from .grid import write_csv
 from .nonlinear import SolveConfig, find_solutions
 from .problem import validate_hypotheses
 from .report import dump_report, render_report, write_sweep_csv
@@ -84,21 +85,19 @@ def run(cfg: RunConfig) -> RunOutcome:
         if cfg.mode == "solve":
             with timer.time("solve"):
                 found = find_solutions(p, SolveConfig(grid_n=cfg.grid_n, thresholds=thresholds))
-            summaries = []
-            for k, (result, cls) in enumerate(found):
-                path = cfg.output_dir / f"solution_{k}.csv"
-                result.curve.to_csv(path)
-                summaries.append(
-                    {
-                        **cls.to_dict(),
-                        "residuals": result.residuals.to_dict(),
-                        "source": result.source,
-                        "iterations": result.iterations,
-                        "clamped_evals": result.clamped_evals,
-                        "file": path.name,
-                    }
-                )
-            report_kwargs["solutions"] = summaries
+            paths = [cfg.output_dir / f"solution_{k}.csv" for k in range(len(found))]
+            write_csv([result.curve for result, _ in found], paths)
+            report_kwargs["solutions"] = [
+                {
+                    **cls.to_dict(),
+                    "residuals": result.residuals.to_dict(),
+                    "source": result.source,
+                    "iterations": result.iterations,
+                    "clamped_evals": result.clamped_evals,
+                    "file": path.name,
+                }
+                for path, (result, cls) in zip(paths, found)
+            ]
 
     except (TribvpError, np.linalg.LinAlgError, FloatingPointError) as exc:
         report = _finish(cfg, timer, report_kwargs)

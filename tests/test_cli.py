@@ -128,6 +128,7 @@ def test_config_errors_exit_code(tmp_path, capsys):
         ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": float("inf")}}),
         ("certify", {"thresholds": {"a": "1/120", "b": 2, "c": "1e400"}}, "thresholds.c"),
         ("constants", {"problem": {**problem, "T": "1e400"}}, "problem.T"),
+        ("constants", {"problem": {**problem, "f": {**problem["f"], "params": ["1e400"]}}}, "f.params[0] = '1e400' is beyond float range"),
         ("certify", {"thresholds": "abc"}),
     ):
         bad = tmp_path / "bad_option.json"

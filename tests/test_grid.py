@@ -7,6 +7,7 @@ from tribvp.grid import (
     interp_cubic,
     partial_integral,
     simpson_integral,
+    write_csv,
 )
 
 
@@ -127,3 +128,27 @@ def test_curve_csv_roundtrip(tmp_path):
     assert text.endswith("\n")
     back = SolutionCurve.from_csv(path)
     assert np.array_equal(back.values, curve.values)  # 17 digits reproduce doubles exactly
+
+
+def _row_by_row_csv(curve: SolutionCurve) -> bytes:
+    """The CSV as the former writer formatted it, one row at a time."""
+    rows = "".join("%.17g,%.17g\n" % tu for tu in zip(curve.nodes.tolist(), curve.values.tolist()))
+    return ("t,u\n" + rows).encode()
+
+
+def test_write_csv_bytes_match_row_by_row_format(tmp_path):
+    # inexact decimals, extremes of the exponent range and exact dyadics
+    special = np.array([0.1, 1e-300, 1e300, 0.5, 0.375, 2.0**-30, 3.0, 0.0, 1.0 / 3.0, 12.050382977159664])
+    rng = np.random.default_rng(11)
+    curves = [
+        SolutionCurve(0.0, 1.0, np.resize(special, 65)),
+        SolutionCurve(0.0, 1.0, rng.uniform(0.0, 5.0, 65)),  # the same grid as the first
+        SolutionCurve(0.0, 2.5, rng.uniform(0.0, 1e-3, 65)),  # as many nodes on another interval
+        SolutionCurve(0.0, 1.0, np.resize(special[::-1], 129)),  # more nodes on the first interval
+    ]
+    paths = [tmp_path / f"solution_{k}.csv" for k in range(len(curves))]
+    write_csv(curves, paths)
+    for curve, path in zip(curves, paths):
+        assert path.read_bytes() == _row_by_row_csv(curve)
+    curves[2].to_csv(tmp_path / "one.csv")
+    assert (tmp_path / "one.csv").read_bytes() == _row_by_row_csv(curves[2])

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,10 @@ from tribvp.nonlinear import (
     _load,
     _newton,
     newton_solutions,
+    picard_solutions,
 )
+from tribvp.config import parse_run_config
+from tribvp.constants import compute_constants
 from tribvp.errors import FunctionDomainError
 from tribvp.functions import ConstantF, PolynomialU
 
@@ -430,3 +435,29 @@ def test_newton_polish_drops_a_root_where_f_overflows(monkeypatch):
 def test_picard_rejects_a_start_off_the_problem_interval():
     with pytest.raises(ValueError, match=r"\[0, T\]"):
         picard_iterate(make_sigmoid_problem(), SolutionCurve.constant(1.0, 2.0, 129), 1e-10, 5)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _worked_docs() -> list[dict]:
+    """Both worked configs, and the sigmoid problem with a table f whose three solutions are all positive."""
+    sigmoid, exp = (json.loads((CONFIG_DIR / name).read_text()) for name in ("sigmoid.json", "exp_piecewise.json"))
+    table_f = {"kind": "piecewise-linear-table", "params": [0, "1/1000", "1/120", "1/500", 2, 30, 1000, 30]}
+    table = {"problem": {**sigmoid["problem"], "f": table_f}, "thresholds": {"a": "1/120", "b": 2, "c": 124}}
+    return [sigmoid, exp, table]
+
+
+@pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
+def test_find_solutions_loses_no_picard_root(doc, tmp_path):
+    # Picard reaches the attracting fixed points by iteration alone; the Newton route must report each one
+    run_cfg = parse_run_config(doc, "solve", tmp_path)
+    p = run_cfg.problem
+    cfg = SolveConfig(grid_n=run_cfg.grid_n, thresholds=run_cfg.thresholds.with_gamma(compute_constants(p).gamma))
+    picard = picard_solutions(p, cfg)
+    found = [result.curve.values for result, _ in find_solutions(p, cfg)]
+    assert picard
+    for pr in picard:
+        u = pr.curve.values
+        gap = min(float(np.max(np.abs(u - v))) for v in found)
+        assert gap <= 1e-9 * max(1.0, pr.curve.sup_norm()), (pr.curve.sup_norm(), gap)
