@@ -127,36 +127,39 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _interp_stencil(n: int, h: float, x: float):
-    """Four-point Lagrange stencil (start index, weights) for position x."""
-    pos = x / h
-    j = int(np.floor(pos))
-    start = min(max(j - 1, 0), n - 4)
+def _interp_stencil(n: int, h: float, x):
+    """Four-point Lagrange stencil (start index, weights) for position x, or for every point of an array x."""
+    pos = np.asarray(x) / h
+    start = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
     xi = pos - start
-    w = np.empty(4)
+    w = np.empty(xi.shape + (4,))
     for k in range(4):
         num = 1.0
         den = 1.0
         for m in range(4):
             if m != k:
-                num *= xi - m
+                num = num * (xi - m)
                 den *= k - m
-        w[k] = num / den
+        w[..., k] = num / den
     return start, w
 
 
-def interp_weights(n: int, h: float, x: float):
+def interp_weights(n: int, h: float, x):
     if n < 4:
         raise ValueError("cubic interpolation needs at least four nodes")
-    if not -1e-9 <= x / h <= (n - 1) + 1e-9:
+    pos = np.asarray(x) / h
+    if not np.all((-1e-9 <= pos) & (pos <= (n - 1) + 1e-9)):
         raise ValueError(f"interpolation point {x} outside the grid")
     return _interp_stencil(n, h, x)
 
 
-def interp_cubic(values: np.ndarray, h: float, x: float) -> float:
-    """Cubic Lagrange interpolation of nodal values at offset x from node 0."""
+def interp_cubic(values: np.ndarray, h: float, x):
+    """Cubic Lagrange interpolation of nodal values at offset x from node 0, or at every offset of an array x."""
     start, w = interp_weights(len(values), h, x)
-    return float(np.dot(w, values[start : start + 4]))
+    if np.ndim(x) == 0:
+        return float(np.dot(w, values[start : start + 4]))
+    stencils = values[start[:, None] + np.arange(4)]
+    return (w[:, None, :] @ stencils[:, :, None])[:, 0, 0]  # one dot product per point: the bits of the scalar call
 
 
 def partial_integral_weights(n: int, h: float, x: float) -> np.ndarray:

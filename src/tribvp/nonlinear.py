@@ -5,12 +5,13 @@ problem with load y(t) = f(t, u(t)); its fixed points are exactly the
 solutions of the nonlinear problem.  One route looks for them: Newton on
 F(u) = u - A u with J = I - G diag(df/du), where G is the matrix of the
 linear solve, dense on a coarse grid from a few constant levels and a ladder
-of scaled concave profiles, then matrix-free Newton-GMRES on the full grid.
-It reaches the attracting and the repelling fixed points alike.  The coarse
-search advances all starts as one block; each row keeps its own stopping
-test, budget and halvings, so every root is what its start alone gives.
-Picard iteration u <- A u (`picard_iterate`, `picard_solutions`) reaches
-only the attracting ones and stays as an independent check.
+of scaled concave profiles, then matrix-free Newton-GMRES on the full grid
+from each coarse root interpolated cubically.  It reaches the attracting and
+the repelling fixed points alike.  The coarse search advances all starts as
+one block; each row keeps its own stopping test, budget and halvings, so
+every root is what its start alone gives.  Picard iteration u <- A u
+(`picard_iterate`, `picard_solutions`) reaches only the attracting ones and
+stays as an independent check.
 
 Every candidate is re-verified against the discrete ODE/boundary residuals
 and the cone conditions (nonnegative, concave down) before it is reported,
@@ -57,7 +58,7 @@ NEWTON_MAX_ITER = 25
 # even if the iteration stalled before NEWTON_TOL.
 NEWTON_ACCEPT_TOL = 1e-9
 NEWTON_MAX_HALVINGS = 12
-COARSE_N = 65  # nodes of the dense Newton search; its roots only start the full-grid Newton
+COARSE_N = 33  # nodes of the dense Newton search; its roots, interpolated cubically, only start the full-grid Newton
 GMRES_RESTART = 20  # Krylov vectors per full-grid Newton step, one linear solve each
 GMRES_RTOL = 1e-12
 FD_STEP = 1e-6  # relative step of the central difference standing in for df/du
@@ -421,14 +422,16 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
 def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
     """Roots of F(u) = u - A u: coarse dense Newton from many starts, then full-grid polish.
 
-    A root where f stops being finite on the full grid is dropped.
+    Each coarse root reaches the full grid by cubic interpolation, which
+    leaves the polish at most one Newton step on the worked configs.  A root
+    where f stops being finite on the full grid is dropped.
     """
     plan = LinearPlan(p, cfg.grid_n)
     t_coarse, roots = _coarse_roots(p, cfg)
     results = []
     for u, iterations in roots:
         with contextlib.suppress(FunctionDomainError):
-            results.append(_polish(p, plan, np.interp(plan.t, t_coarse, u), iterations))
+            results.append(_polish(p, plan, interp_cubic(u, t_coarse[1], plan.t), iterations))
     return [r for r in results if r.converged]
 
 

@@ -82,6 +82,19 @@ def test_interp_cubic_exact_for_cubics():
         assert interp_cubic(vals, t[1], x) == pytest.approx(2 * x**3 - x + 0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("n_fine", [65, 67, 1025, 2049])
+def test_interp_cubic_at_every_fine_node(n_fine):
+    # the hand-off of a 33-node coarse root to a fine grid: one stencil per fine node
+    rng = np.random.default_rng(n_fine)
+    coeffs = rng.uniform(-1.0, 1.0, 4)
+    t, x = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, n_fine)
+    fine = interp_cubic(np.polyval(coeffs, t), t[1], x)
+    assert np.max(np.abs(fine - np.polyval(coeffs, x))) <= 1e-13
+    values = rng.uniform(0.0, 5.0, 33)
+    fine = interp_cubic(values, t[1], x)
+    assert fine.tolist() == [interp_cubic(values, t[1], xi) for xi in x.tolist()]  # bit for bit
+
+
 def test_interp_cubic_fourth_order():
     errs = []
     for n in (65, 129):

@@ -461,3 +461,36 @@ def test_find_solutions_loses_no_picard_root(doc, tmp_path):
         u = pr.curve.values
         gap = min(float(np.max(np.abs(u - v))) for v in found)
         assert gap <= 1e-9 * max(1.0, pr.curve.sup_norm()), (pr.curve.sup_norm(), gap)
+
+
+def _problem_and_config(doc, tmp_path, grid_n):
+    run_cfg = parse_run_config(doc, "solve", tmp_path)
+    p = run_cfg.problem
+    return p, SolveConfig(grid_n=grid_n, thresholds=run_cfg.thresholds.with_gamma(compute_constants(p).gamma))
+
+
+@pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
+def test_cubic_hand_off_leaves_at_most_one_full_grid_newton_step(doc, tmp_path, monkeypatch):
+    # a work count, not a timing: a coarse root interpolated cubically starts inside the fine quadratic basin
+    p, cfg = _problem_and_config(doc, tmp_path, 2049)
+    _, roots = nonlinear._coarse_roots(p, cfg)
+    calls = _spy_newton(monkeypatch)
+    found = newton_solutions(p, cfg)
+    polished = calls[1:]  # one polish per coarse root, in the order of the roots
+    assert found and len(polished) == len(roots)
+    for r in found:
+        i = int(np.argmin([np.max(np.abs(c["result"][0][0] - r.curve.values)) for c in polished]))
+        steps = int(polished[i]["result"][2][0])
+        assert r.iterations - roots[i][1] == steps <= 1, (r.curve.sup_norm(), steps)
+
+
+@pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
+def test_coarse_grid_size_does_not_pick_the_roots(doc, tmp_path, monkeypatch):
+    p, cfg = _problem_and_config(doc, tmp_path, 1025)
+    default = find_solutions(p, cfg)
+    monkeypatch.setattr(nonlinear, "COARSE_N", 65)
+    finer = find_solutions(p, cfg)
+    assert [cls.label for _, cls in finer] == [cls.label for _, cls in default]
+    for (r, _), (s, _) in zip(default, finer):
+        gap = float(np.max(np.abs(r.curve.values - s.curve.values)))
+        assert gap <= 1e-11 * max(1.0, r.curve.sup_norm()), (r.curve.sup_norm(), gap)
