@@ -138,10 +138,10 @@ def parse_run_config(
 
 def load_run_config(path, mode: str, output_dir, **kwargs) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259), whatever the locale
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, or nesting too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_run_config(doc, mode, output_dir, **kwargs)

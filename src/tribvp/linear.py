@@ -30,7 +30,7 @@ from .errors import SingularConfigurationError
 from .grid import (
     SolutionCurve,
     cumulative_simpson,
-    interp_cubic,
+    interp_weights,
     partial_integral,
     partial_integral_weights,
 )
@@ -81,7 +81,25 @@ def check_grid(p: Problem, y: SolutionCurve) -> None:
         raise ValueError("linear solve needs an odd node count")
 
 
-class LinearPlan:
+class BoundaryStencils:
+    """Both boundary conditions' eta stencils on n nodes of spacing h: interp_cubic's and partial_integral's."""
+
+    def __init__(self, p: Problem, n: int, h: float):
+        _, self.eta, self.alpha, self.beta = p.floats()
+        self.h = h
+        self.s_eta, self.c_eta = interp_weights(n, h, self.eta)  # u(eta) = c_eta . u[s_eta : s_eta + 4]
+        self.w_eta = partial_integral_weights(n, h, self.eta)
+
+    def residuals(self, u: np.ndarray, y: np.ndarray) -> ResidualReport:
+        """Second-difference ODE residual of nodal values u under the load y, plus both boundary residuals."""
+        second = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (self.h * self.h)
+        ode_res = float(np.max(np.abs(second + y[1:-1]))) if u.size > 2 else 0.0
+        bc0 = abs(u[0] - self.beta * float(np.dot(self.c_eta, u[self.s_eta : self.s_eta + 4])))
+        bcT = abs(u[-1] - self.alpha * float(np.dot(self.w_eta, u)))
+        return ResidualReport(ode_residual_max=ode_res, bc0_residual=float(bc0), bcT_residual=float(bcT))
+
+
+class LinearPlan(BoundaryStencils):
     """The closed form's setup for one problem on n uniform nodes of [0, T], done once.
 
     Calling the plan on a load of shape (n,), or (n, k) with one load per
@@ -94,10 +112,10 @@ class LinearPlan:
         d = -float(lambda_constant(p))  # the closed form's D
         if abs(d) < SINGULAR_TOL:
             raise SingularConfigurationError(f"beta = {beta} makes the boundary system singular (Lambda = {-d})")
-        self.T, self.eta, self.h = T, eta, T / (n - 1)
+        super().__init__(p, n, T / (n - 1))
+        self.T = T
         self.t = t = np.linspace(0.0, T, n)
         self.t2 = t * t
-        self.w_eta = partial_integral_weights(n, self.h, eta)
         self.c1 = (beta * (2.0 * T - alpha * eta * eta) - 2.0 * beta * (1.0 - alpha * eta) * t) / d
         self.c2 = (alpha * beta * eta - alpha * (beta - 1.0) * t) / d
         self.c3 = (2.0 * (beta - 1.0) * t - 2.0 * beta * eta) / d
@@ -149,15 +167,7 @@ def residuals(p: Problem, u: SolutionCurve, y: SolutionCurve) -> ResidualReport:
     """Second-difference ODE residual plus both boundary-condition residuals."""
     if u.n != y.n:
         raise ValueError("u and y must share a grid")
-    T, eta, alpha, beta = p.floats()
-    h = u.h
-    uv = u.values
-    second = (uv[:-2] - 2.0 * uv[1:-1] + uv[2:]) / (h * h)
-    ode_res = float(np.max(np.abs(second + y.values[1:-1]))) if u.n > 2 else 0.0
-    u_eta = interp_cubic(uv, h, eta)
-    bc0 = abs(uv[0] - beta * u_eta)
-    bcT = abs(uv[-1] - alpha * partial_integral(uv, h, eta))
-    return ResidualReport(ode_residual_max=ode_res, bc0_residual=float(bc0), bcT_residual=float(bcT))
+    return BoundaryStencils(p, u.n, u.h).residuals(u.values, y.values)
 
 
 def check_nonnegativity(u: SolutionCurve, tol: float = NONNEGATIVITY_TOL) -> NonnegativityCheck:

@@ -36,7 +36,6 @@ from .linear import (
     ResidualReport,
     check_grid,
     check_nonnegativity,
-    residuals,
     solve_linear,
 )
 from .problem import Problem
@@ -147,8 +146,8 @@ def apply_operator_A(p: Problem, u: SolutionCurve) -> SolutionCurve:
 
 
 def _verify(p: Problem, plan: LinearPlan, curve: SolutionCurve) -> tuple[ResidualReport, bool]:
-    """Residuals of a candidate and whether they meet ODE_C2*h^2 (ODE) and RESIDUAL_TOL (boundary)."""
-    rep = residuals(p, curve, SolutionCurve(0.0, plan.T, _load(p, plan.t, curve.values)))
+    """Residuals of a candidate on the plan's stencils, and whether they meet ODE_C2*h^2 and RESIDUAL_TOL."""
+    rep = plan.residuals(curve.values, _load(p, plan.t, curve.values))
     return rep, rep.within(ODE_C2 * curve.h * curve.h, RESIDUAL_TOL)
 
 
@@ -271,16 +270,17 @@ def _jacobian_matvec(p: Problem, plan: LinearPlan, u: np.ndarray):
     return lambda v: v - plan(fu * v)
 
 
-def _gmres(matvec, b: np.ndarray) -> np.ndarray:
+def _gmres(matvec, b: np.ndarray, floor: float) -> np.ndarray:
     """Approximate x with matvec(x) = b: GMRES from x = 0 over at most GMRES_RESTART vectors.
 
+    Stops once ||b - matvec(x)||_2 <= max(GMRES_RTOL * ||b||_2, floor).
     Givens rotations keep the small least-squares problem triangular: its
     residual is known at every step, and no LAPACK call is needed.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b)
-    m = GMRES_RESTART
+    m, stop = GMRES_RESTART, max(GMRES_RTOL * beta, floor)
     V = [b / beta]
     H = np.zeros((m + 1, m))
     cs, sn = np.zeros(m), np.zeros(m)
@@ -298,7 +298,7 @@ def _gmres(matvec, b: np.ndarray) -> np.ndarray:
         cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
         H[j, j] = rho
         g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
-        if abs(g[j + 1]) <= GMRES_RTOL * beta:
+        if abs(g[j + 1]) <= stop:
             break
         V.append(w / H[j + 1, j])
     k = j + 1
@@ -393,20 +393,31 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
 
 
 def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iterations: int):
-    """Apply A once to a coarse root prolonged to the plan's grid, and finish with Newton-GMRES."""
+    """Apply A once to a coarse root prolonged to the plan's grid, and finish with inexact Newton-GMRES.
+
+    GMRES stops at a tenth of the Newton target in the 2-norm, which bounds the
+    sup norm: the linear part of the next residual meets the target, and the
+    tenth leaves room for the quadratic remainder.  The reported A u = u - F(u)
+    reuses the F(u) Newton evaluated at its final u.
+    """
     clamped = 0
+    evaluated = []  # (u, F(u)) of every iterate tried; Newton ends on one of them, bit for bit
 
     def residual(U):  # U is a one-row block
         nonlocal clamped
         clamped += int(np.count_nonzero(U < 0.0))
-        return _fixed_point_residual(p, plan, U[0])[None]
+        evaluated.append((U[0].copy(), _fixed_point_residual(p, plan, U[0])))
+        return evaluated[-1][1][None]
 
     def step(U, R):
-        return _gmres(_jacobian_matvec(p, plan, U[0]), -R[0])[None]
+        floor = 0.1 * NEWTON_TOL * max(1.0, float(np.max(np.abs(U[0]))))
+        return _gmres(_jacobian_matvec(p, plan, U[0]), -R[0], floor)[None]
 
     U = prolonged[None]
     (u,), (rnorm,), (iterations,) = _newton(residual, step, U - residual(U))  # u - F(u) = A u
-    curve = SolutionCurve(0.0, plan.T, u - residual(u[None])[0])
+    clamped += int(np.count_nonzero(u < 0.0))  # the reported A u clamps the negatives of the final u too
+    fu = next(r for v, r in reversed(evaluated) if np.array_equal(v, u))
+    curve = SolutionCurve(0.0, plan.T, u - fu)
     rep, verified = _verify(p, plan, curve)
     return FixedPointResult(
         curve=curve,

@@ -161,6 +161,19 @@ def test_config_errors_exit_code(tmp_path, capsys):
     assert main(["constants", "--config", str(dip), "--out", str(tmp_path)]) == 2
 
 
+def test_unreadable_config_documents_exit_2(tmp_path, capsys):
+    # JSON is UTF-8, and a document nested too deep for the parser is malformed, not a crash
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(Path(SIGMOID).read_text().replace('"problem"', '"probl\u00e8me"').encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for bad, cause in ((not_utf8, "utf-8"), (deep, "recursion")):
+        for mode in ("constants", "solve"):
+            assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2, (bad, mode)
+            err = capsys.readouterr().err
+            assert "config error:" in err and cause in err, err
+
+
 def test_readme_configuration_example_parses(tmp_path):
     readme = (CONFIG_DIR.parent / "README.md").read_text()
     section = readme.split("## Configuration", 1)[1]

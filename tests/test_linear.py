@@ -14,6 +14,7 @@ from tribvp import (
     solve_linear_oracle,
 )
 from tribvp.constants import gamma
+from tribvp.grid import interp_cubic, partial_integral
 from tribvp.linear import LinearPlan
 
 from conftest import (
@@ -231,3 +232,19 @@ def test_plan_for_a_singular_beta_raises():
     p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1))
     with pytest.raises(SingularConfigurationError):
         LinearPlan(p, 129)
+
+
+@pytest.mark.parametrize("make", [make_sigmoid_problem, make_exp_piecewise_problem])
+@pytest.mark.parametrize("n", [65, 67, 1025, N])
+def test_plan_boundary_residuals_equal_the_direct_stencils_bitwise(make, n, rng):
+    # the plan holds the eta stencils once; its boundary residuals are interp_cubic's and partial_integral's
+    p = make()
+    T, eta, alpha, beta = p.floats()
+    plan = LinearPlan(p, n)
+    for _ in range(5):
+        u, y = rng.uniform(-10.0, 10.0, n), rng.uniform(0.0, 10.0, n)
+        curve = SolutionCurve(0.0, T, u)
+        rep = plan.residuals(u, y)
+        assert rep.bc0_residual == float(abs(u[0] - beta * interp_cubic(u, curve.h, eta)))
+        assert rep.bcT_residual == float(abs(u[-1] - alpha * partial_integral(u, curve.h, eta)))
+        assert rep == residuals(p, curve, SolutionCurve(0.0, T, y))

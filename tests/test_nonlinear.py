@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -494,3 +495,118 @@ def test_coarse_grid_size_does_not_pick_the_roots(doc, tmp_path, monkeypatch):
     for (r, _), (s, _) in zip(default, finer):
         gap = float(np.max(np.abs(r.curve.values - s.curve.values)))
         assert gap <= 1e-11 * max(1.0, r.curve.sup_norm()), (r.curve.sup_norm(), gap)
+
+
+def _counting_work(monkeypatch, grid_n):
+    """Count full-grid LinearPlan applications and GMRES matvecs."""
+    work = {"plan": 0, "matvec": 0}
+    call, gmres = LinearPlan.__call__, nonlinear._gmres
+
+    def counted_call(plan, v):
+        work["plan"] += plan.t.size == grid_n
+        return call(plan, v)
+
+    def counted_gmres(matvec, b, floor):
+        def counted(v):
+            work["matvec"] += 1
+            return matvec(v)
+
+        return gmres(counted, b, floor)
+
+    monkeypatch.setattr(LinearPlan, "__call__", counted_call)
+    monkeypatch.setattr(nonlinear, "_gmres", counted_gmres)
+    return work
+
+
+@pytest.mark.parametrize(
+    "doc, plan_calls, matvecs", zip(_worked_docs(), (15, 14, 13), (7, 7, 6)), ids=["sigmoid", "exp_piecewise", "table"]
+)
+def test_polish_work_per_solve(doc, plan_calls, matvecs, tmp_path, monkeypatch):
+    # a work count, not a timing: GMRES stops at the Newton target, A u is not applied again, and
+    # verification reads the plan's stencils
+    p, cfg = _problem_and_config(doc, tmp_path, 2049)
+    work = _counting_work(monkeypatch, 2049)
+    assert find_solutions(p, cfg)
+    assert work["plan"] <= plan_calls and work["matvec"] <= matvecs, work
+
+
+@pytest.mark.parametrize("grid_n", [1025, 2049])
+@pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
+def test_inexact_newton_costs_no_newton_step(doc, grid_n, tmp_path, monkeypatch):
+    # GMRES solved to GMRES_RTOL alone, as before the floor, gives the same roots and steps
+    p, cfg = _problem_and_config(doc, tmp_path, grid_n)
+    inexact = find_solutions(p, cfg)
+    gmres = nonlinear._gmres
+    monkeypatch.setattr(nonlinear, "_gmres", lambda matvec, b, floor: gmres(matvec, b, 0.0))
+    exact = find_solutions(p, cfg)
+    assert [cls.label for _, cls in inexact] == [cls.label for _, cls in exact]
+    for (r, _), (s, _) in zip(inexact, exact):
+        assert (r.iterations, r.clamped_evals) == (s.iterations, s.clamped_evals)
+        gap = float(np.max(np.abs(r.curve.values - s.curve.values)))
+        assert gap <= 1e-12 * max(1.0, s.curve.sup_norm()), (s.curve.sup_norm(), gap)
+
+
+def _gmres_without_floor(matvec, b):
+    """GMRES as it was before its floor, kept as the reference for the bits."""
+    beta = float(np.linalg.norm(b))
+    m = nonlinear.GMRES_RESTART
+    V, H = [b / beta], np.zeros((m + 1, m))
+    cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+    g[0] = beta
+    for j in range(m):
+        w = matvec(V[j])
+        for i in range(j + 1):
+            H[i, j] = w @ V[i]
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        for i in range(j):
+            H[i, j], H[i + 1, j] = cs[i] * H[i, j] + sn[i] * H[i + 1, j], cs[i] * H[i + 1, j] - sn[i] * H[i, j]
+        rho = math.hypot(H[j, j], H[j + 1, j])
+        cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
+        H[j, j] = rho
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        if abs(g[j + 1]) <= nonlinear.GMRES_RTOL * beta:
+            break
+        V.append(w / H[j + 1, j])
+    k = j + 1
+    y = np.zeros(k)
+    for i in reversed(range(k)):
+        y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 :]) / H[i, i]
+    return sum(yi * vi for yi, vi in zip(y, V))
+
+
+def test_gmres_meets_its_stopping_bound_and_keeps_its_bits_without_a_floor(rng):
+    n = 16
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    bnorm = float(np.linalg.norm(b))
+    steps = []
+    for floor in (0.0, 1e-3 * bnorm, 1e-6 * bnorm, 1e-9 * bnorm):
+        products = []
+        x = nonlinear._gmres(lambda v: products.append(v) or A @ v, b, floor)
+        steps.append(len(products))
+        assert np.linalg.norm(b - A @ x) <= max(nonlinear.GMRES_RTOL * bnorm, floor), floor
+    assert steps[1] < steps[2] < steps[3] <= steps[0]  # a higher floor stops sooner
+    assert np.array_equal(nonlinear._gmres(lambda v: A @ v, b, 0.0), _gmres_without_floor(lambda v: A @ v, b))
+
+
+def test_exp_small_solution_counts_the_clamps_of_its_final_iterate(exp_thresholds):
+    # the final A u is no longer applied, but its clamps are still counted
+    found = find_solutions(make_exp_piecewise_problem(), SolveConfig(thresholds=exp_thresholds))
+    small = [r for r, cls in found if cls.label == "small"]
+    assert [r.clamped_evals for r in small] == [2047]
+
+
+def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(monkeypatch):
+    # Newton's final u has 64 negative nodes: counted once when Newton evaluated F(u), once for the A u reported
+    p, n = make_sigmoid_problem(), 129
+    plan = LinearPlan(p, n)
+    final = np.where(np.arange(n) % 2, -1e-13, 0.5)
+
+    def newton(residual, step, U):
+        return final[None], np.max(np.abs(residual(final[None])), axis=1), np.zeros(1, dtype=int)
+
+    monkeypatch.setattr(nonlinear, "_newton", newton)
+    result = nonlinear._polish(p, plan, np.zeros(n), 0)
+    assert result.clamped_evals == 2 * 64
+    assert np.array_equal(result.curve.values, final - _fixed_point_residual(p, plan, final))
