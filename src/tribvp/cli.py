@@ -12,6 +12,7 @@ failure, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import load_run_config
@@ -25,6 +26,7 @@ from .runner import (
 )
 
 
+@functools.cache  # parse_args returns a fresh Namespace, so every main call of a process can share one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tribvp", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -84,6 +86,9 @@ def main(argv=None) -> int:
             outcome = sweep(cfg, axes)
         else:
             outcome = run(cfg)
+    except OSError as exc:  # only the output directory and the files written into it are touched here
+        print(f"config error: cannot write output {exc.filename or cfg.output_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except TribvpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -155,8 +155,12 @@ def interp_weights(n: int, h: float, x):
 
 def interp_cubic(values: np.ndarray, h: float, x):
     """Cubic Lagrange interpolation of nodal values at offset x from node 0, or at every offset of an array x."""
-    start, w = interp_weights(len(values), h, x)
-    if np.ndim(x) == 0:
+    return interp_apply(values, *interp_weights(len(values), h, x))
+
+
+def interp_apply(values: np.ndarray, start, w):
+    """Apply a stencil of interp_weights to nodal values, so one stencil serves many curves on one grid."""
+    if np.ndim(start) == 0:
         return float(np.dot(w, values[start : start + 4]))
     stencils = values[start[:, None] + np.arange(4)]
     return (w[:, None, :] @ stencils[:, :, None])[:, 0, 0]  # one dot product per point: the bits of the scalar call

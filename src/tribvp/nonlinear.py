@@ -29,7 +29,7 @@ import numpy as np
 
 from .certify import ThresholdTriple
 from .errors import FunctionDomainError
-from .grid import SolutionCurve, interp_cubic, partial_integral
+from .grid import SolutionCurve, interp_apply, interp_cubic, interp_weights, partial_integral
 from .linear import (
     NONNEGATIVITY_TOL,
     LinearPlan,
@@ -439,10 +439,11 @@ def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
     """
     plan = LinearPlan(p, cfg.grid_n)
     t_coarse, roots = _coarse_roots(p, cfg)
+    hand_off = interp_weights(t_coarse.size, t_coarse[1], plan.t)  # one stencil for every root
     results = []
     for u, iterations in roots:
         with contextlib.suppress(FunctionDomainError):
-            results.append(_polish(p, plan, interp_cubic(u, t_coarse[1], plan.t), iterations))
+            results.append(_polish(p, plan, interp_apply(u, *hand_off), iterations))
     return [r for r in results if r.converged]
 
 

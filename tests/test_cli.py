@@ -1,8 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
+import pytest
 
-from tribvp.cli import main
+from tribvp import cli
+from tribvp.cli import build_parser, main
 from tribvp.config import parse_run_config
 from tribvp.runner import run
 
@@ -281,3 +284,80 @@ def test_solve_survives_an_f_that_overflows(tmp_path, capsys):
     code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--no-timing"])
     assert code in (0, 5)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unusable_out_exits_2(tmp_path, capsys):
+    # an existing file where the output directory should be, a directory below a file,
+    # or a directory where report.json should be: a config error naming the path, not a traceback
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    blocked = tmp_path / "blocked"
+    (blocked / "report.json").mkdir(parents=True)
+    for argv, path in (
+        (["constants", "--config", EXP, "--out", str(a_file)], a_file),
+        (["certify", "--config", SIGMOID, "--out", str(a_file / "sub")], a_file / "sub"),
+        (["certify", "--config", SIGMOID, "--out", str(blocked)], blocked / "report.json"),
+        (["solve", "--config", SIGMOID, "--out", str(a_file / "sub"), "--grid", "65"], a_file / "sub"),
+        (["sweep", "--config", SIGMOID, "--out", str(a_file), "--axis", "beta:0.1:0.9:3"], a_file),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"config error: cannot write output {path}" in err and "Traceback" not in err, err
+
+
+def test_build_parser_builds_once_per_process(tmp_path, monkeypatch):
+    # a work count, not a timing: the parser and its four subparsers, however many main calls follow
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    calls = [
+        ["constants", "--config", EXP],
+        ["certify", "--config", SIGMOID, "--no-timing"],
+        ["certify", "--config", SIGMOID, "--a", "1/120", "--b", "2", "--c", "100"],
+        ["sweep", "--config", SIGMOID, "--axis", "beta:0.1:0.9:2"],
+        ["solve", "--config", SIGMOID, "--grid", "65", "--no-timing"],
+    ]
+    for k in range(20):
+        assert main([*calls[k % 5], "--out", str(tmp_path / str(k))]) in (0, 4)
+    assert len(built) == 5, built
+
+
+def _run_and_collect(argv, out, capsys):
+    """Exit code, stderr and every output file of one main call, with the output directory masked."""
+    try:
+        code = main([*argv, "--out", str(out), "--no-timing"])
+    except SystemExit as exc:
+        code = exc.code
+    files = {}
+    if out.is_dir():
+        files = {path.name: path.read_bytes().replace(str(out).encode(), b"<out>") for path in sorted(out.iterdir())}
+    return code, capsys.readouterr().err, files
+
+
+@pytest.mark.parametrize("config", [SIGMOID, EXP], ids=["sigmoid", "exp_piecewise"])
+def test_a_shared_parser_carries_nothing_between_calls(config, tmp_path, monkeypatch, capsys):
+    # each call with the one parser of the process gives what it gives with a parser of its own
+    sequence = [
+        ["certify", "--config", config, "--a", "1/120", "--b", "2", "--c", "124"],
+        ["certify", "--config", config],
+        ["sweep", "--config", config, "--axis", "beta:0.1:0.9:3", "--axis", "eta:0.3:0.6:2"],
+        ["sweep", "--config", config, "--axis", "alpha:0.5:1.5:3"],
+        ["solve", "--config", config, "--grid", "1025"],
+        ["solve", "--config", config],
+        ["certify", "--config", config, "--grid", "65"],
+        ["constants", "--config", config],
+    ]
+    shared = [_run_and_collect(argv, tmp_path / f"shared{k}", capsys) for k, argv in enumerate(sequence)]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [_run_and_collect(argv, tmp_path / f"fresh{k}", capsys) for k, argv in enumerate(sequence)]
+    assert shared[6][0] == 2 and "unrecognized arguments: --grid" in shared[6][1]
+    assert all(files for _, _, files in shared[:6] + shared[7:])
+    for argv, a, b in zip(sequence, shared, fresh):
+        assert a == b, argv

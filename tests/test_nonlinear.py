@@ -20,7 +20,7 @@ from tribvp import (
     solve_linear,
     solve_linear_oracle,
 )
-from tribvp.grid import cumulative_simpson, partial_integral
+from tribvp.grid import cumulative_simpson, interp_cubic, partial_integral
 from tribvp import linear, nonlinear
 from tribvp.linear import LinearPlan, residuals
 from tribvp.nonlinear import (
@@ -483,6 +483,21 @@ def test_cubic_hand_off_leaves_at_most_one_full_grid_newton_step(doc, tmp_path, 
         i = int(np.argmin([np.max(np.abs(c["result"][0][0] - r.curve.values)) for c in polished]))
         steps = int(polished[i]["result"][2][0])
         assert r.iterations - roots[i][1] == steps <= 1, (r.curve.sup_norm(), steps)
+
+
+@pytest.mark.parametrize("grid_n", [65, 1025, 2049])
+@pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
+def test_one_hand_off_stencil_prolongs_each_root_as_interp_cubic_does(doc, grid_n, tmp_path, monkeypatch):
+    p, cfg = _problem_and_config(doc, tmp_path, grid_n)
+    t, roots = nonlinear._coarse_roots(p, cfg)
+    prolonged = []
+    polish = nonlinear._polish
+    monkeypatch.setattr(nonlinear, "_polish", lambda p, plan, u, k: prolonged.append(u) or polish(p, plan, u, k))
+    newton_solutions(p, cfg)
+    fine_t = LinearPlan(p, grid_n).t
+    assert len(prolonged) == len(roots) >= 2
+    for v, (u, _) in zip(prolonged, roots):
+        assert np.array_equal(v, interp_cubic(u, t[1], fine_t))  # bit for bit
 
 
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
