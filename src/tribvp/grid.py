@@ -11,9 +11,13 @@ odd indices.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
+
+T_COLUMNS_KEPT = 4  # distinct grids whose formatted t column a process keeps for its next write
 
 
 @dataclass(frozen=True)
@@ -81,16 +85,44 @@ class SolutionCurve:
 
 
 def write_csv(curves, paths):
-    """Write each curve to its path as "t,u" and "%.17g,%.17g" rows; each distinct grid's t column is formatted once."""
-    columns = {}
-    for curve, path in zip(curves, paths):
-        grid = (curve.t0, curve.t1, curve.n)
-        if grid not in columns:
-            columns[grid] = ["%.17g" % t for t in curve.nodes.tolist()]
-        row_args = [None] * (2 * curve.n)
-        row_args[::2], row_args[1::2] = columns[grid], curve.values.tolist()
-        with open(path, "w", newline="") as fh:
-            fh.write("t,u\n" + "%s,%.17g\n" * curve.n % tuple(row_args))
+    """Write each curve to its path as "t,u" and "%.17g,%.17g" rows; if one write fails, none of the files is left."""
+    write_files((path, _csv_text(curve)) for curve, path in zip(curves, paths))
+
+
+def _csv_text(curve: SolutionCurve) -> str:
+    return _csv_format(float(curve.t0).hex(), float(curve.t1).hex(), curve.n) % tuple(curve.values.tolist())
+
+
+@functools.lru_cache(maxsize=T_COLUMNS_KEPT)
+def _csv_format(t0_hex: str, t1_hex: str, n: int) -> str:
+    """The CSV of the n uniform nodes from t0 to t1 with a "%.17g" field for each u: the t column, formatted once per grid.
+
+    Keyed by the endpoints' bits, because 0.0 == -0.0 and yet they print apart.
+    """
+    nodes = np.linspace(float.fromhex(t0_hex), float.fromhex(t1_hex), n).tolist()
+    return "t,u\n" + "".join(["%.17g,%%.17g\n" % t for t in nodes])
+
+
+def write_files(items) -> None:
+    """Write each (path, text) pair in order; if one raises OSError, remove the files this call opened and re-raise."""
+    opened = []
+    try:
+        for path, text in items:
+            with open(path, "w", newline="") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        remove_files(opened)
+        raise
+
+
+def remove_files(paths) -> None:
+    """Remove each path, ignoring any that cannot be removed: the error being reported is the write's."""
+    for path in paths:
+        try:
+            os.remove(path)
+        except OSError:
+            pass
 
 
 def simpson_integral(values: np.ndarray, h: float) -> float:

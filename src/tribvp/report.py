@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _json_str
+
+from .grid import write_files
 
 SCHEMA_VERSION = "1"
+
+_INF = float("inf")
 
 
 def render_report(
@@ -34,9 +38,62 @@ def render_report(
 
 
 def dump_report(report: dict, path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    with open(path, "w", newline="") as fh:
-        fh.write(text + "\n")
+    """Write the report as json.dumps(report, sort_keys=True, indent=2) would, plus a newline."""
+    write_files([(path, _json_text(report, "\n") + "\n")])
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, at the nesting whose line break and indent is pad."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_str(_json_key(key)) + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def format_sig(value: float) -> str:
@@ -45,13 +102,12 @@ def format_sig(value: float) -> str:
 
 
 def write_sweep_csv(path, axis_names: list[str], rows: list[dict]) -> None:
-    header = axis_names + ["lambda", "gamma", "m", "delta", "verdict"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [format_sig(row[name]) for name in axis_names]
-            for key in ("lambda", "gamma", "m", "delta"):
-                value = row.get(key)
-                cells.append("" if value is None else format_sig(value))
-            cells.append(row["verdict"])
-            fh.write(",".join(cells) + "\n")
+    lines = [",".join(axis_names + ["lambda", "gamma", "m", "delta", "verdict"])]
+    for row in rows:
+        cells = [format_sig(row[name]) for name in axis_names]
+        for key in ("lambda", "gamma", "m", "delta"):
+            value = row.get(key)
+            cells.append("" if value is None else format_sig(value))
+        cells.append(row["verdict"])
+        lines.append(",".join(cells))
+    write_files([(path, "\n".join(lines) + "\n")])

@@ -13,7 +13,7 @@ from .certify import certify, search_thresholds
 from .config import RunConfig, f_check_u_max
 from .constants import compute_constants
 from .errors import ConfigError, TribvpError
-from .grid import write_csv
+from .grid import remove_files, write_csv
 from .nonlinear import SolveConfig, find_solutions
 from .problem import validate_hypotheses
 from .report import dump_report, render_report, write_sweep_csv
@@ -46,7 +46,10 @@ class _StageTimer:
 
 
 def run(cfg: RunConfig) -> RunOutcome:
-    """Execute the stages implied by cfg.mode and write artifacts to output_dir."""
+    """Execute the stages implied by cfg.mode and write artifacts to output_dir.
+
+    If writing an artifact raises OSError, the files this run wrote are removed before it propagates.
+    """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     timer = _StageTimer()
     p = cfg.problem
@@ -54,9 +57,10 @@ def run(cfg: RunConfig) -> RunOutcome:
     with timer.time("validate"):
         hypothesis = validate_hypotheses(p, u_max=f_check_u_max(cfg.thresholds))
     report_kwargs = {"config_doc": cfg.to_doc(), "hypothesis": hypothesis.to_dict()}
+    curve_paths = []
 
     if not hypothesis.ok:
-        report = _finish(cfg, timer, report_kwargs)
+        report = _finish(cfg, timer, report_kwargs, curve_paths)
         return RunOutcome(EXIT_HYPOTHESIS_FAILURE, report, "; ".join(hypothesis.messages))
 
     try:
@@ -81,12 +85,12 @@ def run(cfg: RunConfig) -> RunOutcome:
                 report_kwargs["thresholds"] = thresholds.to_dict()
                 report_kwargs["thresholds_source"] = thresholds_source
 
-        solutions_failed_loudly = None
         if cfg.mode == "solve":
             with timer.time("solve"):
                 found = find_solutions(p, SolveConfig(grid_n=cfg.grid_n, thresholds=thresholds))
-            paths = [cfg.output_dir / f"solution_{k}.csv" for k in range(len(found))]
-            write_csv([result.curve for result, _ in found], paths)
+            curve_paths = [cfg.output_dir / f"solution_{k}.csv" for k in range(len(found))]
+            with timer.time("write_solutions"):
+                write_csv([result.curve for result, _ in found], curve_paths)
             report_kwargs["solutions"] = [
                 {
                     **cls.to_dict(),
@@ -96,14 +100,14 @@ def run(cfg: RunConfig) -> RunOutcome:
                     "clamped_evals": result.clamped_evals,
                     "file": path.name,
                 }
-                for path, (result, cls) in zip(paths, found)
+                for path, (result, cls) in zip(curve_paths, found)
             ]
 
     except (TribvpError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        report = _finish(cfg, timer, report_kwargs)
+        report = _finish(cfg, timer, report_kwargs, curve_paths)
         return RunOutcome(EXIT_NUMERICAL_FAILURE, report, str(exc))
 
-    report = _finish(cfg, timer, report_kwargs)
+    report = _finish(cfg, timer, report_kwargs, curve_paths)
     if cfg.mode == "certify":
         if certificate is None:
             return RunOutcome(EXIT_CERTIFICATION_FAILURE, report, "no certifiable thresholds found")
@@ -112,10 +116,15 @@ def run(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(EXIT_OK, report)
 
 
-def _finish(cfg: RunConfig, timer: _StageTimer, report_kwargs: dict) -> dict:
+def _finish(cfg: RunConfig, timer: _StageTimer, report_kwargs: dict, curve_paths: list) -> dict:
+    """Render and write report.json; if it cannot be written, remove the run's curves (curve_paths) too."""
     timing = dict(sorted(timer.stages.items())) if cfg.include_timing else None
     report = render_report(timing=timing, **report_kwargs)
-    dump_report(report, cfg.output_dir / "report.json")
+    try:
+        dump_report(report, cfg.output_dir / "report.json")
+    except OSError:
+        remove_files(curve_paths)
+        raise
     return report
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tribvp import cli
+from tribvp import cli, grid
 from tribvp.cli import build_parser, main
 from tribvp.config import parse_run_config
 from tribvp.runner import run
@@ -361,3 +361,53 @@ def test_a_shared_parser_carries_nothing_between_calls(config, tmp_path, monkeyp
     assert all(files for _, _, files in shared[:6] + shared[7:])
     for argv, a, b in zip(sequence, shared, fresh):
         assert a == b, argv
+
+
+def test_cached_t_columns_write_what_fresh_ones_write(tmp_path, capsys):
+    # both worked configs live on [0, 1], so the exp solve reuses the sigmoid column of its grid
+    sequence = [
+        ["solve", "--config", SIGMOID, "--grid", "65"],
+        ["solve", "--config", SIGMOID, "--grid", "1025"],
+        ["solve", "--config", SIGMOID, "--grid", "2049"],
+        ["solve", "--config", EXP, "--grid", "2049"],
+        ["solve", "--config", SIGMOID, "--grid", "2049"],
+    ]
+    grid._csv_format.cache_clear()
+    cached = [_run_and_collect(argv, tmp_path / f"cached{k}", capsys) for k, argv in enumerate(sequence)]
+    assert grid._csv_format.cache_info().misses == 3  # a work count: one formatted column per grid
+    fresh = []
+    for k, argv in enumerate(sequence):
+        grid._csv_format.cache_clear()
+        fresh.append(_run_and_collect(argv, tmp_path / f"fresh{k}", capsys))
+    assert all(any(name.startswith("solution_") for name in files) for _, _, files in cached)
+    for argv, a, b in zip(sequence, cached, fresh):
+        assert a == b, argv
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (["solve", "--config", SIGMOID, "--grid", "65"], "report.json"),
+        (["solve", "--config", SIGMOID, "--grid", "65"], "solution_1.csv"),
+        (["certify", "--config", SIGMOID], "report.json"),
+        (["sweep", "--config", SIGMOID, "--axis", "beta:0.1:0.9:3"], "sweep.csv"),
+    ],
+)
+def test_a_failed_write_leaves_no_file_of_the_run(argv, blocked, tmp_path, capsys):
+    # a directory where one output should go: exit 2 naming it, and only that directory remains
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write output {out / blocked}" in err and "Traceback" not in err, err
+    assert [path.name for path in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())
+
+
+def test_solve_times_the_csv_write(tmp_path):
+    assert main(["solve", "--config", SIGMOID, "--grid", "65", "--out", str(tmp_path / "t")]) == 0
+    timing = read_report(tmp_path / "t")["timing"]
+    assert sorted(timing) == ["certify", "constants", "solve", "validate", "write_solutions"]
+    assert timing["write_solutions"] > 0
+    assert main(["solve", "--config", SIGMOID, "--grid", "65", "--out", str(tmp_path / "n"), "--no-timing"]) == 0
+    assert "timing" not in read_report(tmp_path / "n")

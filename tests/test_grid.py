@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tribvp.grid import (
+    T_COLUMNS_KEPT,
     SolutionCurve,
     cumulative_simpson,
     interp_cubic,
@@ -165,3 +166,13 @@ def test_write_csv_bytes_match_row_by_row_format(tmp_path):
         assert path.read_bytes() == _row_by_row_csv(curve)
     curves[2].to_csv(tmp_path / "one.csv")
     assert (tmp_path / "one.csv").read_bytes() == _row_by_row_csv(curves[2])
+    # more distinct grids than the t-column cache keeps, interleaved, then the first grid again;
+    # the last two grids compare equal (0.0 == -0.0) but their last nodes print apart
+    grids = [(0.0, 1.0 + k / 7.0, 33 + 2 * k) for k in range(T_COLUMNS_KEPT + 2)] + [(-1.0, 0.0, 5), (-1.0, -0.0, 5)]
+    cycle = [SolutionCurve(t0, t1, rng.uniform(0.0, 5.0, n)) for t0, t1, n in grids]
+    interleaved = cycle + cycle[::2] + cycle[len(cycle) - 1 :: -3]
+    paths = [tmp_path / f"cycle_{k}.csv" for k in range(len(interleaved))]
+    write_csv(interleaved, paths)
+    cycle[0].to_csv(tmp_path / "first_again.csv")
+    for curve, path in zip(interleaved + cycle[:1], paths + [tmp_path / "first_again.csv"]):
+        assert path.read_bytes() == _row_by_row_csv(curve)

@@ -1,0 +1,68 @@
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tribvp.report import dump_report
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+REPORTS = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=40,
+)
+
+
+def _dumped(obj, path) -> bytes:
+    dump_report(obj, path)
+    return path.read_bytes()
+
+
+def _reference(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=REPORTS)
+def test_dump_report_writes_what_json_dumps_writes(report, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "property_report.json"  # one file, rewritten by every example
+    assert _dumped(report, path) == _reference(report)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+        [-0.0, 0.0, 5e-324, -5e-324, 1e300, 1e-300, 0.1, 1e16, 123456789.0, 2.0**53 + 2],
+        [0, -1, 2**64, -(2**100), True, False, None],
+        {"é": "naïve ∑ 😀", "ctl": "\x00\x01\x1f\x7f\t\n\r", "q": '"quoted" \\ /slash'},
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}], "e": ()},
+        {"z": 1, "a": 2, "M": 3, "": 4, "aa": 5},
+        {"t": (1, (2.5, "x"), ())},
+        {1: "int", 2.5: "float"},
+        {True: "t"},
+        {None: "n"},
+        "top-level string",
+        3.25,
+    ],
+)
+def test_dump_report_edge_values_match_json_dumps(obj, tmp_path):
+    assert _dumped(obj, tmp_path / "report.json") == _reference(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"count": np.int64(3)}, [np.bool_(True)], {"x": object()}, {(1, 2): "tuple key"}, {1: "a", "b": 2}],
+)
+def test_dump_report_rejects_what_json_rejects(obj, tmp_path):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as raised:
+        dump_report(obj, tmp_path / "report.json")
+    assert str(raised.value) == str(expected.value)
