@@ -105,45 +105,68 @@ def check_ordering(tt: ThresholdTriple, gamma: Number) -> bool:
     return bool(tt.a > tol and tt.b - tt.a > tol and d - tt.b > tol and tt.c >= d - tol)
 
 
-def _box_range(p: Problem, *box) -> Range:
-    """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi]."""
+def _box_range(p: Problem, t_lo: float, t_hi: float, u_lo, u_hi) -> Range:
+    """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi], all floats, or over one box
+    per entry of the float array u_hi (u_lo then a float or an array like it).
+
+    Boxes go through numpy under Python's float rules: overflow and NaN pass
+    silently, and a division by zero raises.
+    """
     if p.f is None:
         raise CertificationError("problem has no nonlinearity to certify")
-    t_lo, t_hi, u_lo, u_hi = (float(x) for x in box)
     try:
-        return p.f.range(t_lo, t_hi, u_lo, u_hi)
+        if not isinstance(u_hi, np.ndarray):
+            return p.f.range(t_lo, t_hi, u_lo, u_hi)
+        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+            return p.f.range(t_lo, t_hi, u_lo if isinstance(u_lo, np.ndarray) else np.full_like(u_hi, u_lo), u_hi)
     except Exception as exc:  # any failure of a user-supplied f voids the certificate
+        if isinstance(u_hi, np.ndarray):
+            u_lo, u_hi = f"{np.min(u_lo)}", f"{np.max(u_hi)} ({u_hi.size} boxes)"
         raise CertificationError(f"f evaluation failed on [{t_lo}, {t_hi}] x [{u_lo}, {u_hi}]: {exc}") from exc
+
+
+# The conditions on floats: x, b and d are one threshold each, or arrays of them
+# (one box each).  They return (holds, margin, bound, range).
+
+
+def _cap(p: Problem, T: float, m: float, x, strict: bool) -> tuple:
+    """f against the cap m*x on [0, T] x [0, x] (D1 strict, D3 not)."""
+    bound = m * x
+    r = _box_range(p, 0.0, T, 0.0, x)
+    margin = bound - r.hi
+    return (margin > 0 if strict else margin >= 0), margin, bound, r
+
+
+def _floor(p: Problem, eta: float, T: float, delta: float, b, d) -> tuple:
+    """f against the floor b/delta on [eta, T] x [b, d] (D2)."""
+    bound = b / delta
+    r = _box_range(p, eta, T, b, d)
+    margin = r.lo - bound
+    return margin >= 0, margin, bound, r
 
 
 def check_D1(p: Problem, m: Number, a: Number) -> ConditionReport:
     """Small-range cap: f < m*a on [0, T] x [0, a] (strict)."""
     if not float(a) > 0:
         raise ValueError("threshold a must be positive")
-    bound = float(m) * float(a)
-    r = _box_range(p, 0.0, p.T, 0.0, a)
-    margin = bound - r.hi
-    return ConditionReport("D1", holds=margin > 0, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
+    holds, margin, bound, r = _cap(p, float(p.T), float(m), float(a), strict=True)
+    return ConditionReport("D1", holds=holds, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
 
 
 def check_D2(p: Problem, delta: Number, b: Number, gamma: Number) -> ConditionReport:
     """Tail floor: f >= b/delta on [eta, T] x [b, b/gamma]."""
     if not float(b) > 0:
         raise ValueError("threshold b must be positive")
-    bound = float(b) / float(delta)
-    r = _box_range(p, p.eta, p.T, b, b / gamma)
-    margin = r.lo - bound
-    return ConditionReport("D2", holds=margin >= 0, margin=margin, bound=bound, worst_point=r.lo_at, method=r.method)
+    holds, margin, bound, r = _floor(p, float(p.eta), float(p.T), float(delta), float(b), float(b / gamma))
+    return ConditionReport("D2", holds=holds, margin=margin, bound=bound, worst_point=r.lo_at, method=r.method)
 
 
 def check_D3(p: Problem, m: Number, c: Number) -> ConditionReport:
     """Global cap: f <= m*c on [0, T] x [0, c]."""
     if not float(c) > 0:
         raise ValueError("threshold c must be positive")
-    bound = float(m) * float(c)
-    r = _box_range(p, 0.0, p.T, 0.0, c)
-    margin = bound - r.hi
-    return ConditionReport("D3", holds=margin >= 0, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
+    holds, margin, bound, r = _cap(p, float(p.T), float(m), float(c), strict=False)
+    return ConditionReport("D3", holds=holds, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
 
 
 def certify(p: Problem, tt: ThresholdTriple, k: LWConstants) -> Certificate:
@@ -159,19 +182,19 @@ def certify(p: Problem, tt: ThresholdTriple, k: LWConstants) -> Certificate:
 def _feasible_axis_points(evaluate) -> list[float]:
     """Coarse-to-fine log-grid scan of one threshold axis.
 
-    evaluate(x) returns a ConditionReport.  Each level scans SEARCH_PER_AXIS points;
-    if none holds, the next level zooms into the one-step bracket around the
+    evaluate(xs) returns (holds, margin, bound, range) for the array xs, one
+    box per point.  Each level scans SEARCH_PER_AXIS points in one call; if
+    none holds, the next level zooms into the one-step bracket around the
     best relative margin.  Growth conditions depend on a single threshold
     each, so the axes can be searched independently like this.
     """
     lo_log, hi_log = np.log10(SEARCH_LO), np.log10(SEARCH_HI)
     for _ in range(SEARCH_MAX_LEVELS + 1):
         xs = np.logspace(lo_log, hi_log, SEARCH_PER_AXIS)
-        reports = [evaluate(float(x)) for x in xs]
-        feasible = [float(x) for x, rep in zip(xs, reports) if rep.holds]
-        if feasible:
-            return feasible
-        rel = [rep.margin / max(abs(rep.bound), 1e-300) for rep in reports]
+        holds, margin, bound, _ = evaluate(xs)
+        if holds.any():
+            return xs[holds].tolist()
+        rel = margin / np.maximum(np.abs(bound), 1e-300)
         best = int(np.argmax(rel))
         lo_log = np.log10(xs[max(best - 1, 0)])
         hi_log = np.log10(xs[min(best + 1, len(xs) - 1)])
@@ -189,14 +212,14 @@ def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     deterministic order (a ascending, b ascending, c descending) whose
     ordering holds is returned.
     """
-    gamma = float(k.gamma)
-    feasible_a = _feasible_axis_points(lambda a: check_D1(p, k.m, a))
+    T, eta, m, delta, gamma = (float(x) for x in (p.T, p.eta, k.m, k.delta, k.gamma))
+    feasible_a = _feasible_axis_points(lambda a: _cap(p, T, m, a, strict=True))
     if not feasible_a:
         return None
-    feasible_b = _feasible_axis_points(lambda b: check_D2(p, k.delta, b, gamma))
+    feasible_b = _feasible_axis_points(lambda b: _floor(p, eta, T, delta, b, b / gamma))
     if not feasible_b:
         return None
-    feasible_c = _feasible_axis_points(lambda c: check_D3(p, k.m, c))
+    feasible_c = _feasible_axis_points(lambda c: _cap(p, T, m, c, strict=False))
     if not feasible_c:
         return None
 

@@ -14,7 +14,12 @@ property of the frozen dataclass).
 Every form bounds itself on a box with `range(t_lo, t_hi, u_lo, u_hi)`: exact
 from box edges and breakpoints for the forms monotone on each branch, and a
 rigorous interval enclosure for polynomials (Moore, *Interval Analysis*;
-Tucker, *Validated Numerics*).
+Tucker, *Validated Numerics*).  The same call bounds many boxes with one t
+interval when u_lo and u_hi are arrays of u edges, one box per entry, and
+then gives lo and hi only: the sigmoid, constant, piecewise and product forms
+pick from all boxes' candidates at once, the polynomial and table forms take
+the boxes one by one.  Either way each box's lo and hi are the bits the scalar
+call gives it.
 """
 
 from __future__ import annotations
@@ -44,21 +49,28 @@ POLY_DEPTH = 40
 EXACT, ENCLOSURE = "exact", "enclosure"
 
 
+def _is_array(x) -> bool:
+    """np.ndim(x) > 0, answered without numpy for arrays and Python numbers."""
+    if isinstance(x, np.ndarray):
+        return x.ndim > 0
+    return not isinstance(x, (float, int, Fraction)) and np.ndim(x) > 0
+
+
 def _check_u_domain(u):
-    umin = np.min(u) if np.ndim(u) else u
+    umin = np.min(u) if _is_array(u) else u
     if umin < -NEGATIVE_U_TOL:
         raise FunctionDomainError(f"f evaluated at u = {umin}, below domain [0, inf)")
 
 
 def _clip_u(u):
-    if np.ndim(u):
+    if _is_array(u):
         return np.maximum(u, 0.0)
     return max(u, type(u)(0))
 
 
 def _polyval(coeffs, x):
     """Horner's rule; exact for Fractions, else double precision (x may be an array)."""
-    acc = np.zeros_like(x) if np.ndim(x) else 0
+    acc = np.zeros_like(x) if _is_array(x) else 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -66,7 +78,10 @@ def _polyval(coeffs, x):
 
 class Range(NamedTuple):
     """Bounds lo <= f <= hi on a box.  "exact": they are f's values at lo_at and
-    hi_at; "enclosure": they are proved, and lo_at, hi_at are sub-box centres."""
+    hi_at; "enclosure": they are proved, and lo_at, hi_at are sub-box centres.
+
+    Over arrays of boxes lo and hi are arrays, one entry per box, and lo_at,
+    hi_at and method are None: the scalar call on a box gives them."""
 
     lo: float
     hi: float
@@ -75,12 +90,52 @@ class Range(NamedTuple):
     method: str
 
 
+def _part(left, right, lo, hi) -> tuple:
+    """The part [max(left, lo), min(right, hi)] of [lo, hi] inside [left, right], empty
+    where its ends cross; entry by entry for arrays, with max's and min's choice on
+    ties and NaN."""
+    if isinstance(lo, np.ndarray):
+        return np.where(lo > left, lo, left), np.where(hi < right, hi, right)
+    return max(left, lo), min(right, hi)
+
+
 def _range(lows, highs=None) -> Range:
-    """Range from (value, (t, u), method) candidates that contain the box extrema."""
+    """Range from (value, (t, u), method) candidates that contain the box extrema;
+    candidates valued on arrays of boxes go to _boxes_range."""
+    if isinstance(lows[0][0], np.ndarray):
+        return _boxes_range(np.array([c[0] for c in lows]))
     lo = min(lows, key=lambda c: c[0])
     hi = max(lows if highs is None else highs, key=lambda c: c[0])
     method = EXACT if lo[2] == hi[2] == EXACT else ENCLOSURE
     return Range(float(lo[0]), float(hi[0]), lo[1], hi[1], method)
+
+
+def _boxes_range(values, on=None) -> Range:
+    """lo and hi of n boxes from the values (k, n) of k candidates and `on`, the (k, n)
+    mask of the boxes each candidate lies on (None: all); each box needs one at least.
+
+    A box gets the values min and max pick from its own candidates in order:
+    the first one's if it is NaN, else the first non-NaN one of extreme value.
+    """
+    boxes = np.arange(values.shape[1])
+    nan = np.isnan(values)
+    any_nan = nan.any()
+    valid = (~nan if on is None else on & ~nan) if any_nan else on
+    bounds = []
+    for fill, arg in ((math.inf, np.argmin), (-math.inf, np.argmax)):
+        kept = values if valid is None else np.where(valid, values, fill)
+        bound = kept[arg(kept, axis=0), boxes]
+        if any_nan:  # a box whose first candidate is NaN keeps it
+            first = 0 if on is None else on.argmax(axis=0)
+            bound = np.where(nan[first, boxes], values[first, boxes], bound)
+        bounds.append(bound)
+    return Range(*bounds, None, None, None)
+
+
+def _each_box(range_of, t_lo, t_hi, u_lo, u_hi) -> Range:
+    """lo and hi of range_of on the boxes [t_lo, t_hi] x [u_lo[j], u_hi[j]], one by one."""
+    ranges = [range_of(t_lo, t_hi, lo, hi) for lo, hi in zip(u_lo.tolist(), u_hi.tolist())]
+    return Range(np.array([r.lo for r in ranges]), np.array([r.hi for r in ranges]), None, None, None)
 
 
 # --- exact interval arithmetic for polynomial ranges -----------------------
@@ -179,9 +234,12 @@ class FunctionSpec(ABC):
 
     @abstractmethod
     def range(self, t_lo: float, t_hi: float, u_lo: float, u_hi: float) -> Range:
-        """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi]."""
+        """Bounds of f over the box [t_lo, t_hi] x [u_lo, u_hi], or over the boxes
+        [t_lo, t_hi] x [u_lo[j], u_hi[j]] when u_lo and u_hi are 1-D float arrays of one shape."""
 
     def _attained(self, points) -> Range:  # for forms whose box extrema lie among `points`
+        if isinstance(points[0][1], np.ndarray):  # arrays of boxes: f at all points in one call
+            return _boxes_range(self(np.array([t for t, _ in points])[:, None], np.array([u for _, u in points])))
         return _range([(float(self(t, u)), (t, u), EXACT) for t, u in points])
 
     def to_config(self) -> dict:
@@ -200,7 +258,7 @@ class RationalSigmoid(FunctionSpec):
         if isinstance(u, Fraction) and is_exact(self.scale):
             uu = u * u
             return self.scale * uu / (uu + 1)
-        u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+        u = np.asarray(u, dtype=float) if _is_array(u) else float(u)
         uu = u * u
         return self._scale * uu / (uu + 1.0)
 
@@ -222,7 +280,7 @@ class ConstantF(FunctionSpec):
     kind = "constant"
 
     def _value(self, t, u):
-        if np.ndim(u) or np.ndim(t):
+        if _is_array(u) or _is_array(t):
             return np.broadcast_to(float(self.value), np.broadcast_shapes(np.shape(t), np.shape(u))).copy()
         return self.value if isinstance(u, Fraction) else float(self.value)
 
@@ -244,14 +302,16 @@ class PolynomialU(FunctionSpec):
     def _value(self, t, u):
         if isinstance(u, Fraction) and is_exact(*self.coeffs):
             return _polyval(self.coeffs, u)
-        acc = _polyval(self._coeffs, np.asarray(u, dtype=float) if np.ndim(u) else float(u))
-        if np.ndim(t) and not np.ndim(acc):
+        acc = _polyval(self._coeffs, np.asarray(u, dtype=float) if _is_array(u) else float(u))
+        if _is_array(t) and not _is_array(acc):
             acc = np.broadcast_to(acc, np.shape(t)).copy()
         return acc
 
     _coeffs = cached_property(lambda self: [float(c) for c in self.coeffs])
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
+        if isinstance(u_lo, np.ndarray):
+            return _each_box(self.range, t_lo, t_hi, u_lo, u_hi)
         return _poly_range(self.coeffs, u_lo, u_hi, lambda u: (t_lo, u))
 
     def to_config(self):
@@ -286,12 +346,12 @@ class Piece:
     def evaluate(self, u):
         exact = isinstance(u, Fraction) and is_exact(*self.params)
         p = self.params if exact else self._floats
-        if not exact and np.ndim(u) == 0:
+        if not exact and not _is_array(u):
             u = float(u)
         if self.form == "linear":
             return p[0] * u + p[1]
         if self.form == "constant":
-            if np.ndim(u):
+            if _is_array(u):
                 return np.full_like(np.asarray(u, dtype=float), p[0])
             return p[0]
         a1, a0, b1, b0 = p  # rational-linear
@@ -348,7 +408,7 @@ class PiecewiseU(FunctionSpec):
     def _value(self, t, u):
         # Branch membership is [x_i, x_{i+1}); continuity makes the edge choice moot.
         # Each branch sees only its own points, so a rational branch never meets its pole.
-        if np.ndim(u) == 0:
+        if not _is_array(u):
             out = next((p for p in self.pieces[:-1] if u < p.until), self.pieces[-1]).evaluate(u)
         else:
             u = np.asarray(u, dtype=float)
@@ -357,23 +417,45 @@ class PiecewiseU(FunctionSpec):
             for i in range(branch.min(), branch.max() + 1):
                 on = branch == i
                 out[on] = self.pieces[i].evaluate(u[on])
-        if np.ndim(t) and not np.ndim(out):
+        if _is_array(t) and not _is_array(out):
             out = np.broadcast_to(out, np.shape(t)).copy()
         return out
 
-    _breaks = cached_property(lambda self: np.array([float(p.until) for p in self.pieces[:-1]]))
+    # Branch i lies on [edges[i], edges[i + 1]]: the breakpoints as floats, from -inf to inf.
+    _edges = cached_property(lambda self: (-math.inf, *(float(p.until) for p in self.pieces[:-1]), math.inf))
+    _breaks = cached_property(lambda self: np.array(self._edges[1:-1]))
+    # The left and right ends of the branches as (branch, 1) columns.
+    _edge_columns = cached_property(lambda self: (np.array(self._edges[:-1])[:, None], np.array(self._edges[1:])[:, None]))
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
-        # Each branch is monotone: its extrema are at the ends of its part of the box.
-        # Both one-sided values at a breakpoint cover the slack BREAKPOINT_TOL allows.
-        candidates, left = [], -math.inf
-        for piece in self.pieces:
-            right = math.inf if piece.until is None else float(piece.until)
-            a, b = max(left, u_lo), min(right, u_hi)
+        # Each branch is monotone: its extrema are at the ends of its part [a, b] of
+        # the box, and it has none where a > b.  Both one-sided values at a
+        # breakpoint cover the slack BREAKPOINT_TOL allows.
+        if isinstance(u_lo, np.ndarray):
+            return self._boxes(u_lo, u_hi)
+        candidates = []
+        for piece, left, right in zip(self.pieces, self._edges, self._edges[1:]):
+            a, b = _part(left, right, u_lo, u_hi)
             if a <= b:
                 candidates += [(float(piece.evaluate(u)), (t_lo, u), EXACT) for u in (a, b)]
-            left = right
         return _range(candidates)
+
+    def _boxes(self, u_lo, u_hi) -> Range:
+        """range over arrays of boxes: every branch's part of every box at once, a row per
+        branch.  a >= left and b <= right already; clipping the other side keeps each
+        branch's evaluation inside it (a rational branch may have its pole outside)."""
+        lefts, rights = self._edge_columns
+        a, b = _part(lefts, rights, u_lo, u_hi)
+        on = a <= b
+        inside = np.empty((len(a), 2, a.shape[1]))  # (branch, a or b, box)
+        np.minimum(a, rights, out=inside[:, 0])
+        np.maximum(b, lefts, out=inside[:, 1])
+        values = np.zeros_like(inside)
+        for i in np.flatnonzero(on.any(axis=1)):
+            values[i] = self.pieces[i].evaluate(inside[i])
+        # Candidates in the scalar call's order, a then b of each branch, which decides
+        # the pick between equal values such as 0.0 and -0.0.
+        return _boxes_range(values.reshape(2 * len(a), -1), np.repeat(on, 2, axis=0))
 
     def to_config(self):
         return {"kind": self.kind, "pieces": [p.to_config() for p in self.pieces]}
@@ -397,15 +479,17 @@ class PiecewiseLinearTable(FunctionSpec):
 
     def _value(self, t, u):
         out = np.interp(np.asarray(u, dtype=float), *self._arrays)
-        if np.ndim(u) == 0:
+        if not _is_array(u):
             out = float(out)
-        if np.ndim(t) and not np.ndim(out):
+        if _is_array(t) and not _is_array(out):
             out = np.broadcast_to(out, np.shape(t)).copy()
         return out
 
     _arrays = cached_property(lambda self: np.array(self.table, dtype=float).T)  # abscissae, values
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
+        if isinstance(u_lo, np.ndarray):
+            return _each_box(self.range, t_lo, t_hi, u_lo, u_hi)
         inside = [float(u) for u, _ in self.table if u_lo < u < u_hi]
         return self._attained([(t_lo, u) for u in (u_lo, *inside, u_hi)])
 
@@ -436,7 +520,7 @@ class ExpDecay(TimeFactor):
     kind = "exp-decay"
 
     def evaluate(self, t):
-        if np.ndim(t):
+        if _is_array(t):
             return np.exp(self._neg_rate * np.asarray(t, dtype=float))
         return math.exp(self._neg_rate * float(t))
 
@@ -456,7 +540,7 @@ class PolynomialT(TimeFactor):
     kind = "polynomial"
 
     def evaluate(self, t):
-        return _polyval(self._coeffs, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+        return _polyval(self._coeffs, np.asarray(t, dtype=float) if _is_array(t) else float(t))
 
     _coeffs = cached_property(lambda self: [float(c) for c in self.coeffs])
 
@@ -487,9 +571,11 @@ class ProductF(FunctionSpec):
     def range(self, t_lo, t_hi, u_lo, u_hi):
         # t and u vary independently, so all four corners (each factor's lo or hi,
         # zipped with its point) are attained, and a product's extrema lie on corners.
+        # The time factor's range does not depend on u, so one call serves all boxes
+        # (which have no points: up is None).
         tr, ur = (f.range(t_lo, t_hi, u_lo, u_hi) for f in (self.time_factor, self.u_factor))
         method = EXACT if tr.method == ur.method == EXACT else ENCLOSURE
-        return _range([(tv * uv, (tp[0], up[1]), method)
+        return _range([(tv * uv, up and (tp[0], up[1]), method)
                        for tv, tp in zip(tr[:2], tr[2:4]) for uv, up in zip(ur[:2], ur[2:4])])
 
     def to_config(self):

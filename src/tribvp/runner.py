@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -143,6 +144,8 @@ def parse_axis(spec: str):
         lo_f, hi_f, n = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise ConfigError(f"malformed axis spec {spec!r}: {exc}") from exc
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+        raise ConfigError(f"axis bounds must be finite numbers, got {spec!r}")
     if n < 1:
         raise ConfigError("axis needs at least one step")
     values = np.linspace(lo_f, hi_f, n) if n > 1 else np.array([lo_f])

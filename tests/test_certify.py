@@ -1,5 +1,7 @@
+import json
 from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,21 @@ from tribvp import (
     compute_constants,
     search_thresholds,
 )
-from tribvp.functions import ConstantF, FunctionSpec, PolynomialU, parse_function_spec
+from tribvp.certify import SEARCH_HI, SEARCH_LO, SEARCH_MAX_LEVELS, SEARCH_PER_AXIS
+from tribvp.cli import main
+from tribvp.config import parse_run_config
+from tribvp.functions import (
+    ConstantF,
+    FunctionSpec,
+    PiecewiseLinearTable,
+    PolynomialU,
+    RationalSigmoid,
+    parse_function_spec,
+)
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_ordering_examples():
@@ -196,3 +210,124 @@ def test_evaluation_failure_raises_certification_error():
     p = make_sigmoid_problem().with_params(f=_Fails())
     with pytest.raises(CertificationError, match=r"f evaluation failed on \[0.0, 1.0\] x \[0.0, 1.0\]: no value here"):
         check_D1(p, F(1, 3), F(1))
+
+
+def test_search_failure_raises_certification_error():
+    p = make_sigmoid_problem().with_params(f=_Fails())
+    with pytest.raises(CertificationError, match=r"f evaluation failed on \[0.0, 1.0\] x \[0.0, 10000.0 \(13 boxes\)\]: no value here"):
+        search_thresholds(p, compute_constants(p))
+
+
+def test_f_failing_inside_the_search_exits_5(tmp_path, monkeypatch, capsys):
+    # the scan bounds each level's boxes in one array call; a failure there voids the certificate
+    value = RationalSigmoid._value
+
+    def fails_on_boxes(self, t, u):
+        if isinstance(u, np.ndarray):
+            raise RuntimeError("no value on boxes")
+        return value(self, t, u)
+
+    monkeypatch.setattr(RationalSigmoid, "_value", fails_on_boxes)
+    doc = json.loads((CONFIG_DIR / "sigmoid.json").read_text())
+    del doc["thresholds"]
+    config = tmp_path / "searched.json"
+    config.write_text(json.dumps(doc))
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out"), "--no-timing"]) == 5
+    assert "f evaluation failed on [0.0, 1.0] x [0.0, 10000.0 (13 boxes)]: no value on boxes" in capsys.readouterr().err
+
+
+# --- the threshold search against a one-point-at-a-time scan ---------------
+
+
+def _pointwise_search(p, k):
+    """search_thresholds with every scanned point checked by its own check_D1/D2/D3 call:
+    the scan as it was before each level became one array call, kept as the oracle."""
+
+    def scan(evaluate):
+        lo_log, hi_log = np.log10(SEARCH_LO), np.log10(SEARCH_HI)
+        for _ in range(SEARCH_MAX_LEVELS + 1):
+            xs = np.logspace(lo_log, hi_log, SEARCH_PER_AXIS)
+            reports = [evaluate(float(x)) for x in xs]
+            feasible = [float(x) for x, rep in zip(xs, reports) if rep.holds]
+            if feasible:
+                return feasible
+            rel = [rep.margin / max(abs(rep.bound), 1e-300) for rep in reports]
+            best = int(np.argmax(rel))
+            lo_log = np.log10(xs[max(best - 1, 0)])
+            hi_log = np.log10(xs[min(best + 1, len(xs) - 1)])
+            if hi_log - lo_log < 1e-15:
+                break
+        return []
+
+    gamma = float(k.gamma)
+    feasible_a = scan(lambda a: check_D1(p, k.m, a))
+    if not feasible_a:
+        return None
+    feasible_b = scan(lambda b: check_D2(p, k.delta, b, gamma))
+    if not feasible_b:
+        return None
+    feasible_c = scan(lambda c: check_D3(p, k.m, c))
+    if not feasible_c:
+        return None
+    for a in feasible_a:
+        for b in feasible_b:
+            if b <= a:
+                continue
+            for c in feasible_c[::-1]:
+                if c < b / gamma:
+                    continue
+                tt = ThresholdTriple.from_abc(a, b, c, gamma)
+                if check_ordering(tt, k.gamma):
+                    return tt
+    return None
+
+
+def _generated(eta, alpha, beta, f):
+    return Problem(T=F(1), eta=F(eta), alpha=F(alpha), beta=F(beta), f=parse_function_spec(f))
+
+
+def _exp_f(rate, pieces):
+    forms = ("linear", "linear", "constant", "linear", "rational-linear")
+    return {
+        "kind": "separable-exponential-piecewise",
+        "params": [rate],
+        "pieces": [{"until": until, "form": form, "params": params} for (until, params), form in zip(pieces, forms)],
+    }
+
+
+SEARCHED = {
+    # hit on the first level of every axis
+    "sigmoid-first": _generated("1/5", 10, "2/5", {"kind": "autonomous-rational-sigmoid", "params": [35]}),
+    "exp-first": _generated("1/4", 8, "39/80", _exp_f("1/2", [
+        ("1", ["2/25", 0]), ("4", ["2173/75", "-2167/75"]), ("544", [87]), ("546", ["87/544", 0]),
+        (None, [117, 7371, 1, 270])])),
+    # the tail floor D2 holds only after zooming (a sigmoid's D2 window holds b = 1, a first-level point)
+    "exp-zoom": _generated("2/5", "5/4", "27/35", _exp_f("1/2", [
+        ("3", ["11/150", 0]), ("12", ["23903/900", "-23837/300"]), ("1632", ["957/4"]), ("1638", ["319/2176", 0]),
+        (None, ["1287/4", "243243/4", 1, 810])])),
+    "exp-zoom-fixture": make_exp_piecewise_problem(),
+    # nothing holds: every level of D2 is scanned
+    "sigmoid-nothing": _generated("1/5", 45, "1/85", {"kind": "autonomous-rational-sigmoid", "params": [91]}),
+    "exp-nothing": _generated("1/2", 4, "1/40", _exp_f(1, [
+        ("5/4", ["2/125", 0]), ("5", ["2173/375", "-2167/300"]), ("680", ["87/4"]), ("1365/2", ["87/2720", 0]),
+        (None, ["117/4", "36855/16", 1, "675/2"])])),
+    "polynomial": make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(1, 10), F(0), F(3), F(1, 10)))),
+    "table": make_sigmoid_problem().with_params(
+        f=PiecewiseLinearTable(table=((F(0), F(0)), (F(1, 2), F(1, 10)), (F(2), F(30)), (F(50), F(31)), (F(60), F(400))))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["sigmoid.json", "exp_piecewise.json", *SEARCHED])
+def test_search_keeps_the_pointwise_triples(name):
+    if name.endswith(".json"):
+        p = parse_run_config(json.loads((CONFIG_DIR / name).read_text()), "certify", "out").problem
+    else:
+        p = SEARCHED[name]
+    k = compute_constants(p)
+    tt = search_thresholds(p, k)
+    assert tt == _pointwise_search(p, k)
+    if name.endswith("-nothing"):
+        assert tt is None
+    elif not name.startswith(("polynomial", "table")):
+        assert tt is not None

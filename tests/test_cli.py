@@ -73,6 +73,15 @@ def test_bad_axis_spec_is_config_error(tmp_path):
     assert main(["sweep", "--config", SIGMOID, "--out", str(tmp_path), "--axis", "beta:x:2:3"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["beta:0.1:inf:3", "beta:nan:0.9:3", "alpha:-inf:1:2"])
+def test_non_finite_axis_bound_is_config_error(tmp_path, capsys, spec):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", SIGMOID, "--out", str(out), "--axis", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: axis bounds must be finite numbers, got {spec!r}\n"
+    assert not out.exists()
+
+
 def test_hypothesis_violation_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

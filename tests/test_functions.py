@@ -19,6 +19,8 @@ from tribvp.functions import (
     PolynomialU,
     ProductF,
     RationalSigmoid,
+    _boxes_range,
+    _range,
 )
 
 from conftest import EXP_PIECES
@@ -313,6 +315,78 @@ def test_range_brackets_a_dense_sample(name, t, u):
         for bound, (tb, ub) in ((r.lo, r.lo_at), (r.hi, r.hi_at)):
             assert t_lo <= tb <= t_hi and u_lo <= ub <= u_hi
             assert float(f(tb, ub)) == pytest.approx(bound, rel=1e-12, abs=1e-12)
+
+
+ARRAY_FORMS = {
+    "sigmoid": RationalSigmoid(scale=F(40)),
+    "constant": ConstantF(value=F(3)),
+    "exp-piecewise": PiecewiseU(pieces=EXP_PIECES),  # linear, constant and rational-linear branches
+    "peak": RANGE_FORMS["peak"],
+    "rational-tail": RANGE_FORMS["rational-tail"],
+    "float-piecewise": PiecewiseU(
+        pieces=(Piece(0.5, "linear", (2.0, 0.0)), Piece(3.0, "constant", (1.0,)), Piece(None, "linear", (-0.25, 1.75)))
+    ),
+    "table": RANGE_FORMS["spike-table"],
+    "polynomial": RANGE_FORMS["bump"],
+    "product-exp": RANGE_FORMS["exp-piecewise"],
+    "product-polynomial": ProductF(time_factor=PolynomialT(coeffs=(F(1), F(-3, 2), F(1))), u_factor=RANGE_FORMS["bump"]),
+    "product-polynomial-sigmoid": ProductF(time_factor=PolynomialT(coeffs=(F(1, 2), F(2))), u_factor=RationalSigmoid(scale=F(7))),
+}
+
+
+def _marks(f) -> list[float]:
+    """Where the u factor of f changes branch (one point in the middle for the forms without breakpoints)."""
+    f = getattr(f, "u_factor", f)
+    if isinstance(f, PiecewiseU):
+        return [float(p.until) for p in f.pieces[:-1]]
+    if isinstance(f, PiecewiseLinearTable):
+        return [float(u) for u, _ in f.table]
+    return [1.0]
+
+
+@st.composite
+def _u_boxes(draw, marks):
+    # edges on a breakpoint, one float off it, anywhere, or beyond the last breakpoint
+    mark = st.sampled_from(marks)
+    edge = st.one_of(
+        mark,
+        mark.map(lambda b: math.nextafter(b, 0.0)),
+        mark.map(lambda b: math.nextafter(b, math.inf)),
+        st.floats(0.0, 2.0 * max(marks) + 10.0),
+        st.floats(max(marks), 1e6),
+    )
+    box = st.tuples(edge, edge).map(sorted) | edge.map(lambda x: [x, x])  # zero-width boxes too
+    return np.array(draw(st.lists(box, min_size=1, max_size=13))).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(ARRAY_FORMS)), t=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), data=st.data())
+def test_array_range_equals_scalar_range_bitwise(name, t, data):
+    f = ARRAY_FORMS[name]
+    (t_lo, t_hi), (u_lo, u_hi) = sorted(t), data.draw(_u_boxes(_marks(f)))
+    boxes = f.range(t_lo, t_hi, u_lo, u_hi)
+    one_by_one = [f.range(t_lo, t_hi, lo, hi) for lo, hi in zip(u_lo.tolist(), u_hi.tolist())]
+    assert boxes.lo.tobytes() == np.array([r.lo for r in one_by_one]).tobytes()
+    assert boxes.hi.tobytes() == np.array([r.hi for r in one_by_one]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    columns=st.lists(
+        st.lists(st.tuples(st.sampled_from([math.nan, 0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]), st.booleans()),
+                 min_size=4, max_size=4).filter(lambda box: any(on for _, on in box)),
+        min_size=1, max_size=6,
+    ),
+    masked=st.booleans(),
+)
+def test_boxes_range_picks_what_min_and_max_pick(columns, masked):
+    # NaN, signed zeros and infinities, with and without masks: each box gets the bits of the scalar pick
+    values = np.array([[v for v, _ in box] for box in columns]).T
+    on = np.array([[o or not masked for _, o in box] for box in columns]).T
+    boxes = _boxes_range(values, on if masked else None)
+    one_by_one = [_range([(v, (0.0, 0.0), "exact") for v, o in box if o or not masked]) for box in columns]
+    assert boxes.lo.tobytes() == np.array([r.lo for r in one_by_one]).tobytes()
+    assert boxes.hi.tobytes() == np.array([r.hi for r in one_by_one]).tobytes()
 
 
 def test_piecewise_array_equals_scalar_evaluation_bitwise():
