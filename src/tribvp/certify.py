@@ -209,8 +209,9 @@ def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     Each axis is scanned with local zooming (some problems admit only a
     narrow window, e.g. a pointwise-tight tail floor).  The growth checks are
     proofs, so every scanned point that holds stays valid; the first triple in
-    deterministic order (a ascending, b ascending, c descending) whose
-    ordering holds is returned.
+    deterministic order (a ascending, b ascending) whose ordering holds is
+    returned, with the largest feasible c: c enters the ordering only through
+    c >= b/gamma, so no smaller c can hold where it fails.
     """
     T, eta, m, delta, gamma = (float(x) for x in (p.T, p.eta, k.m, k.delta, k.gamma))
     feasible_a = _feasible_axis_points(lambda a: _cap(p, T, m, a, strict=True))
@@ -223,13 +224,10 @@ def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     if not feasible_c:
         return None
 
+    c = max(feasible_c)
     for a in feasible_a:
         for b in feasible_b:
-            if b <= a:
-                continue
-            for c in feasible_c[::-1]:
-                if c < b / gamma:
-                    continue
+            if b > a and c >= b / gamma:
                 tt = ThresholdTriple.from_abc(a, b, c, gamma)
                 if check_ordering(tt, k.gamma):
                     return tt

@@ -6,7 +6,7 @@ Document layout::
       "problem":    {"T": 1, "eta": "1/3", "alpha": 3, "beta": "1/2",
                      "f": {"kind": ..., "params": [...], ...}},
       "thresholds": {"a": "1/120", "b": 2, "c": 124},     # optional
-      "solver":     {"grid_n": 2049}                      # optional, or top-level
+      "solver":     {"grid_n": 2049}                      # optional, or top-level, not both
     }
 
 Numbers given as integers or strings like "1/3" are kept as exact rationals,
@@ -97,8 +97,8 @@ def parse_run_config(
 ) -> RunConfig:
     """Validate and normalize a configuration document."""
     try:
-        if not isinstance(doc, dict) or "problem" not in doc:
-            raise ConfigError("config must be an object with a 'problem' section")
+        if not isinstance(doc, dict) or not isinstance(doc.get("problem"), dict):
+            raise ConfigError("config must be an object whose 'problem' section is an object")
         pdoc = doc["problem"]
         missing = [k for k in ("T", "eta", "alpha", "beta", "f") if k not in pdoc]
         if missing:
@@ -109,6 +109,8 @@ def parse_run_config(
         unknown = sorted(solver_doc.keys() - {"grid_n"})
         if unknown:
             raise ConfigError(f"unknown solver option {unknown[0]!r}")
+        if "grid_n" in doc and "grid_n" in solver_doc:
+            raise ConfigError("grid_n is set twice, at the top level and as solver.grid_n")
         n = grid_n if grid_n is not None else doc.get("grid_n", solver_doc.get("grid_n", DEFAULT_GRID_N))
 
         t_val = parse_field(pdoc["T"], "problem.T")

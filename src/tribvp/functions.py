@@ -56,18 +56,6 @@ def _is_array(x) -> bool:
     return not isinstance(x, (float, int, Fraction)) and np.ndim(x) > 0
 
 
-def _check_u_domain(u):
-    umin = np.min(u) if _is_array(u) else u
-    if umin < -NEGATIVE_U_TOL:
-        raise FunctionDomainError(f"f evaluated at u = {umin}, below domain [0, inf)")
-
-
-def _clip_u(u):
-    if _is_array(u):
-        return np.maximum(u, 0.0)
-    return max(u, type(u)(0))
-
-
 def _polyval(coeffs, x):
     """Horner's rule; exact for Fractions, else double precision (x may be an array)."""
     acc = np.zeros_like(x) if _is_array(x) else 0
@@ -101,35 +89,35 @@ def _part(left, right, lo, hi) -> tuple:
 
 def _range(lows, highs=None) -> Range:
     """Range from (value, (t, u), method) candidates that contain the box extrema;
-    candidates valued on arrays of boxes go to _boxes_range."""
+    candidates valued on arrays of boxes go to _boxes_range.
+
+    lo is the first least candidate and hi the first greatest.  A bound that is
+    not finite, or picked from candidates that include a NaN, proves nothing: lo
+    becomes -inf and hi inf.
+    """
     if isinstance(lows[0][0], np.ndarray):
         return _boxes_range(np.array([c[0] for c in lows]))
-    lo = min(lows, key=lambda c: c[0])
-    hi = max(lows if highs is None else highs, key=lambda c: c[0])
+    lo = min(lows, key=lambda c: c[0] if c[0] == c[0] else -math.inf)  # a NaN is picked first
+    hi = max(lows if highs is None else highs, key=lambda c: c[0] if c[0] == c[0] else math.inf)
+    lo_value = float(lo[0]) if math.isfinite(lo[0]) else -math.inf
+    hi_value = float(hi[0]) if math.isfinite(hi[0]) else math.inf
     method = EXACT if lo[2] == hi[2] == EXACT else ENCLOSURE
-    return Range(float(lo[0]), float(hi[0]), lo[1], hi[1], method)
+    return Range(lo_value, hi_value, lo[1], hi[1], method)
 
 
 def _boxes_range(values, on=None) -> Range:
     """lo and hi of n boxes from the values (k, n) of k candidates and `on`, the (k, n)
     mask of the boxes each candidate lies on (None: all); each box needs one at least.
 
-    A box gets the values min and max pick from its own candidates in order:
-    the first one's if it is NaN, else the first non-NaN one of extreme value.
+    A box gets the bits _range gives its own candidates in order: argmin and
+    argmax pick the first extreme one, or the first NaN, and a pick that is not
+    finite becomes -inf for lo and inf for hi.
     """
     boxes = np.arange(values.shape[1])
-    nan = np.isnan(values)
-    any_nan = nan.any()
-    valid = (~nan if on is None else on & ~nan) if any_nan else on
-    bounds = []
-    for fill, arg in ((math.inf, np.argmin), (-math.inf, np.argmax)):
-        kept = values if valid is None else np.where(valid, values, fill)
-        bound = kept[arg(kept, axis=0), boxes]
-        if any_nan:  # a box whose first candidate is NaN keeps it
-            first = 0 if on is None else on.argmax(axis=0)
-            bound = np.where(nan[first, boxes], values[first, boxes], bound)
-        bounds.append(bound)
-    return Range(*bounds, None, None, None)
+    lows = values if on is None else np.where(on, values, math.inf)
+    highs = values if on is None else np.where(on, values, -math.inf)
+    lo, hi = lows[lows.argmin(axis=0), boxes], highs[highs.argmax(axis=0), boxes]
+    return Range(np.where(lo < math.inf, lo, -math.inf), np.where(hi > -math.inf, hi, math.inf), None, None, None)
 
 
 def _each_box(range_of, t_lo, t_hi, u_lo, u_hi) -> Range:
@@ -225,12 +213,26 @@ class FunctionSpec(ABC):
     kind = "abstract"
 
     def __call__(self, t, u):
-        _check_u_domain(u)
-        return self._value(t, _clip_u(u))
+        """f at (t, u), on scalars or on numpy arrays broadcast together.
+
+        The one owner of the evaluation contract: u below -NEGATIVE_U_TOL is a
+        FunctionDomainError, a u between it and 0 is evaluated at 0, and a value
+        of another shape than t and u together (a scalar, say) is broadcast to it.
+        """
+        array = _is_array(u)
+        umin = np.min(u) if array else u
+        if umin < -NEGATIVE_U_TOL:
+            raise FunctionDomainError(f"f evaluated at u = {umin}, below domain [0, inf)")
+        out = self._value(t, np.maximum(u, 0.0) if array else max(u, type(u)(0)))
+        if array or _is_array(t):
+            shape = np.broadcast(t, u).shape
+            if np.shape(out) != shape:
+                out = np.full(shape, out, dtype=float)
+        return out
 
     @abstractmethod
     def _value(self, t, u):
-        """f at (t, u) for u >= 0, on scalars or broadcasting numpy arrays."""
+        """f at (t, u) for u >= 0, on scalars or numpy arrays; __call__ broadcasts the value."""
 
     @abstractmethod
     def range(self, t_lo: float, t_hi: float, u_lo: float, u_hi: float) -> Range:
@@ -280,8 +282,6 @@ class ConstantF(FunctionSpec):
     kind = "constant"
 
     def _value(self, t, u):
-        if _is_array(u) or _is_array(t):
-            return np.broadcast_to(float(self.value), np.broadcast_shapes(np.shape(t), np.shape(u))).copy()
         return self.value if isinstance(u, Fraction) else float(self.value)
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
@@ -302,10 +302,7 @@ class PolynomialU(FunctionSpec):
     def _value(self, t, u):
         if isinstance(u, Fraction) and is_exact(*self.coeffs):
             return _polyval(self.coeffs, u)
-        acc = _polyval(self._coeffs, np.asarray(u, dtype=float) if _is_array(u) else float(u))
-        if _is_array(t) and not _is_array(acc):
-            acc = np.broadcast_to(acc, np.shape(t)).copy()
-        return acc
+        return _polyval(self._coeffs, np.asarray(u, dtype=float) if _is_array(u) else float(u))
 
     _coeffs = cached_property(lambda self: [float(c) for c in self.coeffs])
 
@@ -337,7 +334,7 @@ class Piece:
     params: tuple
 
     def __post_init__(self):
-        arity = _PIECE_ARITY.get(self.form)
+        arity = _PIECE_ARITY.get(self.form) if isinstance(self.form, str) else None
         if arity is None:
             raise FunctionSpecError(f"unknown piece form {self.form!r}")
         if len(self.params) != arity:
@@ -409,16 +406,13 @@ class PiecewiseU(FunctionSpec):
         # Branch membership is [x_i, x_{i+1}); continuity makes the edge choice moot.
         # Each branch sees only its own points, so a rational branch never meets its pole.
         if not _is_array(u):
-            out = next((p for p in self.pieces[:-1] if u < p.until), self.pieces[-1]).evaluate(u)
-        else:
-            u = np.asarray(u, dtype=float)
-            branch = np.searchsorted(self._breaks, u, side="right")
-            out = np.empty_like(u)
-            for i in range(branch.min(), branch.max() + 1):
-                on = branch == i
-                out[on] = self.pieces[i].evaluate(u[on])
-        if _is_array(t) and not _is_array(out):
-            out = np.broadcast_to(out, np.shape(t)).copy()
+            return next((p for p in self.pieces[:-1] if u < p.until), self.pieces[-1]).evaluate(u)
+        u = np.asarray(u, dtype=float)
+        branch = np.searchsorted(self._breaks, u, side="right")
+        out = np.empty_like(u)
+        for i in range(branch.min(), branch.max() + 1):
+            on = branch == i
+            out[on] = self.pieces[i].evaluate(u[on])
         return out
 
     # Branch i lies on [edges[i], edges[i + 1]]: the breakpoints as floats, from -inf to inf.
@@ -479,11 +473,7 @@ class PiecewiseLinearTable(FunctionSpec):
 
     def _value(self, t, u):
         out = np.interp(np.asarray(u, dtype=float), *self._arrays)
-        if not _is_array(u):
-            out = float(out)
-        if _is_array(t) and not _is_array(out):
-            out = np.broadcast_to(out, np.shape(t)).copy()
-        return out
+        return out if _is_array(u) else float(out)
 
     _arrays = cached_property(lambda self: np.array(self.table, dtype=float).T)  # abscissae, values
 
@@ -501,18 +491,7 @@ class PiecewiseLinearTable(FunctionSpec):
 
 
 @dataclass(frozen=True)
-class TimeFactor:
-    kind = "abstract"
-
-    def evaluate(self, t):
-        raise NotImplementedError
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ExpDecay(TimeFactor):
+class ExpDecay:
     """exp(-rate * t)."""
 
     rate: Number = 1
@@ -534,7 +513,7 @@ class ExpDecay(TimeFactor):
 
 
 @dataclass(frozen=True)
-class PolynomialT(TimeFactor):
+class PolynomialT:
     coeffs: tuple = (1,)
 
     kind = "polynomial"
@@ -555,7 +534,7 @@ class PolynomialT(TimeFactor):
 class ProductF(FunctionSpec):
     """f(t, u) = time_factor(t) * u_factor(u)."""
 
-    time_factor: TimeFactor = None
+    time_factor: ExpDecay | PolynomialT = None
     u_factor: FunctionSpec = None
 
     kind = "product"
@@ -671,6 +650,8 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSp
         raise FunctionSpecError(f"unknown function kind {kind!r}")
 
     r = spec.range(0.0, float(t_max), 0.0, float(u_max))
+    if r.lo == -math.inf:
+        raise FunctionSpecError(f"nonlinearity is not finite on [0, {float(t_max)}] x [0, {float(u_max)}]")
     if r.lo < 0:
         raise FunctionSpecError(f"nonlinearity is negative at (t, u) = {r.lo_at}: {r.lo} ({r.method} bound)")
     return spec

@@ -159,9 +159,13 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _interp_stencil(n: int, h: float, x):
+def interp_weights(n: int, h: float, x):
     """Four-point Lagrange stencil (start index, weights) for position x, or for every point of an array x."""
+    if n < 4:
+        raise ValueError("cubic interpolation needs at least four nodes")
     pos = np.asarray(x) / h
+    if not np.all((-1e-9 <= pos) & (pos <= (n - 1) + 1e-9)):
+        raise ValueError(f"interpolation point {x} outside the grid")
     start = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
     xi = pos - start
     w = np.empty(xi.shape + (4,))
@@ -174,15 +178,6 @@ def _interp_stencil(n: int, h: float, x):
                 den *= k - m
         w[..., k] = num / den
     return start, w
-
-
-def interp_weights(n: int, h: float, x):
-    if n < 4:
-        raise ValueError("cubic interpolation needs at least four nodes")
-    pos = np.asarray(x) / h
-    if not np.all((-1e-9 <= pos) & (pos <= (n - 1) + 1e-9)):
-        raise ValueError(f"interpolation point {x} outside the grid")
-    return _interp_stencil(n, h, x)
 
 
 def interp_cubic(values: np.ndarray, h: float, x):

@@ -129,12 +129,10 @@ def cone_membership(u: SolutionCurve, tol: float = NONNEGATIVITY_TOL) -> ConeChe
 def _load(p: Problem, t: np.ndarray, u: np.ndarray, strict: bool = True) -> np.ndarray:
     """y = f(t, u) with transient negative undershoots of u clamped to zero.
 
-    FunctionDomainError when y is not finite, or (strict) when u dips below
-    the admissible domain; the solution routes drop such a start.
+    FunctionDomainError when y is not finite, or (strict, from f itself) when
+    u dips below the admissible domain; the solution routes drop such a start.
     """
-    if strict and u.min() < -NONNEGATIVITY_TOL:
-        raise FunctionDomainError(f"operator input dips to {u.min()}, below the admissible domain")
-    y = p.f(t, np.maximum(u, 0.0))
+    y = p.f(t, u if strict else np.maximum(u, 0.0))
     if not np.all(np.isfinite(y)):
         raise FunctionDomainError(f"f is not finite on an iterate of sup norm {np.max(np.abs(u))}")
     return y
@@ -315,7 +313,8 @@ def _newton(residual, step, U: np.ndarray):
     step until the sup norm of its residual decreases, and stops where it is
     when no halving does.  When step raises LinAlgError, the rows are solved
     one at a time, and a row whose Jacobian is singular is dropped: it stops
-    with residual norm inf.  Returns (U, ||F(u)||_inf per row, iterations per row).
+    with residual norm inf.  Returns (U, ||F(u)||_inf per row, iterations per
+    row, F(U)), where F(U) is what residual returned for each row's final u.
     """
     U = U.copy()
     R = residual(U)
@@ -327,7 +326,7 @@ def _newton(residual, step, U: np.ndarray):
         tol = NEWTON_TOL * np.fmax(1.0, np.max(np.abs(U), axis=1))  # fmax, like max(1.0, x), skips a NaN
         rows = np.flatnonzero(~stopped & (iterations < NEWTON_MAX_ITER) & (rnorm > tol))
         if not rows.size:
-            return U, rnorm, iterations
+            return U, rnorm, iterations, R
         try:
             dU[rows] = step(U[rows], R[rows])
         except np.linalg.LinAlgError:
@@ -384,7 +383,7 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
         return np.linalg.solve(Jk, -R[:, :, None])[:, :, 0]
 
     roots: list[tuple[np.ndarray, int]] = []
-    for u, rnorm, iterations in zip(*_newton(residual, step, np.array(starts))):
+    for u, rnorm, iterations, _ in zip(*_newton(residual, step, np.array(starts))):
         if _accepted(u, rnorm) and not any(
             np.max(np.abs(u - v)) <= DEDUP_TOL * max(1.0, np.max(np.abs(v))) for v, _ in roots
         ):
@@ -401,22 +400,19 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
     reuses the F(u) Newton evaluated at its final u.
     """
     clamped = 0
-    evaluated = []  # (u, F(u)) of every iterate tried; Newton ends on one of them, bit for bit
 
     def residual(U):  # U is a one-row block
         nonlocal clamped
         clamped += int(np.count_nonzero(U < 0.0))
-        evaluated.append((U[0].copy(), _fixed_point_residual(p, plan, U[0])))
-        return evaluated[-1][1][None]
+        return _fixed_point_residual(p, plan, U[0])[None]
 
     def step(U, R):
         floor = 0.1 * NEWTON_TOL * max(1.0, float(np.max(np.abs(U[0]))))
         return _gmres(_jacobian_matvec(p, plan, U[0]), -R[0], floor)[None]
 
     U = prolonged[None]
-    (u,), (rnorm,), (iterations,) = _newton(residual, step, U - residual(U))  # u - F(u) = A u
+    (u,), (rnorm,), (iterations,), (fu,) = _newton(residual, step, U - residual(U))  # u - F(u) = A u
     clamped += int(np.count_nonzero(u < 0.0))  # the reported A u clamps the negatives of the final u too
-    fu = next(r for v, r in reversed(evaluated) if np.array_equal(v, u))
     curve = SolutionCurve(0.0, plan.T, u - fu)
     rep, verified = _verify(p, plan, curve)
     return FixedPointResult(
@@ -486,21 +482,21 @@ def _dedup(results: list[FixedPointResult], dedup_tol: float) -> list[FixedPoint
 
 
 def classify_solution(
-    u: SolutionCurve, tt: ThresholdTriple, eta: float | None = None
+    u: SolutionCurve, tt: ThresholdTriple | None, eta: float | None = None
 ) -> SolutionClass:
-    """Label a solution by the three size predicates; unclassified on the edges."""
+    """Label a solution by the three size predicates; unclassified on the edges or without thresholds."""
     norm = u.sup_norm()
     min_full = u.min_value()
     min_tail = u.min_from(eta) if eta is not None else None
-    a, b = float(tt.a), float(tt.b)
-    if norm < a:
-        label = "small"
-    elif min_full > b:
-        label = "large-min"
-    elif norm > a and min_full < b:
-        label = "middle"
-    else:
-        label = "unclassified"
+    label = "unclassified"
+    if tt is not None:
+        a, b = float(tt.a), float(tt.b)
+        if norm < a:
+            label = "small"
+        elif min_full > b:
+            label = "large-min"
+        elif norm > a and min_full < b:
+            label = "middle"
     return SolutionClass(norm=norm, min_full=min_full, min_tail=min_tail, label=label)
 
 
@@ -511,19 +507,4 @@ def find_solutions(
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
         candidates = newton_solutions(p, cfg)
     verified = [r for r in candidates if cone_membership(r.curve).ok]
-    unique = _dedup(verified, DEDUP_TOL)
-    eta = float(p.eta)
-    out = []
-    for result in unique:
-        if cfg.thresholds is not None:
-            cls = classify_solution(result.curve, cfg.thresholds, eta)
-        else:
-            curve = result.curve
-            cls = SolutionClass(
-                norm=curve.sup_norm(),
-                min_full=curve.min_value(),
-                min_tail=curve.min_from(eta),
-                label="unclassified",
-            )
-        out.append((result, cls))
-    return out
+    return [(r, classify_solution(r.curve, cfg.thresholds, float(p.eta))) for r in _dedup(verified, DEDUP_TOL)]

@@ -11,32 +11,6 @@ SCHEMA_VERSION = "1"
 _INF = float("inf")
 
 
-def render_report(
-    config_doc: dict,
-    hypothesis: dict,
-    constants: dict | None = None,
-    certificate: dict | None = None,
-    thresholds: dict | None = None,
-    thresholds_source: str | None = None,
-    solutions: list | None = None,
-    timing: dict | None = None,
-) -> dict:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config_doc,
-        "hypothesis": hypothesis,
-        "constants": constants,
-        "certificate": certificate,
-        "solutions": solutions,
-    }
-    if thresholds is not None:
-        report["thresholds"] = thresholds
-        report["thresholds_source"] = thresholds_source
-    if timing is not None:
-        report["timing"] = timing
-    return report
-
-
 def dump_report(report: dict, path) -> None:
     """Write the report as json.dumps(report, sort_keys=True, indent=2) would, plus a newline."""
     write_files([(path, _json_text(report, "\n") + "\n")])
@@ -65,7 +39,7 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [_json_str(_json_key(key)) + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
+        items = [_json_str(key) + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
@@ -78,22 +52,6 @@ def _json_float(x: float) -> str:
     if x == -_INF:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def format_sig(value: float) -> str:

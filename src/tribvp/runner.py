@@ -17,7 +17,7 @@ from .errors import ConfigError, TribvpError
 from .grid import remove_files, write_csv
 from .nonlinear import SolveConfig, find_solutions
 from .problem import validate_hypotheses
-from .report import dump_report, render_report, write_sweep_csv
+from .report import SCHEMA_VERSION, dump_report, write_sweep_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -57,21 +57,21 @@ def run(cfg: RunConfig) -> RunOutcome:
 
     with timer.time("validate"):
         hypothesis = validate_hypotheses(p, u_max=f_check_u_max(cfg.thresholds))
-    report_kwargs = {"config_doc": cfg.to_doc(), "hypothesis": hypothesis.to_dict()}
+    report = {"schema_version": SCHEMA_VERSION, "config": cfg.to_doc(), "hypothesis": hypothesis.to_dict(),
+              "constants": None, "certificate": None, "solutions": None}
     curve_paths = []
 
     if not hypothesis.ok:
-        report = _finish(cfg, timer, report_kwargs, curve_paths)
+        _finish(cfg, timer, report, curve_paths)
         return RunOutcome(EXIT_HYPOTHESIS_FAILURE, report, "; ".join(hypothesis.messages))
 
     try:
         with timer.time("constants"):
             constants = compute_constants(p)
-        report_kwargs["constants"] = constants.to_dict()
+        report["constants"] = constants.to_dict()
 
         certificate = None
-        thresholds = cfg.thresholds
-        thresholds_source = "config" if thresholds is not None else None
+        thresholds, thresholds_source = cfg.thresholds, "config"
         if cfg.mode in ("certify", "solve"):
             if thresholds is None and cfg.mode == "certify":
                 with timer.time("search_thresholds"):
@@ -81,10 +81,9 @@ def run(cfg: RunConfig) -> RunOutcome:
                 thresholds = thresholds.with_gamma(constants.gamma)
                 with timer.time("certify"):
                     certificate = certify(p, thresholds, constants)
-                report_kwargs["certificate"] = certificate.to_dict()
-            if thresholds is not None:
-                report_kwargs["thresholds"] = thresholds.to_dict()
-                report_kwargs["thresholds_source"] = thresholds_source
+                report["certificate"] = certificate.to_dict()
+                report["thresholds"] = thresholds.to_dict()
+                report["thresholds_source"] = thresholds_source
 
         if cfg.mode == "solve":
             with timer.time("solve"):
@@ -92,7 +91,7 @@ def run(cfg: RunConfig) -> RunOutcome:
             curve_paths = [cfg.output_dir / f"solution_{k}.csv" for k in range(len(found))]
             with timer.time("write_solutions"):
                 write_csv([result.curve for result, _ in found], curve_paths)
-            report_kwargs["solutions"] = [
+            report["solutions"] = [
                 {
                     **cls.to_dict(),
                     "residuals": result.residuals.to_dict(),
@@ -105,10 +104,10 @@ def run(cfg: RunConfig) -> RunOutcome:
             ]
 
     except (TribvpError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        report = _finish(cfg, timer, report_kwargs, curve_paths)
+        _finish(cfg, timer, report, curve_paths)
         return RunOutcome(EXIT_NUMERICAL_FAILURE, report, str(exc))
 
-    report = _finish(cfg, timer, report_kwargs, curve_paths)
+    _finish(cfg, timer, report, curve_paths)
     if cfg.mode == "certify":
         if certificate is None:
             return RunOutcome(EXIT_CERTIFICATION_FAILURE, report, "no certifiable thresholds found")
@@ -117,16 +116,15 @@ def run(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(EXIT_OK, report)
 
 
-def _finish(cfg: RunConfig, timer: _StageTimer, report_kwargs: dict, curve_paths: list) -> dict:
-    """Render and write report.json; if it cannot be written, remove the run's curves (curve_paths) too."""
-    timing = dict(sorted(timer.stages.items())) if cfg.include_timing else None
-    report = render_report(timing=timing, **report_kwargs)
+def _finish(cfg: RunConfig, timer: _StageTimer, report: dict, curve_paths: list) -> None:
+    """Add the stage timings to the report and write report.json; if it cannot be written, remove the run's curves (curve_paths) too."""
+    if cfg.include_timing:
+        report["timing"] = dict(sorted(timer.stages.items()))
     try:
         dump_report(report, cfg.output_dir / "report.json")
     except OSError:
         remove_files(curve_paths)
         raise
-    return report
 
 
 SWEEPABLE = ("alpha", "beta", "eta")

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
@@ -24,7 +25,9 @@ from tribvp.config import parse_run_config
 from tribvp.functions import (
     ConstantF,
     FunctionSpec,
+    Piece,
     PiecewiseLinearTable,
+    PiecewiseU,
     PolynomialU,
     RationalSigmoid,
     parse_function_spec,
@@ -234,6 +237,32 @@ def test_f_failing_inside_the_search_exits_5(tmp_path, monkeypatch, capsys):
     config.write_text(json.dumps(doc))
     assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out"), "--no-timing"]) == 5
     assert "f evaluation failed on [0.0, 1.0] x [0.0, 10000.0 (13 boxes)]: no value on boxes" in capsys.readouterr().err
+
+
+# u on [0, 1], then (1e308 u)/(1.8079e298 u + 1e308): about 2 at u = 2 and 3.56e9 at u = 1e10 exactly,
+# but in floats the numerator overflows, to inf at u = 2 and to inf/inf = NaN at u = 1e10
+OVERFLOWING_F = {"kind": "piecewise", "pieces": [
+    {"until": 1, "form": "linear", "params": [0.99999999981921, 0]},
+    {"until": None, "form": "rational-linear", "params": [1e308, 0.0, 1.8079e298, 1e308]},
+]}
+
+
+def test_a_non_finite_evaluation_proves_no_bound(tmp_path, capsys):
+    f = PiecewiseU(pieces=tuple(Piece(d["until"], d["form"], tuple(d["params"])) for d in OVERFLOWING_F["pieces"]))
+    p = make_sigmoid_problem().with_params(f=f)
+    k = compute_constants(p)
+    d2 = check_D2(p, k.delta, 2, k.gamma)  # f(2) = inf in floats, about 2 < b/delta = 22.5 exactly
+    assert (d2.holds, d2.margin) == (False, -math.inf)
+    d3 = check_D3(p, k.m, 1e10)  # f(0, 1e10) = NaN in floats, 3.56e9 > m*c = 3.33e9 exactly
+    assert (d3.holds, d3.margin) == (False, -math.inf)
+
+    # through the CLI, the construction check finds the NaN on [0, T] x [0, 2c] and calls f not finite
+    doc = json.loads((CONFIG_DIR / "sigmoid.json").read_text())
+    doc["problem"]["f"], doc["thresholds"] = OVERFLOWING_F, {"a": 1, "b": 2, "c": 1e10}
+    config = tmp_path / "overflowing.json"
+    config.write_text(json.dumps(doc))
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out"), "--no-timing"]) == 2
+    assert "config error: nonlinearity is not finite on [0, 1.0] x [0, 20000000000.0]" in capsys.readouterr().err
 
 
 # --- the threshold search against a one-point-at-a-time scan ---------------

@@ -142,6 +142,9 @@ def test_config_errors_exit_code(tmp_path, capsys):
         ("constants", {"problem": {**problem, "T": "1e400"}}, "problem.T"),
         ("constants", {"problem": {**problem, "f": {**problem["f"], "params": ["1e400"]}}}, "f.params[0] = '1e400' is beyond float range"),
         ("certify", {"thresholds": "abc"}),
+        ("constants", {"problem": "T eta alpha beta f"}, "'problem' section is an object"),
+        ("constants", {"problem": ["T", "eta", "alpha", "beta", "f"]}, "'problem' section is an object"),
+        ("solve", {"solver": {"grid_n": 2049}, "grid_n": 65}, "grid_n is set twice", "solver.grid_n"),
     ):
         bad = tmp_path / "bad_option.json"
         bad.write_text(json.dumps({**json.loads(Path(SIGMOID).read_text()), **section}))
@@ -159,6 +162,7 @@ def test_config_errors_exit_code(tmp_path, capsys):
         {"kind": "piecewise", "pieces": [{"until": 1, "form": "linear", "params": [1]}, tail]},
         {"kind": "piecewise", "pieces": [{"until": 1, "form": "linear", "params": [1, 0, 7]}, tail]},
         {"kind": "piecewise", "pieces": [{"until": None, "form": "rational-linear", "params": [1, 0, 1]}]},
+        {"kind": "piecewise", "pieces": [{"until": None, "form": ["linear"], "params": [1, 0]}]},
         {"kind": "product", "time": {"kind": "exp-decay", "params": 1}, "u": {"kind": "constant", "params": [1]}},
     ):
         bad = tmp_path / "bad_f.json"

@@ -216,6 +216,27 @@ def test_constant_broadcasts_over_t():
     assert out.shape == ts.shape and np.all(out == 3.0)
 
 
+BROADCAST_FORMS = {  # the constant form's case is test_constant_broadcasts_over_t; the product's u factor is constant
+    "sigmoid": RationalSigmoid(scale=F(40)),
+    "polynomial": PolynomialU(coeffs=(F(1), F(0), F(2))),
+    "piecewise": PiecewiseU(pieces=EXP_PIECES),
+    "table": PiecewiseLinearTable(table=((F(0), F(0)), (F(2), F(4)))),
+    "product": ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=ConstantF(value=F(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROADCAST_FORMS))
+def test_each_form_broadcasts_a_scalar_u_over_an_array_t(name):
+    # FunctionSpec.__call__ broadcasts the value over t and u together, whatever shape _value returns
+    f = BROADCAST_FORMS[name]
+    ts = np.linspace(0, 1, 5)
+    out = f(ts, 1.5)
+    assert isinstance(out, np.ndarray) and out.shape == ts.shape
+    assert out.tolist() == [float(f(t, 1.5)) for t in ts.tolist()]
+    block = f(ts, np.full((3, ts.size), 1.5))  # one row of u per start, as the coarse Newton search evaluates
+    assert block.shape == (3, ts.size) and all(row == out.tolist() for row in block.tolist())
+
+
 def test_polynomial_exact():
     f = PolynomialU(coeffs=(F(1), F(0), F(2)))
     assert f(0, F(1, 2)) == F(3, 2)
@@ -380,11 +401,20 @@ def test_array_range_equals_scalar_range_bitwise(name, t, data):
     masked=st.booleans(),
 )
 def test_boxes_range_picks_what_min_and_max_pick(columns, masked):
-    # NaN, signed zeros and infinities, with and without masks: each box gets the bits of the scalar pick
+    # NaN, signed zeros and infinities, with and without masks: each box gets the bits of the first least
+    # and first greatest of its own candidates, but -inf and inf where that pick is not finite or a
+    # candidate is NaN, since such a bound proves nothing; the scalar call gives the same bits
     values = np.array([[v for v, _ in box] for box in columns]).T
     on = np.array([[o or not masked for _, o in box] for box in columns]).T
     boxes = _boxes_range(values, on if masked else None)
-    one_by_one = [_range([(v, (0.0, 0.0), "exact") for v, o in box if o or not masked]) for box in columns]
+    kept = [[v for v, o in box if o or not masked] for box in columns]
+
+    def rule(c, pick, bad):
+        return bad if any(math.isnan(v) for v in c) or not math.isfinite(pick(c)) else pick(c)
+
+    assert boxes.lo.tobytes() == np.array([rule(c, min, -math.inf) for c in kept]).tobytes()
+    assert boxes.hi.tobytes() == np.array([rule(c, max, math.inf) for c in kept]).tobytes()
+    one_by_one = [_range([(v, (0.0, 0.0), "exact") for v in c]) for c in kept]
     assert boxes.lo.tobytes() == np.array([r.lo for r in one_by_one]).tobytes()
     assert boxes.hi.tobytes() == np.array([r.hi for r in one_by_one]).tobytes()
 

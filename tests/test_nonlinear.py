@@ -347,12 +347,25 @@ def test_newton_rows_never_mix(monkeypatch, sigmoid_thresholds):
 
     # the search's Jacobian block holds one matrix per start, so two starts make way for the extra rows
     starts = np.vstack([calls[0]["U"][:-2], np.full((2, nonlinear.COARSE_N), [[-1e6], [-1e4]])])
-    U, rnorm, iterations = _newton(residual, uneven_step, starts)
+    U, rnorm, iterations, _ = _newton(residual, uneven_step, starts)
     assert iterations[-2] == 0 and iterations[-1] == nonlinear.NEWTON_MAX_ITER
     assert np.all(rnorm[:-2] <= nonlinear.NEWTON_TOL * np.maximum(1.0, np.max(np.abs(U[:-2]), axis=1)))
     for i, u0 in enumerate(starts):
-        (u,), (r,), (k,) = _newton(residual, uneven_step, u0[None])
+        (u,), (r,), (k,), _ = _newton(residual, uneven_step, u0[None])
         assert np.array_equal(u, U[i]) and r == rnorm[i] and k == iterations[i], i
+
+
+def test_newton_returns_the_residual_rows_of_its_final_block(monkeypatch, sigmoid_thresholds):
+    calls = _spy_newton(monkeypatch)
+    nonlinear._coarse_roots(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
+    U, _, _, R = calls[0]["result"]
+    assert np.array_equal(R, calls[0]["residual"](U))  # bit for bit, though each row was evaluated in its own block
+
+
+def test_classify_without_thresholds_is_unclassified():
+    curve = SolutionCurve(0.0, 1.0, np.linspace(1.0, 2.0, 5))
+    cls = classify_solution(curve, None, 0.5)
+    assert (cls.label, cls.norm, cls.min_full, cls.min_tail) == ("unclassified", 2.0, 1.0, 1.5)
 
 
 def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds):
@@ -362,7 +375,7 @@ def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds)
     p, cfg = make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds)
     calls = _spy_newton(monkeypatch)
     _, expected = nonlinear._coarse_roots(p, cfg)
-    U, rnorm, iterations = calls[0]["result"]
+    U, rnorm, iterations, _ = calls[0]["result"]
     middle = sorted(expected, key=lambda root: np.max(root[0]))[1][0]
     j = next(i for i, u in enumerate(U) if np.array_equal(u, middle))
 
@@ -379,7 +392,7 @@ def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds)
 
     monkeypatch.setattr(np.linalg, "solve", fail_on_start_j)
     _, found = nonlinear._coarse_roots(p, cfg)
-    U1, rnorm1, iterations1 = calls[1]["result"]
+    U1, rnorm1, iterations1, _ = calls[1]["result"]
     others = np.arange(len(U)) != j
     assert rnorm1[j] == np.inf and iterations1[j] == 0
     assert np.array_equal(U1[others], U[others]) and np.array_equal(rnorm1[others], rnorm[others])
@@ -619,7 +632,8 @@ def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(m
     final = np.where(np.arange(n) % 2, -1e-13, 0.5)
 
     def newton(residual, step, U):
-        return final[None], np.max(np.abs(residual(final[None])), axis=1), np.zeros(1, dtype=int)
+        R = residual(final[None])
+        return final[None], np.max(np.abs(R), axis=1), np.zeros(1, dtype=int), R
 
     monkeypatch.setattr(nonlinear, "_newton", newton)
     result = nonlinear._polish(p, plan, np.zeros(n), 0)
