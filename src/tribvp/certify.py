@@ -14,15 +14,14 @@ that bounds f, and the method ("exact" or "enclosure").
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import LWConstants
 from .errors import CertificationError
 from .functions import Range
-from .numeric import Number, is_exact, render_number
+from .numeric import Number, Unreduced, exact_operands, render_number
 from .problem import FLOAT_STRICTNESS_TOL, Problem
 
 # Threshold search: each axis is scanned on SEARCH_PER_AXIS log-spaced points
@@ -48,7 +47,7 @@ class ThresholdTriple:
         return cls(a=a, b=b, c=c, d=d)
 
     def with_gamma(self, gamma: Number) -> "ThresholdTriple":
-        return replace(self, d=self.b / gamma)
+        return ThresholdTriple(self.a, self.b, self.c, self.b / gamma)
 
     def to_dict(self) -> dict:
         doc = {"a": render_number(self.a), "b": render_number(self.b), "c": render_number(self.c)}
@@ -69,7 +68,14 @@ class ConditionReport:
     method: str
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "worst_point": list(self.worst_point)}
+        return {
+            "condition": self.condition,
+            "holds": self.holds,
+            "margin": self.margin,
+            "bound": self.bound,
+            "worst_point": list(self.worst_point),
+            "method": self.method,
+        }
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,10 @@ def check_ordering(tt: ThresholdTriple, gamma: Number) -> bool:
     """Strict 0 < a < b < b/gamma, non-strict b/gamma <= c."""
     if not 0 < float(gamma) < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    exact = is_exact(tt.a, tt.b, tt.c) and isinstance(gamma, Fraction)
-    tol = 0 if exact else FLOAT_STRICTNESS_TOL
-    d = tt.b / gamma
-    return bool(tt.a > tol and tt.b - tt.a > tol and d - tt.b > tol and tt.c >= d - tol)
+    a, b, c, gamma = exact_operands(tt.a, tt.b, tt.c, gamma)
+    tol = 0 if isinstance(a, Unreduced) else FLOAT_STRICTNESS_TOL
+    d = b / gamma
+    return bool(a > tol and b - a > tol and d - b > tol and c >= d - tol)
 
 
 def _box_range(p: Problem, t_lo: float, t_hi: float, u_lo, u_hi) -> Range:

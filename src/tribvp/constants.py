@@ -1,8 +1,8 @@
 """The certification constants gamma, m, delta derived from a problem's parameters.
 
 All three are plain rational expressions in (T, eta, alpha, beta), so they are
-computed exactly when the problem carries Fractions and in double precision
-otherwise.
+computed exactly when the problem carries Fractions (on unreduced rationals,
+with one reduction per result) and in double precision otherwise.
 
 - gamma: the cone compression ratio; the guaranteed fraction of the sup norm
   that any solution of the linear problem retains on [eta, T].
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GammaDomainError
-from .numeric import Number, render_number
-from .problem import Problem, lambda_constant
+from .numeric import Number, reduced, render_number
+from .problem import Problem, lambda_of
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,18 @@ class LWConstants:
 
 def gamma_terms(p: Problem) -> list[Number]:
     """The three candidate compression ratios; the constant is their minimum."""
-    ab1 = p.alpha * (p.beta + 1)
-    third_den = 2 * p.T - ab1 * p.eta * p.eta
+    return [reduced(term) for term in _gamma_terms(*p.operands)]
+
+
+def _gamma_terms(T, eta, alpha, beta) -> list:
+    ab1 = alpha * (beta + 1)
+    third_den = 2 * T - ab1 * eta * eta
     if float(third_den) <= 0:
-        raise GammaDomainError(third_den)
+        raise GammaDomainError(reduced(third_den))
     return [
-        p.eta / p.T,
-        ab1 * p.eta * p.eta / (2 * p.T),
-        ab1 * p.eta * (p.T - p.eta) / third_den,
+        eta / T,
+        ab1 * eta * eta / (2 * T),
+        ab1 * eta * (T - eta) / third_den,
     ]
 
 
@@ -68,19 +72,25 @@ def gamma(p: Problem) -> Number:
 
 
 def m_constant(p: Problem) -> Number:
-    lam = lambda_constant(p)
-    growth = p.T * p.T * (
-        2 * p.T * (p.beta + 1) + p.beta * p.eta * (p.alpha * p.eta + 2) + p.alpha * p.beta * p.T * p.T
-    )
+    operands = p.operands
+    return reduced(_m(*operands, lambda_of(*operands)))
+
+
+def _m(T, eta, alpha, beta, lam):
+    growth = T * T * (2 * T * (beta + 1) + beta * eta * (alpha * eta + 2) + alpha * beta * T * T)
     return 2 * lam / growth
 
 
 def delta_terms(p: Problem) -> list[Number]:
-    lam = lambda_constant(p)
-    tail = (p.T - p.eta) * (p.T - p.eta)
+    operands = p.operands
+    return [reduced(term) for term in _delta_terms(*operands, lambda_of(*operands))]
+
+
+def _delta_terms(T, eta, alpha, beta, lam) -> list:
+    tail = (T - eta) * (T - eta)
     return [
-        p.beta * p.eta * tail / lam,
-        p.alpha * p.eta * p.eta * (1 + p.beta) * tail / (2 * lam),
+        beta * eta * tail / lam,
+        alpha * eta * eta * (1 + beta) * tail / (2 * lam),
     ]
 
 
@@ -88,8 +98,8 @@ def delta_constant(p: Problem) -> Number:
     return min(delta_terms(p))
 
 
-def _argmin(terms: list[Number]) -> int:
-    # ties resolve to the lowest index
+def _argmin(terms: list) -> int:
+    # ties resolve to the lowest index, as min() resolves them
     best = 0
     for i, term in enumerate(terms[1:], start=1):
         if term < terms[best]:
@@ -98,13 +108,17 @@ def _argmin(terms: list[Number]) -> int:
 
 
 def compute_constants(p: Problem) -> LWConstants:
-    g_terms = gamma_terms(p)
-    d_terms = delta_terms(p)
+    """Lambda, gamma, m and delta, with Lambda evaluated once and each constant reduced once."""
+    operands = p.operands
+    lam = lambda_of(*operands)
+    g_terms = _gamma_terms(*operands)
+    d_terms = _delta_terms(*operands, lam)
+    gamma_argmin, delta_argmin = _argmin(g_terms), _argmin(d_terms)
     return LWConstants(
-        lam=lambda_constant(p),
-        gamma=min(g_terms),
-        m=m_constant(p),
-        delta=min(d_terms),
-        gamma_argmin=_argmin(g_terms),
-        delta_argmin=_argmin(d_terms),
+        lam=reduced(lam),
+        gamma=reduced(g_terms[gamma_argmin]),
+        m=reduced(_m(*operands, lam)),
+        delta=reduced(d_terms[delta_argmin]),
+        gamma_argmin=gamma_argmin,
+        delta_argmin=delta_argmin,
     )

@@ -218,9 +218,14 @@ class FunctionSpec(ABC):
         The one owner of the evaluation contract: u below -NEGATIVE_U_TOL is a
         FunctionDomainError, a u between it and 0 is evaluated at 0, and a value
         of another shape than t and u together (a scalar, say) is broadcast to it.
+        A 0-d array u is the scalar it holds, and a list u an array.
         """
+        if isinstance(u, np.ndarray) and u.ndim == 0:
+            u = u[()]
         array = _is_array(u)
-        umin = np.min(u) if array else u
+        if array:
+            u = np.asarray(u)
+        umin = u.min() if array else u
         if umin < -NEGATIVE_U_TOL:
             raise FunctionDomainError(f"f evaluated at u = {umin}, below domain [0, inf)")
         out = self._value(t, np.maximum(u, 0.0) if array else max(u, type(u)(0)))

@@ -21,7 +21,7 @@ cross-check of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +57,11 @@ class ResidualReport:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "ode_residual_max": self.ode_residual_max,
+            "bc0_residual": self.bc0_residual,
+            "bcT_residual": self.bcT_residual,
+        }
 
 
 class NonnegativityCheck(NamedTuple):

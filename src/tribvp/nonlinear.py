@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +96,7 @@ class SolutionClass:
     label: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"norm": self.norm, "min_full": self.min_full, "min_tail": self.min_tail, "label": self.label}
 
 
 class ConeCheck(NamedTuple):

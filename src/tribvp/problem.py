@@ -10,10 +10,11 @@ requirement on f over a box.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 
 from .functions import FunctionSpec
-from .numeric import Number, is_exact
+from .numeric import Number, exact_operands, is_exact, reduced
 
 # Strict inequalities are checked with zero tolerance in exact-rational mode
 # and this tolerance in float mode.
@@ -57,13 +58,18 @@ class Problem:
     def floats(self) -> tuple[float, float, float, float]:
         return float(self.T), float(self.eta), float(self.alpha), float(self.beta)
 
+    @cached_property
+    def operands(self) -> tuple:
+        """(T, eta, alpha, beta) for a closed form: `Unreduced` when the problem is exact, else as given."""
+        return exact_operands(self.T, self.eta, self.alpha, self.beta)
+
     def alpha_upper(self) -> Number:
-        return 2 * self.T / (self.eta * self.eta)
+        T, eta, _, _ = self.operands
+        return reduced(_alpha_upper(T, eta))
 
     def beta_upper(self) -> Number:
-        num = 2 * self.T - self.alpha * self.eta * self.eta
-        den = self.alpha * self.eta * self.eta - 2 * self.eta + 2 * self.T
-        return num / den
+        T, eta, alpha, _ = self.operands
+        return reduced(_beta_upper(T, eta, alpha))
 
     def with_params(self, **overrides) -> "Problem":
         fields = {"T": self.T, "eta": self.eta, "alpha": self.alpha, "beta": self.beta, "f": self.f}
@@ -85,7 +91,13 @@ class HypothesisReport:
         return self.h2_alpha_ok and self.h2_beta_ok and self.h1_ok
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok, "messages": list(self.messages)}
+        return {
+            "h2_alpha_ok": self.h2_alpha_ok,
+            "h2_beta_ok": self.h2_beta_ok,
+            "h1_ok": self.h1_ok,
+            "messages": list(self.messages),
+            "ok": self.ok,
+        }
 
 
 def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisReport:
@@ -99,20 +111,21 @@ def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisRep
     """
     tol = 0 if p.exact else FLOAT_STRICTNESS_TOL
     messages = []
+    T, eta, alpha, beta = p.operands
 
-    alpha_bound = p.alpha_upper()
-    h2_alpha_ok = bool(p.alpha > tol and p.alpha < alpha_bound - tol)
+    alpha_bound = _alpha_upper(T, eta)
+    h2_alpha_ok = bool(alpha > tol and alpha < alpha_bound - tol)
     if not h2_alpha_ok:
         messages.append(
             f"alpha = {float(p.alpha)} violates 0 < alpha < 2T/eta^2 = {float(alpha_bound)}"
         )
 
-    structural = p.alpha * p.eta * p.eta - 2 * p.eta + 2 * p.T
+    structural = alpha * eta * eta - 2 * eta + 2 * T
     # Positive whenever alpha > 0 and eta < T; asserted for safety.
     assert float(structural) > 0, "alpha*eta^2 - 2*eta + 2T must be positive"
 
-    beta_bound = p.beta_upper()
-    h2_beta_ok = bool(p.beta > tol and p.beta < beta_bound - tol)
+    beta_bound = _beta_upper(T, eta, alpha)
+    h2_beta_ok = bool(beta > tol and beta < beta_bound - tol)
     if not h2_beta_ok:
         messages.append(
             f"beta = {float(p.beta)} violates 0 < beta < "
@@ -154,5 +167,20 @@ def lambda_constant(p: Problem) -> Number:
     denominator for the closed-form linear solve (whose textbook form carries
     the opposite sign).
     """
-    ae2 = p.alpha * p.eta * p.eta
-    return (2 * p.T - ae2) - p.beta * (ae2 - 2 * p.eta + 2 * p.T)
+    return reduced(lambda_of(*p.operands))
+
+
+def _alpha_upper(T, eta):
+    return 2 * T / (eta * eta)
+
+
+def _beta_upper(T, eta, alpha):
+    num = 2 * T - alpha * eta * eta
+    den = alpha * eta * eta - 2 * eta + 2 * T
+    return num / den
+
+
+def lambda_of(T, eta, alpha, beta):
+    """lambda_constant's closed form on operands as `Problem.operands` gives them."""
+    ae2 = alpha * eta * eta
+    return (2 * T - ae2) - beta * (ae2 - 2 * eta + 2 * T)

@@ -448,3 +448,19 @@ def test_fraction_scalars_stay_exact_after_array_evaluation():
     for f, (u, exact) in forms.items():
         f(0.0, np.linspace(0.0, 600.0, 7))
         assert f(0, u) == exact and isinstance(f(0, u), F)
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FORMS))
+def test_a_zero_dimensional_u_is_the_scalar_it_holds(name):
+    f = RANGE_FORMS[name]
+    got, want = f(0.5, np.array(1.5)), f(0.5, np.float64(1.5))
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FORMS))
+def test_a_list_u_evaluates_as_an_array(name):
+    f = RANGE_FORMS[name]
+    us = [0.0, 0.5, 1.5, 7.0]
+    assert f(0.5, us).tolist() == f(0.5, np.array(us)).tolist()
+    with pytest.raises(FunctionDomainError):
+        f(0.5, [1.0, -1e-6])

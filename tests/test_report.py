@@ -1,10 +1,15 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tribvp.certify import ConditionReport
+from tribvp.linear import ResidualReport
+from tribvp.nonlinear import SolutionClass
+from tribvp.problem import HypothesisReport
 from tribvp.report import dump_report
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -70,3 +75,30 @@ def test_dump_report_rejects_keys_that_are_not_strings(obj, tmp_path):
     # every key the program writes is a str; json.dumps coerces the first four, and the writer rejects all five
     with pytest.raises(TypeError):
         dump_report(obj, tmp_path / "report.json")
+
+
+FLOATS = st.floats(allow_nan=False)
+RECORDS = {  # each record type, and its to_dict as it was built through dataclasses.asdict
+    ConditionReport: (
+        st.builds(ConditionReport, st.text(max_size=4), st.booleans(), FLOATS, FLOATS, st.tuples(FLOATS, FLOATS),
+                  st.sampled_from(["exact", "enclosure"])),
+        lambda r: {**asdict(r), "worst_point": list(r.worst_point)},
+    ),
+    HypothesisReport: (
+        st.builds(HypothesisReport, st.booleans(), st.booleans(), st.booleans(), st.lists(st.text(max_size=8)).map(tuple)),
+        lambda r: {**asdict(r), "ok": r.ok, "messages": list(r.messages)},
+    ),
+    ResidualReport: (st.builds(ResidualReport, FLOATS, FLOATS, FLOATS), asdict),
+    SolutionClass: (
+        st.builds(SolutionClass, FLOATS, FLOATS, st.none() | FLOATS, st.sampled_from(["small", "middle", "large-min"])),
+        asdict,
+    ),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(RECORDS, key=lambda c: c.__name__)))
+def test_record_to_dict_equals_its_asdict_form(data, kind):
+    records, reference = RECORDS[kind]
+    record = data.draw(records)
+    assert list(record.to_dict().items()) == list(reference(record).items())
