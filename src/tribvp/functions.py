@@ -390,14 +390,7 @@ class PiecewiseU(FunctionSpec):
                 raise FunctionSpecError(
                     f"breakpoints must be strictly ascending, got {left} then {right}"
                 )
-        for i, b in enumerate(breakpoints):
-            lo = self.pieces[i].evaluate(b if isinstance(b, Fraction) else float(b))
-            hi = self.pieces[i + 1].evaluate(b if isinstance(b, Fraction) else float(b))
-            if abs(float(lo) - float(hi)) > BREAKPOINT_TOL:
-                raise FunctionSpecError(
-                    f"discontinuity at breakpoint u = {b}: "
-                    f"left branch gives {float(lo)!r}, right branch gives {float(hi)!r}"
-                )
+        # Before the continuity check, which evaluates each branch at its ends and would divide by zero at a pole there.
         for left, piece in zip([0, *breakpoints], self.pieces):
             if piece.form == "rational-linear":
                 # No pole on the branch iff the denominator has one sign at both ends
@@ -406,6 +399,14 @@ class PiecewiseU(FunctionSpec):
                 far = (b1 or b0) if piece.until is None else b1 * piece.until + b0
                 if (b1 * left + b0) * far <= 0:
                     raise FunctionSpecError(f"rational-linear branch on [{left}, {piece.until}] has a pole")
+        for i, b in enumerate(breakpoints):
+            lo = self.pieces[i].evaluate(b if isinstance(b, Fraction) else float(b))
+            hi = self.pieces[i + 1].evaluate(b if isinstance(b, Fraction) else float(b))
+            if abs(float(lo) - float(hi)) > BREAKPOINT_TOL:
+                raise FunctionSpecError(
+                    f"discontinuity at breakpoint u = {b}: "
+                    f"left branch gives {float(lo)!r}, right branch gives {float(hi)!r}"
+                )
 
     def _value(self, t, u):
         # Branch membership is [x_i, x_{i+1}); continuity makes the edge choice moot.

@@ -6,7 +6,8 @@ up to an off-grid point x are computed as (pure Simpson up to the last even
 node below x) + (Simpson over the short remainder, with integrand values
 interpolated cubically).  Cumulative integrals at grid nodes use Simpson
 pairs at even indices and a trapezoid correction on the final subinterval at
-odd indices.
+odd indices.  A curve's CSV holds the bytes of "%.17g" for each value, formatted
+for the whole array at once (format_g17).
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 T_COLUMNS_KEPT = 4  # distinct grids whose formatted t column a process keeps for its next write
+NEAR_TIE = 1e-6  # a fraction part this close to a half may round either way in _significands
+EXPONENT_LIMIT = 280  # format_g17's powers of ten stay normal doubles, split without overflow, up to 10**(16 + this)
+_ZERO, _SLOW = -1000, -1001  # format_g17's stand-in exponents for zeros and for values it formats one by one
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves of 26 bits
 
 
 @dataclass(frozen=True)
@@ -89,28 +94,200 @@ def write_csv(curves, paths):
     write_files((path, _csv_text(curve)) for curve, path in zip(curves, paths))
 
 
-def _csv_text(curve: SolutionCurve) -> str:
-    return _csv_format(float(curve.t0).hex(), float(curve.t1).hex(), curve.n) % tuple(curve.values.tolist())
+def _csv_text(curve: SolutionCurve) -> bytes:
+    return _csv_format(float(curve.t0).hex(), float(curve.t1).hex(), curve.n) % tuple(format_g17(curve.values))
 
 
 @functools.lru_cache(maxsize=T_COLUMNS_KEPT)
-def _csv_format(t0_hex: str, t1_hex: str, n: int) -> str:
-    """The CSV of the n uniform nodes from t0 to t1 with a "%.17g" field for each u: the t column, formatted once per grid.
+def _csv_format(t0_hex: str, t1_hex: str, n: int) -> bytes:
+    """The CSV of the n uniform nodes from t0 to t1 with a "%s" field for each u: the t column, formatted once per grid.
 
     Keyed by the endpoints' bits, because 0.0 == -0.0 and yet they print apart.
     """
-    nodes = np.linspace(float.fromhex(t0_hex), float.fromhex(t1_hex), n).tolist()
-    return "t,u\n" + "".join(["%.17g,%%.17g\n" % t for t in nodes])
+    nodes = np.linspace(float.fromhex(t0_hex), float.fromhex(t1_hex), n)
+    return b"t,u\n" + b"".join([t + b",%s\n" for t in format_g17(nodes)])
+
+
+def format_g17(values) -> list[bytes]:
+    """b"%.17g" % v for each v of a 1-d float array, formatted for the whole array at once.
+
+    Zeros print as "0" or "-0" and the other finite values through _texts; those whose
+    digits _significands cannot settle, non-finite ones and those with decimal exponent
+    |e| > EXPONENT_LIMIT take the per-value format (_g17_one).
+    """
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    e = np.log10(a, out=np.full(x.size, float(_ZERO)), where=(a > 0) & (a < np.inf))
+    np.floor(e, out=e)
+    e[(np.abs(e) > EXPONENT_LIMIT) & (a != 0)] = _SLOW  # NaN != 0 too
+    negative = np.signbit(x)
+    lines = np.empty(x.size, "S24")
+    zero = e == _ZERO
+    lines[zero] = b"0"
+    lines[zero & negative] = b"-0"
+    slow = e == _SLOW
+    usual = np.flatnonzero(e > _ZERO)
+    if usual.size:
+        lines[usual], slow[usual] = _texts(a[usual], e[usual], negative[usual])
+    lines = lines.tolist()  # each without its trailing NULs
+    for i in np.flatnonzero(slow).tolist():
+        lines[i] = _g17_one(float(x[i]))
+    return lines
+
+
+def _texts(a, e, negative):
+    """The %.17g texts of the values of magnitude a > 0, decimal exponent e (a float) and
+    sign, as a 24-byte string array; and the mask of the values whose digits
+    _significands could not settle (their text is to be replaced).
+
+    The rows of one exponent share their layout, which moves few bytes of their
+    _digit_rows rows because each exponent's text starts at a byte of its own, one
+    byte earlier for a "-".
+    """
+    top, low, unsure = _significands(a, e)
+    rows = _digit_rows(top, low)
+    records = rows.view("V32").ravel()  # a row as one item, to move whole rows at once
+    start = np.full(a.size, 6)
+    for k in range(int(e.min()), int(e.max()) + 1):
+        part = np.flatnonzero(e == k)
+        if not part.size:
+            continue
+        group = records[part].view(np.uint8).reshape(-1, 32)
+        if -4 <= k < 0:
+            # "0." and -k - 1 zeros before the digits, all of them fraction digits.
+            start[part] = 6 + k
+            group[:, 7 + k] = 46
+        elif 0 <= k < 17:
+            # The k + 1 integer digits, then "." and the 16 - k fraction digits; no "."
+            # when those are all zeros, and then the integer digits get their zeros back.
+            whole = np.flatnonzero(group[:, 8 + k] == 0)
+            for col in range(6, 7 + k):
+                group[:, col] = group[:, col + 1]
+            group[:, 7 + k] = 46
+            if whole.size:
+                group[whole, 6 : 7 + k] |= 48
+                group[whole, 7 + k] = 0
+        else:
+            # d.dddd, then e+XX or e-XXX after the last digit kept (in place of "." when none is).
+            group[:, 6] = group[:, 7]
+            group[:, 7] = 46
+            kept = np.count_nonzero(group[:, 8:24], axis=1)
+            end = np.where(kept > 0, 8 + kept, 7)
+            for j, char in enumerate(b"e%+03d" % k):
+                group[np.arange(part.size), end + j] = char
+        records[part] = group.view("V32").ravel()
+    minus = np.flatnonzero(negative)
+    start[minus] -= 1
+    rows[minus, start[minus]] = 45
+    start += np.arange(0, 32 * a.size, 32)
+    # the 24 bytes from every byte of the rows on, as strings: one gather reads each text
+    return np.ndarray(rows.size - 23, "S24", rows, 0, (1,))[start], unsure
+
+
+def _significands(a, e):
+    """The 17-digit integer nearest each a * 10**(16 - e), for values a > 0 of decimal
+    exponent e, as its first nine and last eight digits in two float arrays; and the
+    mask of the values whose digits the product cannot settle (their digits are 0).
+
+    With 10**(16 - e) as the double-double hi + lo, Dekker's exact product of a and hi
+    plus a * lo is off from a * 10**(16 - e) by far less than 2**-40, so a fraction part
+    within NEAR_TIE of a half is the only rounding in doubt; digits outside
+    [10**16, 10**17) mean the exponent guess was one off (near a power of ten, or where
+    the rounding carries to one more digit).  Every integer here is below 2**53 or a
+    product exact in doubles, so the digits come out of float operations exactly.
+    """
+    e_lo = int(e.min())
+    powers = np.array([_pow10(16 - k) for k in range(e_lo, int(e.max()) + 1)])
+    index = (e - e_lo).astype(np.intp)
+    hi, hi_hi, hi_lo, lo = (column[index] for column in powers.T)
+    y = a * hi  # an integer: it lies in [10**16, 10**17) unless the exponent guess is off
+    a_hi = _SPLIT * a
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    frac = y - a_hi * hi_hi
+    frac -= a_lo * hi_hi
+    frac -= a_hi * hi_lo
+    np.subtract(a_lo * hi_lo, frac, out=frac)  # y + frac == a * hi exactly
+    frac += a * lo
+    whole = np.floor(frac)
+    frac -= whole
+    unsure = (np.abs(frac - 0.5) <= NEAR_TIE) | ((y - 1e16) + whole < 0)  # y - 1e16 is exact
+    whole += np.floor(frac + 0.5)  # y + whole is the nearest integer
+    # top * 10**8 + low == y + whole; the quotient may round to the next integer, so
+    # low is then negative, and whole may carry low past 10**8: one more step settles both.
+    top = np.floor(y / 1e8)
+    low = y - top * 1e8
+    low += whole
+    carry = np.floor(low / 1e8)
+    top += carry
+    low -= carry * 1e8
+    unsure |= top >= 1e9
+    top[unsure] = 0.0
+    low[unsure] = 0.0
+    return top, low, unsure
+
+
+def _digit_rows(top, low):
+    """32-byte rows for the 17-digit integers top * 10**8 + low (0 gives zeros): "0000",
+    "000" and the leading digit, four groups of four digits with the trailing zeros
+    (which %g strips) as NULs, and eight NULs."""
+    four, tail = _tables()
+    head = np.floor(top / 1e4)
+    lead = np.floor(head / 1e4)
+    mid = np.floor(low / 1e4)
+    rows = np.zeros((top.size, 8), "<u4")
+    rows[:, 0] = four[0]
+    rows[:, 1] = four[lead.astype(np.intp)]
+    # The groups of four digits, last first; a group loses its trailing zeros where all
+    # the digits after it are zeros.
+    last = low - mid * 1e4
+    rows[:, 5] = tail[last.astype(np.intp)]
+    after = np.flatnonzero(last == 0)  # the rows whose digits after the group are all zeros
+    for col, group in ((4, mid), (3, top - head * 1e4), (2, head - lead * 1e4)):
+        k = group.astype(np.intp)
+        rows[:, col] = four[k]
+        rows[after, col] = tail[k[after]]
+        after = after[group[after] == 0]
+    return rows.view(np.uint8)
+
+
+def _g17_one(value: float) -> bytes:
+    return b"%.17g" % value
+
+
+
+@functools.cache
+def _pow10(s: int) -> tuple[float, float, float, float]:
+    """10**s as a double-double hi + lo, with hi's Veltkamp halves."""
+    num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+    hi = num / den  # int division is correctly rounded
+    m, d = hi.as_integer_ratio()
+    lo = (num * d - m * den) / (den * d)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return hi, hi_hi, hi - hi_hi, lo
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """format_g17's lookup tables, built on first use: for k < 10000 the ASCII of "%04d" % k
+    as one little-endian uint32, and the same with its trailing zeros as NULs."""
+    two = [48 + k // 10 + (48 + k % 10) * 256 for k in range(100)]  # "%02d" % k
+    bare = [t if k % 10 else t & 255 if k else 0 for k, t in enumerate(two)]  # without its trailing zeros
+    high, low, bare = np.array(two)[:, None], np.array(two) * 65536, np.array(bare)
+    four = high + low
+    tail = np.where(np.arange(100) > 0, high + bare * 65536, bare[:, None])
+    return four.astype("<u4").ravel(), tail.astype("<u4").ravel()
 
 
 def write_files(items) -> None:
-    """Write each (path, text) pair in order; if one raises OSError, remove the files this call opened and re-raise."""
+    """Write each (path, bytes) pair in order; if one raises OSError, remove the files this call opened and re-raise."""
     opened = []
     try:
-        for path, text in items:
-            with open(path, "w", newline="") as fh:
+        for path, data in items:
+            with open(path, "wb") as fh:
                 opened.append(path)
-                fh.write(text)
+                fh.write(data)
     except OSError:
         remove_files(opened)
         raise

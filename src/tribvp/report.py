@@ -13,7 +13,7 @@ _INF = float("inf")
 
 def dump_report(report: dict, path) -> None:
     """Write the report as json.dumps(report, sort_keys=True, indent=2) would, plus a newline."""
-    write_files([(path, _json_text(report, "\n") + "\n")])
+    write_files([(path, (_json_text(report, "\n") + "\n").encode())])
 
 
 def _json_text(obj, pad: str) -> str:
@@ -68,4 +68,4 @@ def write_sweep_csv(path, axis_names: list[str], rows: list[dict]) -> None:
             cells.append("" if value is None else format_sig(value))
         cells.append(row["verdict"])
         lines.append(",".join(cells))
-    write_files([(path, "\n".join(lines) + "\n")])
+    write_files([(path, ("\n".join(lines) + "\n").encode())])

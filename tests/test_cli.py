@@ -154,6 +154,12 @@ def test_config_errors_exit_code(tmp_path, capsys):
 
     # f documents of the wrong shape, or branches with the wrong parameter count, are config errors
     tail = {"until": None, "form": "constant", "params": [1]}
+    # a rational branch whose pole is its left breakpoint, with exact and with float parameters
+    line = {"until": 2, "form": "linear", "params": [1, 0]}
+    pole_at_breakpoint = [
+        {"kind": "piecewise", "pieces": [line, {"until": None, "form": "rational-linear", "params": params}]}
+        for params in ([3, 2, 1, -2], [3, 2, 1.5, -3])
+    ]
     for f_doc in (
         {"kind": "constant", "params": 5},
         {"kind": "piecewise", "pieces": "x"},
@@ -164,10 +170,14 @@ def test_config_errors_exit_code(tmp_path, capsys):
         {"kind": "piecewise", "pieces": [{"until": None, "form": "rational-linear", "params": [1, 0, 1]}]},
         {"kind": "piecewise", "pieces": [{"until": None, "form": ["linear"], "params": [1, 0]}]},
         {"kind": "product", "time": {"kind": "exp-decay", "params": 1}, "u": {"kind": "constant", "params": [1]}},
+        *pole_at_breakpoint,
     ):
         bad = tmp_path / "bad_f.json"
         bad.write_text(json.dumps({"problem": {**problem, "f": f_doc}}))
         assert main(["constants", "--config", str(bad), "--out", str(tmp_path)]) == 2, f_doc
+        err = capsys.readouterr().err
+        if f_doc in pole_at_breakpoint:
+            assert "config error: rational-linear branch on [2, None] has a pole" in err, err
 
     # f is -1 at u = 0.115, between the points any coarse sample would take
     dip = tmp_path / "dip.json"
@@ -395,6 +405,19 @@ def test_cached_t_columns_write_what_fresh_ones_write(tmp_path, capsys):
     assert all(any(name.startswith("solution_") for name in files) for _, _, files in cached)
     for argv, a, b in zip(sequence, cached, fresh):
         assert a == b, argv
+
+
+def test_worked_solutions_format_without_the_per_value_fallback(tmp_path, monkeypatch):
+    # a work count: every u and t of both worked configs' n = 2049 solutions goes through
+    # the array formatter, none through the per-value "%.17g"
+    taken = []
+    monkeypatch.setattr(grid, "_g17_one", lambda v: taken.append(v) or b"%.17g" % v)
+    grid._csv_format.cache_clear()
+    for k, config in enumerate((SIGMOID, EXP)):
+        out = tmp_path / f"out{k}"
+        assert main(["solve", "--config", config, "--grid", "2049", "--out", str(out), "--no-timing"]) == 0
+        assert len(list(out.glob("solution_*.csv"))) >= 2
+    assert taken == []
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tribvp import grid
 from tribvp.grid import (
     T_COLUMNS_KEPT,
     SolutionCurve,
     cumulative_simpson,
+    format_g17,
     interp_cubic,
     partial_integral,
     simpson_integral,
@@ -176,3 +180,44 @@ def test_write_csv_bytes_match_row_by_row_format(tmp_path):
     cycle[0].to_csv(tmp_path / "first_again.csv")
     for curve, path in zip(interleaved + cycle[:1], paths + [tmp_path / "first_again.csv"]):
         assert path.read_bytes() == _row_by_row_csv(curve)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_format_g17_is_the_per_value_format(values):
+    # any finite doubles, subnormals and -0.0 included, in one array
+    assert format_g17(np.array(values)) == [b"%.17g" % v for v in values]
+
+
+# m / 2**j with exactly 18 significant digits, the 18th a 5: %.17g rounds them half to even
+EXACT_TIES = [1049 / 2**20, 211 / 2**21, 43 / 2**22, 9 / 2**23, 3 / 2**24, 2.0**-25]
+
+
+def test_format_g17_fixed_values():
+    powers_of_ten = np.array([10.0**k for k in range(-323, 309)])
+    values = np.concatenate(
+        [
+            powers_of_ten,
+            np.nextafter(powers_of_ten, 0.0),
+            np.nextafter(powers_of_ten, np.inf),
+            2.0 ** np.arange(-1074, 1024),
+            EXACT_TIES,
+            # where %g switches between fixed and exponent notation; 99999999999999999.0 is the double 1e17
+            [1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 99999999999999999.0, 1e17, 12345678901234567.0],
+            # three-digit exponents, the limits of the double range, integers and trailing zeros
+            [1e-100, 1.5e200, 1e-280, 1e280, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            [0.0, 1.0, 100.0, 0.5, 120.25, 1e15 + 0.5, 0.1, 1 / 3, 12.050382977159664],
+        ]
+    )
+    values = np.concatenate([values, -values])
+    assert format_g17(values) == [b"%.17g" % v for v in values.tolist()]
+    assert format_g17(np.array([np.inf, -np.inf, np.nan])) == [b"inf", b"-inf", b"nan"]
+    assert format_g17(np.array([])) == []
+
+
+def test_format_g17_takes_the_per_value_format_only_where_its_product_cannot_decide(monkeypatch):
+    taken = []
+    monkeypatch.setattr(grid, "_g17_one", lambda v: taken.append(v) or b"%.17g" % v)
+    values = np.array([*EXACT_TIES, 0.1, 1e300, np.inf])
+    assert format_g17(values) == [b"%.17g" % v for v in values.tolist()]
+    assert sorted(taken) == sorted([*EXACT_TIES, 1e300, np.inf])  # ties, |e| > EXPONENT_LIMIT and non-finite values
