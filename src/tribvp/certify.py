@@ -15,6 +15,7 @@ that bounds f, and the method ("exact" or "enclosure").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class ThresholdTriple:
     b: Number
     c: Number
     d: Number | None = None
+
+    @cached_property
+    def floats(self) -> tuple[float, float, float, float | None]:
+        """(a, b, c, d) as floats, converted once; d stays None when unset."""
+        return float(self.a), float(self.b), float(self.c), None if self.d is None else float(self.d)
 
     @classmethod
     def from_abc(cls, a: Number, b: Number, c: Number, gamma: Number | None = None) -> "ThresholdTriple":
@@ -153,25 +159,29 @@ def _floor(p: Problem, eta: float, T: float, delta: float, b, d) -> tuple:
 
 def check_D1(p: Problem, m: Number, a: Number) -> ConditionReport:
     """Small-range cap: f < m*a on [0, T] x [0, a] (strict)."""
-    if not float(a) > 0:
+    a = float(a)
+    if not a > 0:
         raise ValueError("threshold a must be positive")
-    holds, margin, bound, r = _cap(p, float(p.T), float(m), float(a), strict=True)
+    holds, margin, bound, r = _cap(p, p.floats[0], float(m), a, strict=True)
     return ConditionReport("D1", holds=holds, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
 
 
 def check_D2(p: Problem, delta: Number, b: Number, gamma: Number) -> ConditionReport:
     """Tail floor: f >= b/delta on [eta, T] x [b, b/gamma]."""
-    if not float(b) > 0:
+    b_lo = float(b)
+    if not b_lo > 0:
         raise ValueError("threshold b must be positive")
-    holds, margin, bound, r = _floor(p, float(p.eta), float(p.T), float(delta), float(b), float(b / gamma))
+    T, eta, _, _ = p.floats
+    holds, margin, bound, r = _floor(p, eta, T, float(delta), b_lo, float(b / gamma))
     return ConditionReport("D2", holds=holds, margin=margin, bound=bound, worst_point=r.lo_at, method=r.method)
 
 
 def check_D3(p: Problem, m: Number, c: Number) -> ConditionReport:
     """Global cap: f <= m*c on [0, T] x [0, c]."""
-    if not float(c) > 0:
+    c = float(c)
+    if not c > 0:
         raise ValueError("threshold c must be positive")
-    holds, margin, bound, r = _cap(p, float(p.T), float(m), float(c), strict=False)
+    holds, margin, bound, r = _cap(p, p.floats[0], float(m), c, strict=False)
     return ConditionReport("D3", holds=holds, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
 
 
@@ -219,7 +229,8 @@ def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     returned, with the largest feasible c: c enters the ordering only through
     c >= b/gamma, so no smaller c can hold where it fails.
     """
-    T, eta, m, delta, gamma = (float(x) for x in (p.T, p.eta, k.m, k.delta, k.gamma))
+    T, eta, _, _ = p.floats
+    m, delta, gamma = float(k.m), float(k.delta), float(k.gamma)
     feasible_a = _feasible_axis_points(lambda a: _cap(p, T, m, a, strict=True))
     if not feasible_a:
         return None

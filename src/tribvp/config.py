@@ -33,7 +33,7 @@ MODES = ("constants", "certify", "solve", "sweep")
 
 def f_check_u_max(thresholds: ThresholdTriple | None) -> float:
     """u range of the f >= 0 checks, at construction and for H1: 2c, or 10 without thresholds."""
-    return 2.0 * float(thresholds.c) if thresholds is not None else 10.0
+    return 2.0 * thresholds.floats[2] if thresholds is not None else 10.0
 
 
 def _parse_thresholds(tdoc) -> ThresholdTriple:

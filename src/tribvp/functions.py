@@ -56,6 +56,12 @@ def _is_array(x) -> bool:
     return not isinstance(x, (float, int, Fraction)) and np.ndim(x) > 0
 
 
+def _is_fraction(x) -> bool:
+    """isinstance(x, Fraction), with floats and numpy arrays judged by their type alone."""
+    kind = type(x)
+    return kind is Fraction or (kind is not np.ndarray and kind is not float and isinstance(x, Fraction))
+
+
 def _polyval(coeffs, x):
     """Horner's rule; exact for Fractions, else double precision (x may be an array)."""
     acc = np.zeros_like(x) if _is_array(x) else 0
@@ -262,7 +268,7 @@ class RationalSigmoid(FunctionSpec):
     kind = "autonomous-rational-sigmoid"
 
     def _value(self, t, u):
-        if isinstance(u, Fraction) and is_exact(self.scale):
+        if _is_fraction(u) and is_exact(self.scale):
             uu = u * u
             return self.scale * uu / (uu + 1)
         u = np.asarray(u, dtype=float) if _is_array(u) else float(u)
@@ -305,7 +311,7 @@ class PolynomialU(FunctionSpec):
     kind = "polynomial"
 
     def _value(self, t, u):
-        if isinstance(u, Fraction) and is_exact(*self.coeffs):
+        if _is_fraction(u) and is_exact(*self.coeffs):
             return _polyval(self.coeffs, u)
         return _polyval(self._coeffs, np.asarray(u, dtype=float) if _is_array(u) else float(u))
 
@@ -346,7 +352,7 @@ class Piece:
             raise FunctionSpecError(f"params of a {self.form} branch: expected {arity}, got {len(self.params)}")
 
     def evaluate(self, u):
-        exact = isinstance(u, Fraction) and is_exact(*self.params)
+        exact = _is_fraction(u) and is_exact(*self.params)
         p = self.params if exact else self._floats
         if not exact and not _is_array(u):
             u = float(u)
@@ -551,7 +557,7 @@ class ProductF(FunctionSpec):
 
     def _value(self, t, u):
         h = self.u_factor._value(t, u)
-        return self.time_factor.evaluate(t) * (float(h) if isinstance(h, Fraction) else h)
+        return self.time_factor.evaluate(t) * (float(h) if _is_fraction(h) else h)
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         # t and u vary independently, so all four corners (each factor's lo or hi,

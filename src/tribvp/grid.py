@@ -7,12 +7,13 @@ node below x) + (Simpson over the short remainder, with integrand values
 interpolated cubically).  Cumulative integrals at grid nodes use Simpson
 pairs at even indices and a trapezoid correction on the final subinterval at
 odd indices.  A curve's CSV holds the bytes of "%.17g" for each value, formatted
-for the whole array at once (format_g17).
+for all the curves of one write at once (format_g17).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -90,12 +91,20 @@ class SolutionCurve:
 
 
 def write_csv(curves, paths):
-    """Write each curve to its path as "t,u" and "%.17g,%.17g" rows; if one write fails, none of the files is left."""
-    write_files((path, _csv_text(curve)) for curve, path in zip(curves, paths))
+    """Write each curve to its path as "t,u" and "%.17g,%.17g" rows; if one write fails, none of the files is left.
+
+    The u values of all the curves are formatted in one format_g17 call.
+    """
+    pairs = list(zip(curves, paths))
+    if not pairs:
+        return
+    lines = format_g17(np.concatenate([curve.values for curve, _ in pairs]))
+    ends = itertools.accumulate(curve.n for curve, _ in pairs)
+    write_files((path, _csv_text(curve, lines[end - curve.n : end])) for (curve, path), end in zip(pairs, ends))
 
 
-def _csv_text(curve: SolutionCurve) -> bytes:
-    return _csv_format(float(curve.t0).hex(), float(curve.t1).hex(), curve.n) % tuple(format_g17(curve.values))
+def _csv_text(curve: SolutionCurve, u_lines: list[bytes]) -> bytes:
+    return _csv_format(float(curve.t0).hex(), float(curve.t1).hex(), curve.n) % tuple(u_lines)
 
 
 @functools.lru_cache(maxsize=T_COLUMNS_KEPT)
@@ -322,7 +331,7 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
-    out = np.zeros(v.shape)
+    out = np.zeros_like(v)  # laid out as v is, so a transposed stack of rows integrates into rows
     if n >= 3:
         pair = h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
         out[2::2] = np.cumsum(pair, axis=0)
@@ -337,7 +346,8 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def interp_weights(n: int, h: float, x):
-    """Four-point Lagrange stencil (start index, weights) for position x, or for every point of an array x."""
+    """Four-point Lagrange stencil (start index, weights) for position x; for an array x,
+    (the four node indices of each point, their weights), as the (m, 4) arrays of a gather."""
     if n < 4:
         raise ValueError("cubic interpolation needs at least four nodes")
     pos = np.asarray(x) / h
@@ -345,16 +355,14 @@ def interp_weights(n: int, h: float, x):
         raise ValueError(f"interpolation point {x} outside the grid")
     start = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
     xi = pos - start
+    d0, d1, d2, d3 = (xi - m for m in range(4))
     w = np.empty(xi.shape + (4,))
-    for k in range(4):
-        num = 1.0
-        den = 1.0
-        for m in range(4):
-            if m != k:
-                num = num * (xi - m)
-                den *= k - m
-        w[..., k] = num / den
-    return start, w
+    # weight k: the product of xi - m over the other nodes m, over that of k - m
+    w[..., 0] = d1 * d2 * d3 / -6.0
+    w[..., 1] = d0 * d2 * d3 / 2.0
+    w[..., 2] = d0 * d1 * d3 / -2.0
+    w[..., 3] = d0 * d1 * d2 / 6.0
+    return (start if np.ndim(start) == 0 else start[:, None] + np.arange(4)), w
 
 
 def interp_cubic(values: np.ndarray, h: float, x):
@@ -366,7 +374,7 @@ def interp_apply(values: np.ndarray, start, w):
     """Apply a stencil of interp_weights to nodal values, so one stencil serves many curves on one grid."""
     if np.ndim(start) == 0:
         return float(np.dot(w, values[start : start + 4]))
-    stencils = values[start[:, None] + np.arange(4)]
+    stencils = values[start]
     return (w[:, None, :] @ stencils[:, :, None])[:, 0, 0]  # one dot product per point: the bits of the scalar call
 
 

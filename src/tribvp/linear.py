@@ -78,7 +78,7 @@ class GammaBoundCheck(NamedTuple):
 
 
 def check_grid(p: Problem, y: SolutionCurve) -> None:
-    T = float(p.T)
+    T = p.floats[0]
     if abs(y.t0) > 1e-12 or abs(y.t1 - T) > 1e-9 * max(1.0, T):
         raise ValueError("input curve must be sampled on [0, T]")
     if y.n % 2 == 0:
@@ -89,7 +89,7 @@ class BoundaryStencils:
     """Both boundary conditions' eta stencils on n nodes of spacing h: interp_cubic's and partial_integral's."""
 
     def __init__(self, p: Problem, n: int, h: float):
-        _, self.eta, self.alpha, self.beta = p.floats()
+        _, self.eta, self.alpha, self.beta = p.floats
         self.h = h
         self.s_eta, self.c_eta = interp_weights(n, h, self.eta)  # u(eta) = c_eta . u[s_eta : s_eta + 4]
         self.w_eta = partial_integral_weights(n, h, self.eta)
@@ -106,13 +106,15 @@ class BoundaryStencils:
 class LinearPlan(BoundaryStencils):
     """The closed form's setup for one problem on n uniform nodes of [0, T], done once.
 
-    Calling the plan on a load of shape (n,), or (n, k) with one load per
+    Calling the plan on a load v of shape (n,), or (n, k) with one load per
     column, returns the solution's nodal values exactly as solve_linear does:
-    two cumulative Simpson sums, three eta-weight products and the closed form.
+    the cumulative Simpson sums of v and t*v (one pass over both, stacked as
+    two rows), three eta-weight products and the closed form, with the
+    operations and their order of two separate sums.
     """
 
     def __init__(self, p: Problem, n: int):
-        T, eta, alpha, beta = p.floats()
+        T, eta, alpha, beta = p.floats
         d = -float(lambda_constant(p))  # the closed form's D
         if abs(d) < SINGULAR_TOL:
             raise SingularConfigurationError(f"beta = {beta} makes the boundary system singular (Lambda = {-d})")
@@ -123,27 +125,38 @@ class LinearPlan(BoundaryStencils):
         self.c1 = (beta * (2.0 * T - alpha * eta * eta) - 2.0 * beta * (1.0 - alpha * eta) * t) / d
         self.c2 = (alpha * beta * eta - alpha * (beta - 1.0) * t) / d
         self.c3 = (2.0 * (beta - 1.0) * t - 2.0 * beta * eta) / d
+        self._node_vectors = (t, self.t2, self.c1, self.c2, self.c3)
+        self._node_columns = tuple(a[:, None] for a in self._node_vectors)  # against (n, k) loads
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        t, t2, c1, c2, c3 = (a if v.ndim == 1 else a[:, None] for a in (self.t, self.t2, self.c1, self.c2, self.c3))
-        tv, eta = t * v, self.eta
-        conv = t * cumulative_simpson(v, self.h) - cumulative_simpson(tv, self.h)  # integral_0^t (t - s) y(s) ds
-        y1_eta, y2_eta, y3_eta = self.w_eta @ v, self.w_eta @ tv, self.w_eta @ (t2 * v)
+        t, t2, c1, c2, c3 = self._node_vectors if v.ndim == 1 else self._node_columns
+        stacked = np.empty((2, *v.shape))  # v and t*v
+        stacked[0] = v
+        tv = np.multiply(t, v, out=stacked[1])
+        sums = cumulative_simpson(stacked.transpose(*range(1, stacked.ndim), 0), self.h)  # nodes first
+        conv = t * sums[..., 0]
+        conv -= sums[..., 1]  # integral_0^t (t - s) y(s) ds
+        eta, w_eta = self.eta, self.w_eta
+        y1_eta, y2_eta, y3_eta = w_eta @ v, w_eta @ tv, w_eta @ (t2 * v)
         i1 = eta * y1_eta - y2_eta
         i2 = eta * eta * y1_eta - 2.0 * eta * y2_eta + y3_eta
-        return c1 * i1 + c2 * i2 + c3 * conv[-1] - conv
+        u = c1 * i1
+        u += c2 * i2
+        u += c3 * conv[-1]
+        u -= conv
+        return u
 
 
 def solve_linear(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Evaluate the closed-form solution of u'' + y = 0 on y's grid."""
     check_grid(p, y)
-    return SolutionCurve(0.0, float(p.T), LinearPlan(p, y.n)(y.values))
+    return SolutionCurve(0.0, p.floats[0], LinearPlan(p, y.n)(y.values))
 
 
 def solve_linear_oracle(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Direct construction: parametric double integral + 2x2 boundary solve."""
     check_grid(p, y)
-    T, eta, alpha, beta = p.floats()
+    T, eta, alpha, beta = p.floats
     t, h, v = y.nodes, y.h, y.values
     conv = t * cumulative_simpson(v, h) - cumulative_simpson(t * v, h)  # integral_0^t (t - s) y(s) ds
     conv_eta = eta * partial_integral(v, h, eta) - partial_integral(t * v, h, eta)

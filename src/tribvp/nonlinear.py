@@ -133,7 +133,7 @@ def _load(p: Problem, t: np.ndarray, u: np.ndarray, strict: bool = True) -> np.n
     u dips below the admissible domain; the solution routes drop such a start.
     """
     y = p.f(t, u if strict else np.maximum(u, 0.0))
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise FunctionDomainError(f"f is not finite on an iterate of sup norm {np.max(np.abs(u))}")
     return y
 
@@ -206,7 +206,7 @@ def shooting_residual(p: Problem, u0: float, s0: float, n: int = DEFAULT_GRID_N)
     is frozen at its last finite state and reports signed-infinity residuals.
     The solution routes never integrate the ODE, so this is an independent check.
     """
-    T, eta, alpha, beta = p.floats()
+    T, eta, alpha, beta = p.floats
     h = T / (n - 1)
     U = np.empty(n)
     u, v = float(u0), float(s0)
@@ -243,9 +243,8 @@ def _start_levels(cfg: SolveConfig) -> list[float]:
     """Heights of the constant starts: 1e-2*a, a, b, (d,) c, or decades without thresholds."""
     if cfg.thresholds is None:
         return [1e-2, 1e-1, 1.0, 10.0, 100.0]
-    tt = cfg.thresholds
-    d = [] if tt.d is None else [float(tt.d)]
-    return [1e-2 * float(tt.a), float(tt.a), float(tt.b), *d, float(tt.c)]
+    a, b, c, d = cfg.thresholds.floats
+    return [1e-2 * a, a, b, *([] if d is None else [d]), c]
 
 
 def _df_du(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -275,11 +274,12 @@ def _gmres(matvec, b: np.ndarray, floor: float) -> np.ndarray:
     Givens rotations keep the small least-squares problem triangular: its
     residual is known at every step, and no LAPACK call is needed.
     """
-    beta = float(np.linalg.norm(b))
+    beta = math.sqrt(b.dot(b))  # np.linalg.norm's own sum of squares, without its wrapper
     if beta == 0.0:
         return np.zeros_like(b)
     m, stop = GMRES_RESTART, max(GMRES_RTOL * beta, floor)
-    V = [b / beta]
+    V = np.empty((m + 1, b.size))  # the Krylov basis, one vector per row
+    np.divide(b, beta, out=V[0])
     H = np.zeros((m + 1, m))
     cs, sn = np.zeros(m), np.zeros(m)
     g = np.zeros(m + 1)
@@ -287,9 +287,9 @@ def _gmres(matvec, b: np.ndarray, floor: float) -> np.ndarray:
     for j in range(m):
         w = matvec(V[j])
         for i in range(j + 1):  # modified Gram-Schmidt
-            H[i, j] = w @ V[i]
-            w -= H[i, j] * V[i]
-        H[j + 1, j] = np.linalg.norm(w)
+            H[i, j] = hij = w @ V[i]
+            w -= hij * V[i]
+        H[j + 1, j] = math.sqrt(w.dot(w))
         for i in range(j):
             H[i, j], H[i + 1, j] = cs[i] * H[i, j] + sn[i] * H[i + 1, j], cs[i] * H[i + 1, j] - sn[i] * H[i, j]
         rho = math.hypot(H[j, j], H[j + 1, j])
@@ -298,7 +298,7 @@ def _gmres(matvec, b: np.ndarray, floor: float) -> np.ndarray:
         g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
         if abs(g[j + 1]) <= stop:
             break
-        V.append(w / H[j + 1, j])
+        np.divide(w, H[j + 1, j], out=V[j + 1])
     k = j + 1
     y = np.zeros(k)
     for i in reversed(range(k)):
@@ -318,12 +318,12 @@ def _newton(residual, step, U: np.ndarray):
     """
     U = U.copy()
     R = residual(U)
-    rnorm = np.max(np.abs(R), axis=1)
+    rnorm = np.abs(R).max(axis=1)
     iterations = np.zeros(len(U), dtype=int)
     stopped = np.zeros(len(U), dtype=bool)
     dU = np.empty_like(U)
     while True:
-        tol = NEWTON_TOL * np.fmax(1.0, np.max(np.abs(U), axis=1))  # fmax, like max(1.0, x), skips a NaN
+        tol = NEWTON_TOL * np.fmax(1.0, np.abs(U).max(axis=1))  # fmax, like max(1.0, x), skips a NaN
         rows = np.flatnonzero(~stopped & (iterations < NEWTON_MAX_ITER) & (rnorm > tol))
         if not rows.size:
             return U, rnorm, iterations, R
@@ -342,7 +342,7 @@ def _newton(residual, step, U: np.ndarray):
                 break
             cand = U[rows] + lam * dU[rows]
             r_cand = residual(cand)
-            cand_norm = np.max(np.abs(r_cand), axis=1)
+            cand_norm = np.abs(r_cand).max(axis=1)
             better = cand_norm < rnorm[rows]
             done = rows[better]
             U[done], R[done], rnorm[done] = cand[better], r_cand[better], cand_norm[better]
@@ -352,8 +352,9 @@ def _newton(residual, step, U: np.ndarray):
         stopped[rows] = True
 
 
-def _accepted(u: np.ndarray, rnorm: float) -> bool:
-    return rnorm <= NEWTON_ACCEPT_TOL * max(1.0, float(np.max(np.abs(u))))
+def _accepted(U: np.ndarray, rnorm):
+    """Per row u of U: ||F(u)||_inf = rnorm <= NEWTON_ACCEPT_TOL * max(1, ||u||_inf)."""
+    return rnorm <= NEWTON_ACCEPT_TOL * np.fmax(1.0, np.abs(U).max(axis=-1))
 
 
 def _coarse_roots(p: Problem, cfg: SolveConfig):
@@ -382,13 +383,13 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
         Jk.reshape(len(U), -1)[:, :: n + 1] += 1.0
         return np.linalg.solve(Jk, -R[:, :, None])[:, :, 0]
 
-    roots: list[tuple[np.ndarray, int]] = []
-    for u, rnorm, iterations, _ in zip(*_newton(residual, step, np.array(starts))):
-        if _accepted(u, rnorm) and not any(
-            np.max(np.abs(u - v)) <= DEDUP_TOL * max(1.0, np.max(np.abs(v))) for v, _ in roots
-        ):
-            roots.append((u, int(iterations)))
-    return t, roots
+    U, rnorm, iterations, _ = _newton(residual, step, np.array(starts))
+    scale = DEDUP_TOL * np.fmax(1.0, np.abs(U).max(axis=1))
+    kept: list[int] = []
+    for i in np.flatnonzero(_accepted(U, rnorm)).tolist():
+        if not (np.abs(U[i] - U[kept]).max(axis=1) <= scale[kept]).any():
+            kept.append(i)
+    return t, [(U[i], int(iterations[i])) for i in kept]
 
 
 def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iterations: int):
@@ -407,7 +408,7 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
         return _fixed_point_residual(p, plan, U[0])[None]
 
     def step(U, R):
-        floor = 0.1 * NEWTON_TOL * max(1.0, float(np.max(np.abs(U[0]))))
+        floor = 0.1 * NEWTON_TOL * max(1.0, float(np.abs(U[0]).max()))
         return _gmres(_jacobian_matvec(p, plan, U[0]), -R[0], floor)[None]
 
     U = prolonged[None]
@@ -417,7 +418,7 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
     rep, verified = _verify(p, plan, curve)
     return FixedPointResult(
         curve=curve,
-        converged=_accepted(u, rnorm) and verified,
+        converged=bool(_accepted(u, rnorm)) and verified,
         iterations=coarse_iterations + int(iterations),
         final_update_norm=float(rnorm),
         residuals=rep,
@@ -435,7 +436,7 @@ def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
     """
     plan = LinearPlan(p, cfg.grid_n)
     t_coarse, roots = _coarse_roots(p, cfg)
-    hand_off = interp_weights(t_coarse.size, t_coarse[1], plan.t)  # one stencil for every root
+    hand_off = interp_weights(t_coarse.size, t_coarse[1], plan.t)  # one stencil and gather index for every root
     results = []
     for u, iterations in roots:
         with contextlib.suppress(FunctionDomainError):
@@ -490,7 +491,7 @@ def classify_solution(
     min_tail = u.min_from(eta) if eta is not None else None
     label = "unclassified"
     if tt is not None:
-        a, b = float(tt.a), float(tt.b)
+        a, b, _, _ = tt.floats
         if norm < a:
             label = "small"
         elif min_full > b:
@@ -507,4 +508,4 @@ def find_solutions(
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
         candidates = newton_solutions(p, cfg)
     verified = [r for r in candidates if cone_membership(r.curve).ok]
-    return [(r, classify_solution(r.curve, cfg.thresholds, float(p.eta))) for r in _dedup(verified, DEDUP_TOL)]
+    return [(r, classify_solution(r.curve, cfg.thresholds, p.floats[1])) for r in _dedup(verified, DEDUP_TOL)]

@@ -20,8 +20,6 @@ def parse_number(value) -> Number:
     """Parse a config scalar: int/str -> Fraction (exact), float -> float."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
-    if isinstance(value, Rational):
-        return Fraction(value)
     if isinstance(value, float):
         return value
     if isinstance(value, str):
@@ -29,6 +27,8 @@ def parse_number(value) -> Number:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {value!r} as a rational number") from exc
+    if is_exact(value):
+        return Fraction(value)
     raise ValueError(f"expected a number, got {value!r}")
 
 
@@ -45,8 +45,16 @@ def parse_field(value, where: str) -> Number:
 
 
 def is_exact(*values) -> bool:
-    """True when every value supports exact rational arithmetic."""
-    return all(isinstance(v, Rational) for v in values)
+    """True when every value supports exact rational arithmetic.
+
+    `Fraction`, `int` and `float` are judged by their type alone; any other
+    type (`bool` and numpy integers among them) by the `Rational` ABC.
+    """
+    for v in values:
+        kind = type(v)
+        if kind is float or not (kind is Fraction or kind is int or isinstance(v, Rational)):
+            return False
+    return True
 
 
 class Unreduced:

@@ -38,24 +38,26 @@ class Problem:
     f: FunctionSpec | None = None
 
     def __post_init__(self):
-        for name in ("T", "eta", "alpha", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(float(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not float(self.T) > 0:
+        T, eta, alpha, beta = self.floats
+        for name, value in zip(("T", "eta", "alpha", "beta"), self.floats):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if not 0 < float(self.eta) < float(self.T):
+        if not 0 < eta < T:
             raise ValueError(f"eta must lie strictly inside (0, T), got {self.eta}")
-        if not float(self.alpha) > 0:
+        if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if float(self.beta) < 0:
+        if beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
     @property
     def exact(self) -> bool:
         return is_exact(self.T, self.eta, self.alpha, self.beta)
 
+    @cached_property
     def floats(self) -> tuple[float, float, float, float]:
+        """(T, eta, alpha, beta) as floats, converted once."""
         return float(self.T), float(self.eta), float(self.alpha), float(self.beta)
 
     @cached_property
@@ -117,7 +119,7 @@ def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisRep
     h2_alpha_ok = bool(alpha > tol and alpha < alpha_bound - tol)
     if not h2_alpha_ok:
         messages.append(
-            f"alpha = {float(p.alpha)} violates 0 < alpha < 2T/eta^2 = {float(alpha_bound)}"
+            f"alpha = {p.floats[2]} violates 0 < alpha < 2T/eta^2 = {float(alpha_bound)}"
         )
 
     structural = alpha * eta * eta - 2 * eta + 2 * T
@@ -128,7 +130,7 @@ def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisRep
     h2_beta_ok = bool(beta > tol and beta < beta_bound - tol)
     if not h2_beta_ok:
         messages.append(
-            f"beta = {float(p.beta)} violates 0 < beta < "
+            f"beta = {p.floats[3]} violates 0 < beta < "
             f"(2T - alpha*eta^2)/(alpha*eta^2 - 2*eta + 2T) = {float(beta_bound)}"
         )
 
@@ -146,9 +148,10 @@ def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisRep
 def _check_f(p: Problem, u_hi: float):
     if p.f is None:
         return False, ("no nonlinearity configured",)
-    box = f"[0, {float(p.T)}] x [0, {u_hi}]"
+    T = p.floats[0]
+    box = f"[0, {T}] x [0, {u_hi}]"
     try:
-        r = p.f.range(0.0, float(p.T), 0.0, u_hi)
+        r = p.f.range(0.0, T, 0.0, u_hi)
     except Exception as exc:  # report a failing user-supplied f as a failed hypothesis
         return False, (f"f evaluation failed on {box}: {exc}",)
     if not (math.isfinite(r.lo) and math.isfinite(r.hi)):

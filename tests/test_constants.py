@@ -161,7 +161,7 @@ def test_closed_forms_equal_fraction_arithmetic_and_float_bits(data):
         beta = frac(0, 99, "beta") * (2 * T - alpha * eta * eta) / (alpha * eta * eta - 2 * eta + 2 * T)
     exact = Problem(T=T, eta=eta, alpha=alpha, beta=beta)
     _check_against_reference(exact, _reference(T, eta, alpha, beta), _exact_same)
-    floats = exact.floats()
+    floats = exact.floats
     _check_against_reference(Problem(*floats), _reference(*floats), _bits_same)
 
 

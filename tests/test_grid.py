@@ -180,6 +180,16 @@ def test_write_csv_bytes_match_row_by_row_format(tmp_path):
     cycle[0].to_csv(tmp_path / "first_again.csv")
     for curve, path in zip(interleaved + cycle[:1], paths + [tmp_path / "first_again.csv"]):
         assert path.read_bytes() == _row_by_row_csv(curve)
+    # no curve writes no file; a zero curve between nonzero ones gives the bytes it gives alone
+    before = sorted(tmp_path.iterdir())
+    write_csv([], [])
+    assert sorted(tmp_path.iterdir()) == before
+    mixed = [curves[1], SolutionCurve(0.0, 1.0, np.zeros(65)), curves[0], SolutionCurve(0.0, 1.0, -np.zeros(33))]
+    paths = [tmp_path / f"mixed_{k}.csv" for k in range(len(mixed))]
+    write_csv(mixed, paths)
+    for k, (curve, path) in enumerate(zip(mixed, paths)):
+        curve.to_csv(tmp_path / "alone.csv")
+        assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes() == _row_by_row_csv(curve), k
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tribvp import (
     Problem,
@@ -14,7 +16,7 @@ from tribvp import (
     solve_linear_oracle,
 )
 from tribvp.constants import gamma
-from tribvp.grid import interp_cubic, partial_integral
+from tribvp.grid import cumulative_simpson, interp_cubic, partial_integral
 from tribvp.linear import LinearPlan
 
 from conftest import (
@@ -228,6 +230,38 @@ def test_plan_matches_the_oracle_on_random_loads(make, rng):
         assert np.max(np.abs(batch[:, k] - oracle)) <= 1e-12
 
 
+def _plan_as_two_sums(plan: LinearPlan, v: np.ndarray) -> np.ndarray:
+    """The plan's closed form built from its parts: two cumulative_simpson calls, three w_eta products, one expression."""
+    t, t2, c1, c2, c3 = (a if v.ndim == 1 else a[:, None] for a in (plan.t, plan.t2, plan.c1, plan.c2, plan.c3))
+    tv, eta = t * v, plan.eta
+    conv = t * cumulative_simpson(v, plan.h) - cumulative_simpson(tv, plan.h)
+    y1_eta, y2_eta, y3_eta = plan.w_eta @ v, plan.w_eta @ tv, plan.w_eta @ (t2 * v)
+    i1 = eta * y1_eta - y2_eta
+    i2 = eta * eta * y1_eta - 2.0 * eta * y2_eta + y3_eta
+    return c1 * i1 + c2 * i2 + c3 * conv[-1] - conv
+
+
+@pytest.mark.parametrize("make", [make_sigmoid_problem, make_exp_piecewise_problem])
+@pytest.mark.parametrize("n", [5, 33, 65, N])
+@settings(max_examples=25, deadline=None)
+@given(
+    columns=st.sampled_from([None, 1, 2, 7, 33]),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.floats(-8.0, 8.0),
+    signed=st.booleans(),
+    stride=st.sampled_from([1, 2]),
+)
+def test_plan_keeps_the_bits_of_two_separate_sums(make, n, columns, seed, decades, signed, stride):
+    # one load (n,) or C-ordered (n, k) loads, as the solution routes pass them; a 1-d load may be a strided view
+    plan = LinearPlan(make(), n)
+    rng = np.random.default_rng(seed)
+    shape = (n,) if columns is None else (n, columns)
+    v = (rng.normal(size=shape) if signed else rng.uniform(0.0, 1.0, shape)) * 10.0**decades
+    if columns is None and stride > 1:
+        v = np.repeat(v, stride)[::stride]
+    assert np.array_equal(plan(v), _plan_as_two_sums(plan, v))
+
+
 def test_plan_for_a_singular_beta_raises():
     p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1))
     with pytest.raises(SingularConfigurationError):
@@ -239,7 +273,7 @@ def test_plan_for_a_singular_beta_raises():
 def test_plan_boundary_residuals_equal_the_direct_stencils_bitwise(make, n, rng):
     # the plan holds the eta stencils once; its boundary residuals are interp_cubic's and partial_integral's
     p = make()
-    T, eta, alpha, beta = p.floats()
+    T, eta, alpha, beta = p.floats
     plan = LinearPlan(p, n)
     for _ in range(5):
         u, y = rng.uniform(-10.0, 10.0, n), rng.uniform(0.0, 10.0, n)

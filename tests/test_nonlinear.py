@@ -102,7 +102,7 @@ def test_operator_matches_four_term_transcription(rng):
     # same four-term expression written with the opposite sign convention:
     # leading minus signs over +Lambda instead of the solver's -Lambda
     p = make_sigmoid_problem()
-    T, eta, alpha, beta = p.floats()
+    T, eta, alpha, beta = p.floats
     from tribvp.problem import lambda_constant
 
     lam = float(lambda_constant(p))

@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from fractions import Fraction as F
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribvp import Problem, lambda_constant, validate_hypotheses
+from tribvp.certify import ThresholdTriple
+from tribvp.functions import _is_fraction
+from tribvp.numeric import Unreduced, is_exact
 from tribvp.functions import ConstantF, FunctionSpec, PiecewiseLinearTable, PolynomialU, RationalSigmoid
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
@@ -143,3 +147,25 @@ def test_lambda_positive_on_admissible_region(data):
 def test_structural_violations_raise(kwargs):
     with pytest.raises(ValueError):
         Problem(**kwargs)
+
+
+class _Half(F):
+    """A Fraction subclass, judged by the ABC, not by its type."""
+
+
+def test_exactness_is_judged_as_the_rational_abc_judges_it():
+    # is_exact and _is_fraction judge Fraction, int, float and ndarray by their type alone
+    values = [F(1, 3), _Half(1, 2), 3, True, np.int64(2), np.uint8(1), 0.5, np.float64(0.5), "1/3", None,
+              Unreduced(1, 3), np.array([1.0]), np.array(2), np.array([F(1, 2)], dtype=object)]
+    for v in values:
+        assert is_exact(v) == isinstance(v, Rational), v
+        assert _is_fraction(v) == isinstance(v, F), v
+    assert is_exact(F(1, 3), 2, np.int32(4)) and not is_exact(F(1, 3), 0.5) and is_exact()
+
+
+def test_float_views_are_converted_once():
+    p = Problem(T=F(2), eta=F(1, 3), alpha=F(3, 2), beta=F(1, 2))
+    assert p.floats == (2.0, 1 / 3, 1.5, 0.5) and p.floats is p.floats
+    assert p.with_params(beta=0.25).floats == (2.0, 1 / 3, 1.5, 0.25)
+    tt = ThresholdTriple.from_abc(F(1, 4), 2, 8.0)
+    assert tt.floats == (0.25, 2.0, 8.0, None) and tt.with_gamma(F(1, 2)).floats == (0.25, 2.0, 8.0, 4.0)
