@@ -17,7 +17,7 @@ from .certify import (
     check_ordering,
     search_thresholds,
 )
-from .constants import LWConstants, compute_constants, delta_constant, gamma, m_constant
+from .constants import LWConstants, compute_constants
 from .errors import (
     CertificationError,
     ConfigError,
@@ -29,24 +29,14 @@ from .errors import (
 )
 from .functions import FunctionSpec, parse_function_spec
 from .grid import SolutionCurve
-from .linear import (
-    ResidualReport,
-    check_gamma_bound,
-    check_nonnegativity,
-    residuals,
-    solve_linear,
-    solve_linear_oracle,
-)
+from .linear import ResidualReport, check_nonnegativity, solve_linear
 from .nonlinear import (
     FixedPointResult,
     SolutionClass,
     SolveConfig,
-    apply_operator_A,
     classify_solution,
     cone_membership,
     find_solutions,
-    picard_iterate,
-    shooting_residual,
 )
 from .problem import HypothesisReport, Problem, lambda_constant, validate_hypotheses
 
@@ -70,28 +60,19 @@ __all__ = [
     "SolveConfig",
     "ThresholdTriple",
     "TribvpError",
-    "apply_operator_A",
     "certify",
     "check_D1",
     "check_D2",
     "check_D3",
-    "check_gamma_bound",
     "check_nonnegativity",
     "check_ordering",
     "classify_solution",
     "compute_constants",
     "cone_membership",
-    "delta_constant",
     "find_solutions",
-    "gamma",
     "lambda_constant",
-    "m_constant",
     "parse_function_spec",
-    "picard_iterate",
-    "residuals",
     "search_thresholds",
-    "shooting_residual",
     "solve_linear",
-    "solve_linear_oracle",
     "validate_hypotheses",
 ]

@@ -67,15 +67,6 @@ def _gamma_terms(T, eta, alpha, beta) -> list:
     ]
 
 
-def gamma(p: Problem) -> Number:
-    return min(gamma_terms(p))
-
-
-def m_constant(p: Problem) -> Number:
-    operands = p.operands
-    return reduced(_m(*operands, lambda_of(*operands)))
-
-
 def _m(T, eta, alpha, beta, lam):
     growth = T * T * (2 * T * (beta + 1) + beta * eta * (alpha * eta + 2) + alpha * beta * T * T)
     return 2 * lam / growth
@@ -92,10 +83,6 @@ def _delta_terms(T, eta, alpha, beta, lam) -> list:
         beta * eta * tail / lam,
         alpha * eta * eta * (1 + beta) * tail / (2 * lam),
     ]
-
-
-def delta_constant(p: Problem) -> Number:
-    return min(delta_terms(p))
 
 
 def _argmin(terms: list) -> int:

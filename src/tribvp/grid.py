@@ -311,16 +311,6 @@ def remove_files(paths) -> None:
             pass
 
 
-def simpson_integral(values: np.ndarray, h: float) -> float:
-    """Composite Simpson over the full grid; node count must be odd."""
-    n = len(values)
-    if n % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd node count, got {n}")
-    if n == 1:
-        return 0.0
-    return float(h / 3.0 * (values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-1:2])))
-
-
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral at every node, along axis 0.
 

@@ -12,11 +12,9 @@
 
 with every integral computed by the shared Simpson rules.  A `LinearPlan` holds
 what of it depends only on the problem and the grid, so a solution route
-builds it once per grid size and applies it to every load.  `solve_linear_oracle`
-never touches that formula: it builds the parametric solution
-u(t) = u0 + s0*t - integral_0^t (t - s) y and determines (u0, s0) from the two
-boundary conditions as a 2x2 solve, which makes it an independent
-cross-check of the closed form.
+builds it once per grid size and applies it to every load.  The plan also
+holds both boundary conditions' eta stencils, on which the solution route
+checks its candidates.
 """
 
 from __future__ import annotations
@@ -27,18 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularConfigurationError
-from .grid import (
-    SolutionCurve,
-    cumulative_simpson,
-    interp_weights,
-    partial_integral,
-    partial_integral_weights,
-)
+from .grid import SolutionCurve, cumulative_simpson, interp_weights, partial_integral_weights
 from .problem import Problem, lambda_constant
 
 SINGULAR_TOL = 1e-14
 NONNEGATIVITY_TOL = 1e-10
-GAMMA_BOUND_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,13 +61,6 @@ class NonnegativityCheck(NamedTuple):
     min_value: float
 
 
-class GammaBoundCheck(NamedTuple):
-    ok: bool
-    margin: float
-    min_tail: float
-    sup_norm: float
-
-
 def check_grid(p: Problem, y: SolutionCurve) -> None:
     T = p.floats[0]
     if abs(y.t0) > 1e-12 or abs(y.t1 - T) > 1e-9 * max(1.0, T):
@@ -85,32 +69,15 @@ def check_grid(p: Problem, y: SolutionCurve) -> None:
         raise ValueError("linear solve needs an odd node count")
 
 
-class BoundaryStencils:
-    """Both boundary conditions' eta stencils on n nodes of spacing h: interp_cubic's and partial_integral's."""
-
-    def __init__(self, p: Problem, n: int, h: float):
-        _, self.eta, self.alpha, self.beta = p.floats
-        self.h = h
-        self.s_eta, self.c_eta = interp_weights(n, h, self.eta)  # u(eta) = c_eta . u[s_eta : s_eta + 4]
-        self.w_eta = partial_integral_weights(n, h, self.eta)
-
-    def residuals(self, u: np.ndarray, y: np.ndarray) -> ResidualReport:
-        """Second-difference ODE residual of nodal values u under the load y, plus both boundary residuals."""
-        second = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (self.h * self.h)
-        ode_res = float(np.max(np.abs(second + y[1:-1]))) if u.size > 2 else 0.0
-        bc0 = abs(u[0] - self.beta * float(np.dot(self.c_eta, u[self.s_eta : self.s_eta + 4])))
-        bcT = abs(u[-1] - self.alpha * float(np.dot(self.w_eta, u)))
-        return ResidualReport(ode_residual_max=ode_res, bc0_residual=float(bc0), bcT_residual=float(bcT))
-
-
-class LinearPlan(BoundaryStencils):
+class LinearPlan:
     """The closed form's setup for one problem on n uniform nodes of [0, T], done once.
 
     Calling the plan on a load v of shape (n,), or (n, k) with one load per
     column, returns the solution's nodal values exactly as solve_linear does:
     the cumulative Simpson sums of v and t*v (one pass over both, stacked as
     two rows), three eta-weight products and the closed form, with the
-    operations and their order of two separate sums.
+    operations and their order of two separate sums.  `residuals` checks a
+    candidate on the plan's eta stencils, interp_cubic's and partial_integral's.
     """
 
     def __init__(self, p: Problem, n: int):
@@ -118,8 +85,10 @@ class LinearPlan(BoundaryStencils):
         d = -float(lambda_constant(p))  # the closed form's D
         if abs(d) < SINGULAR_TOL:
             raise SingularConfigurationError(f"beta = {beta} makes the boundary system singular (Lambda = {-d})")
-        super().__init__(p, n, T / (n - 1))
-        self.T = T
+        self.T, self.eta, self.alpha, self.beta = T, eta, alpha, beta
+        self.h = h = T / (n - 1)
+        self.s_eta, self.c_eta = interp_weights(n, h, eta)  # u(eta) = c_eta . u[s_eta : s_eta + 4]
+        self.w_eta = partial_integral_weights(n, h, eta)
         self.t = t = np.linspace(0.0, T, n)
         self.t2 = t * t
         self.c1 = (beta * (2.0 * T - alpha * eta * eta) - 2.0 * beta * (1.0 - alpha * eta) * t) / d
@@ -146,6 +115,14 @@ class LinearPlan(BoundaryStencils):
         u -= conv
         return u
 
+    def residuals(self, u: np.ndarray, y: np.ndarray) -> ResidualReport:
+        """Second-difference ODE residual of nodal values u under the load y, plus both boundary residuals."""
+        second = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (self.h * self.h)
+        ode_res = float(np.max(np.abs(second + y[1:-1]))) if u.size > 2 else 0.0
+        bc0 = abs(u[0] - self.beta * float(np.dot(self.c_eta, u[self.s_eta : self.s_eta + 4])))
+        bcT = abs(u[-1] - self.alpha * float(np.dot(self.w_eta, u)))
+        return ResidualReport(ode_residual_max=ode_res, bc0_residual=float(bc0), bcT_residual=float(bcT))
+
 
 def solve_linear(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Evaluate the closed-form solution of u'' + y = 0 on y's grid."""
@@ -153,53 +130,7 @@ def solve_linear(p: Problem, y: SolutionCurve) -> SolutionCurve:
     return SolutionCurve(0.0, p.floats[0], LinearPlan(p, y.n)(y.values))
 
 
-def solve_linear_oracle(p: Problem, y: SolutionCurve) -> SolutionCurve:
-    """Direct construction: parametric double integral + 2x2 boundary solve."""
-    check_grid(p, y)
-    T, eta, alpha, beta = p.floats
-    t, h, v = y.nodes, y.h, y.values
-    conv = t * cumulative_simpson(v, h) - cumulative_simpson(t * v, h)  # integral_0^t (t - s) y(s) ds
-    conv_eta = eta * partial_integral(v, h, eta) - partial_integral(t * v, h, eta)
-    conv_cum_eta = partial_integral(conv, h, eta)  # integral_0^eta of the convolution
-    # u(t) = u0 + s0*t - conv(t); the boundary conditions give
-    #   (1 - beta) u0 - beta*eta s0            = -beta * conv(eta)
-    #   (1 - alpha*eta) u0 + (T - alpha*eta^2/2) s0 = conv(T) - alpha * conv_cum_eta
-    a_mat = np.array(
-        [
-            [1.0 - beta, -beta * eta],
-            [1.0 - alpha * eta, T - alpha * eta * eta / 2.0],
-        ]
-    )
-    rhs = np.array([-beta * conv_eta, conv[-1] - alpha * conv_cum_eta])
-    det = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
-    if abs(det) < SINGULAR_TOL:
-        raise SingularConfigurationError(
-            f"boundary system is singular for these parameters (det = {det})"
-        )
-    u0, s0 = np.linalg.solve(a_mat, rhs)
-    return SolutionCurve(0.0, T, u0 + s0 * t - conv)
-
-
-def residuals(p: Problem, u: SolutionCurve, y: SolutionCurve) -> ResidualReport:
-    """Second-difference ODE residual plus both boundary-condition residuals."""
-    if u.n != y.n:
-        raise ValueError("u and y must share a grid")
-    return BoundaryStencils(p, u.n, u.h).residuals(u.values, y.values)
-
-
-def check_nonnegativity(u: SolutionCurve, tol: float = NONNEGATIVITY_TOL) -> NonnegativityCheck:
+def check_nonnegativity(u: SolutionCurve) -> NonnegativityCheck:
     idx = int(np.argmin(u.values))
     worst = float(u.values[idx])
-    return NonnegativityCheck(ok=worst >= -tol, t_worst=float(u.nodes[idx]), min_value=worst)
-
-
-def check_gamma_bound(
-    u: SolutionCurve, gamma: float, eta: float, tol: float = GAMMA_BOUND_TOL
-) -> GammaBoundCheck:
-    """Tail-minimum bound: min over grid nodes in [eta, T] >= gamma * sup norm."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    min_tail = u.min_from(eta)
-    sup = u.sup_norm()
-    margin = min_tail - gamma * sup
-    return GammaBoundCheck(ok=margin >= -tol, margin=float(margin), min_tail=min_tail, sup_norm=sup)
+    return NonnegativityCheck(ok=worst >= -NONNEGATIVITY_TOL, t_worst=float(u.nodes[idx]), min_value=worst)

@@ -9,9 +9,7 @@ of scaled concave profiles, then matrix-free Newton-GMRES on the full grid
 from each coarse root interpolated cubically.  It reaches the attracting and
 the repelling fixed points alike.  The coarse search advances all starts as
 one block; each row keeps its own stopping test, budget and halvings, so
-every root is what its start alone gives.  Picard iteration u <- A u
-(`picard_iterate`, `picard_solutions`) reaches only the attracting ones and
-stays as an independent check.
+every root is what its start alone gives.
 
 Every candidate is re-verified against the discrete ODE/boundary residuals
 and the cone conditions (nonnegative, concave down) before it is reported,
@@ -29,15 +27,8 @@ import numpy as np
 
 from .certify import ThresholdTriple
 from .errors import FunctionDomainError
-from .grid import SolutionCurve, interp_apply, interp_cubic, interp_weights, partial_integral
-from .linear import (
-    NONNEGATIVITY_TOL,
-    LinearPlan,
-    ResidualReport,
-    check_grid,
-    check_nonnegativity,
-    solve_linear,
-)
+from .grid import SolutionCurve, interp_apply, interp_weights
+from .linear import LinearPlan, ResidualReport, check_nonnegativity
 from .problem import Problem
 
 # Discrete concavity allows raw second differences up to this much above zero
@@ -45,9 +36,6 @@ from .problem import Problem
 CONCAVITY_SLACK = 1e-8
 
 DEFAULT_GRID_N = 2049  # grid nodes of every reported solution unless a run sets grid_n
-PICARD_TOL = 1e-10  # sup-norm update at which Picard iteration stops
-PICARD_MAX_ITER = 500
-DIVERGENCE_NORM = 1e6  # sup norm at which a Picard iterate counts as diverged
 RESIDUAL_TOL = 1e-8  # verification bound on the boundary residuals
 ODE_C2 = 100.0  # verification bound on the ODE residual is ODE_C2 * h^2
 DEDUP_TOL = 1e-4  # relative sup-norm distance that merges two solutions
@@ -62,7 +50,6 @@ GMRES_RESTART = 20  # Krylov vectors per full-grid Newton step, one linear solve
 GMRES_RTOL = 1e-12
 FD_STEP = 1e-6  # relative step of the central difference standing in for df/du
 LADDER_STEPS = 12  # scaled concave profiles among the Newton starts
-BLOWUP_LIMIT = 1e9  # |u| at which the RK4 check trajectory counts as blown up
 
 
 @dataclass(frozen=True)
@@ -80,9 +67,7 @@ class FixedPointResult:
     curve: SolutionCurve
     converged: bool
     iterations: int
-    final_update_norm: float
     residuals: ResidualReport
-    source: str
     clamped_evals: int = 0
 
 
@@ -104,18 +89,10 @@ class ConeCheck(NamedTuple):
     violations: tuple
 
 
-class ShootingResult(NamedTuple):
-    r1: float
-    r2: float
-    curve: SolutionCurve
-    clamped_evals: int
-    blew_up: bool
-
-
-def cone_membership(u: SolutionCurve, tol: float = NONNEGATIVITY_TOL) -> ConeCheck:
+def cone_membership(u: SolutionCurve) -> ConeCheck:
     """Nonnegative and concave down, discretely: second differences <= slack."""
     violations = []
-    nn = check_nonnegativity(u, tol)
+    nn = check_nonnegativity(u)
     if not nn.ok:
         violations.append(("negative", nn.t_worst, nn.min_value))
     second = u.values[:-2] - 2.0 * u.values[1:-1] + u.values[2:]
@@ -130,7 +107,7 @@ def _load(p: Problem, t: np.ndarray, u: np.ndarray, strict: bool = True) -> np.n
     """y = f(t, u) with transient negative undershoots of u clamped to zero.
 
     FunctionDomainError when y is not finite, or (strict, from f itself) when
-    u dips below the admissible domain; the solution routes drop such a start.
+    u dips below the admissible domain; newton_solutions drops such a root.
     """
     y = p.f(t, u if strict else np.maximum(u, 0.0))
     if not np.isfinite(y).all():
@@ -138,105 +115,10 @@ def _load(p: Problem, t: np.ndarray, u: np.ndarray, strict: bool = True) -> np.n
     return y
 
 
-def apply_operator_A(p: Problem, u: SolutionCurve) -> SolutionCurve:
-    """One application of the solution operator: solve u'' + f(t, u) = 0 linearly."""
-    return solve_linear(p, SolutionCurve(u.t0, u.t1, _load(p, u.nodes, u.values)))
-
-
 def _verify(p: Problem, plan: LinearPlan, curve: SolutionCurve) -> tuple[ResidualReport, bool]:
     """Residuals of a candidate on the plan's stencils, and whether they meet ODE_C2*h^2 and RESIDUAL_TOL."""
     rep = plan.residuals(curve.values, _load(p, plan.t, curve.values))
     return rep, rep.within(ODE_C2 * curve.h * curve.h, RESIDUAL_TOL)
-
-
-def picard_iterate(
-    p: Problem,
-    u0: SolutionCurve,
-    tol: float = PICARD_TOL,
-    max_iter: int = PICARD_MAX_ITER,
-    plan: LinearPlan | None = None,
-) -> FixedPointResult:
-    """Iterate u <- A u until the sup-norm update drops below tol.
-
-    There is no contraction guarantee, so the iteration caps at max_iter and
-    stops early when the iterate norm passes the divergence threshold; a
-    converged result must additionally pass the residual check.  `plan` is
-    the linear solve on u0's grid, built here when not given.
-    """
-    check_grid(p, u0)
-    plan = plan or LinearPlan(p, u0.n)
-    u = u0.values
-    update = math.inf
-    clamp_total = 0
-    iterations = 0
-    diverged = False
-    for iterations in range(1, max_iter + 1):
-        y = _load(p, plan.t, u)
-        clamp_total += int(np.count_nonzero(u < 0.0))
-        au = plan(y)
-        update = float(np.max(np.abs(au - u)))
-        u = au
-        if float(np.max(np.abs(u))) > DIVERGENCE_NORM:
-            diverged = True
-            break
-        if update <= tol:
-            break
-    curve = SolutionCurve(0.0, plan.T, u)
-    rep, verified = _verify(p, plan, curve)
-    return FixedPointResult(
-        curve=curve,
-        converged=not diverged and update <= tol and verified,
-        iterations=iterations,
-        final_update_norm=update,
-        residuals=rep,
-        source="picard",
-        clamped_evals=clamp_total,
-    )
-
-
-# --- Newton route ------------------------------------------------------------
-
-
-def shooting_residual(p: Problem, u0: float, s0: float, n: int = DEFAULT_GRID_N) -> ShootingResult:
-    """Boundary residuals of the RK4 trajectory from (u(0), u'(0)) = (u0, s0).
-
-    Integrates u'' = -f(t, u) with fixed-step RK4, clamping u to zero before
-    every f evaluation.  r1 = u0 - beta*u(eta), r2 = u(T) - alpha*integral_0^eta u.
-    A trajectory that leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] (or goes non-finite)
-    is frozen at its last finite state and reports signed-infinity residuals.
-    The solution routes never integrate the ODE, so this is an independent check.
-    """
-    T, eta, alpha, beta = p.floats
-    h = T / (n - 1)
-    U = np.empty(n)
-    u, v = float(u0), float(s0)
-    U[0] = u
-    clamped = 0
-
-    def accel(t, x):
-        nonlocal clamped
-        if x < 0.0:
-            clamped += 1
-        x = max(x, 0.0) if math.isfinite(x) else 0.0
-        return -float(p.f(t, np.array([x]))[0])
-
-    for i in range(n - 1):
-        t = i * h
-        k1u, k1v = v, accel(t, u)
-        k2u, k2v = v + 0.5 * h * k1v, accel(t + 0.5 * h, u + 0.5 * h * k1u)
-        k3u, k3v = v + 0.5 * h * k2v, accel(t + 0.5 * h, u + 0.5 * h * k2u)
-        k4u, k4v = v + h * k3v, accel(t + h, u + h * k3u)
-        new_u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        new_v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (math.isfinite(new_u) and math.isfinite(new_v) and abs(new_u) <= BLOWUP_LIMIT):
-            U[i + 1 :] = u
-            marker = math.copysign(math.inf, u)
-            return ShootingResult(marker, marker, SolutionCurve(0.0, T, U), clamped, True)
-        u, v = new_u, new_v
-        U[i + 1] = u
-    r1 = U[0] - beta * interp_cubic(U, h, eta)
-    r2 = U[-1] - alpha * partial_integral(U, h, eta)
-    return ShootingResult(float(r1), float(r2), SolutionCurve(0.0, T, U), clamped, False)
 
 
 def _start_levels(cfg: SolveConfig) -> list[float]:
@@ -420,9 +302,7 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
         curve=curve,
         converged=bool(_accepted(u, rnorm)) and verified,
         iterations=coarse_iterations + int(iterations),
-        final_update_norm=float(rnorm),
         residuals=rep,
-        source="newton",
         clamped_evals=clamped,
     )
 
@@ -444,22 +324,7 @@ def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
     return [r for r in results if r.converged]
 
 
-def picard_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
-    """Picard iteration from the configured constant starts on one linear plan for grid_n."""
-    plan = LinearPlan(p, cfg.grid_n)
-    results = []
-    for level in _start_levels(cfg):
-        start = SolutionCurve.constant(level, plan.T, cfg.grid_n)
-        try:
-            result = picard_iterate(p, start, plan=plan)
-        except FunctionDomainError:
-            continue  # iterate left the admissible domain; not a solution path
-        if result.converged:
-            results.append(result)
-    return results
-
-
-def _dedup(results: list[FixedPointResult], dedup_tol: float) -> list[FixedPointResult]:
+def _dedup(results: list[FixedPointResult]) -> list[FixedPointResult]:
     """Merge near-identical curves, keeping the one with the smaller residuals."""
 
     def badness(r: FixedPointResult) -> float:
@@ -472,7 +337,7 @@ def _dedup(results: list[FixedPointResult], dedup_tol: float) -> list[FixedPoint
         merged = False
         for i, ref in enumerate(kept):
             scale = max(1.0, ref.curve.sup_norm())
-            if float(np.max(np.abs(cand.curve.values - ref.curve.values))) < dedup_tol * scale:
+            if float(np.max(np.abs(cand.curve.values - ref.curve.values))) < DEDUP_TOL * scale:
                 if badness(cand) < badness(ref):
                     kept[i] = cand
                 merged = True
@@ -508,4 +373,4 @@ def find_solutions(
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
         candidates = newton_solutions(p, cfg)
     verified = [r for r in candidates if cone_membership(r.curve).ok]
-    return [(r, classify_solution(r.curve, cfg.thresholds, p.floats[1])) for r in _dedup(verified, DEDUP_TOL)]
+    return [(r, classify_solution(r.curve, cfg.thresholds, p.floats[1])) for r in _dedup(verified)]

@@ -95,7 +95,7 @@ def run(cfg: RunConfig) -> RunOutcome:
                 {
                     **cls.to_dict(),
                     "residuals": result.residuals.to_dict(),
-                    "source": result.source,
+                    "source": "newton",
                     "iterations": result.iterations,
                     "clamped_evals": result.clamped_evals,
                     "file": path.name,

@@ -17,18 +17,15 @@ from tribvp import (
     SolveConfig,
     ThresholdTriple,
     certify,
-    check_gamma_bound,
     check_nonnegativity,
     compute_constants,
     cone_membership,
     lambda_constant,
     solve_linear,
-    solve_linear_oracle,
 )
 from tribvp.config import parse_run_config
 from tribvp.functions import PiecewiseU, RationalSigmoid
-from tribvp.nonlinear import apply_operator_A, find_solutions, newton_solutions, picard_solutions, shooting_residual
-from tribvp.constants import gamma
+from tribvp.nonlinear import find_solutions, newton_solutions
 from tribvp.runner import run
 
 from conftest import (
@@ -38,6 +35,7 @@ from conftest import (
     random_nonnegative_load,
     random_valid_problem,
 )
+from oracles import apply_operator_A, check_gamma_bound, picard_solutions, shooting_residual, solve_linear_oracle
 
 N = 2049
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -155,7 +153,7 @@ def test_criterion_04_solver_vs_oracle_and_convergence(linear_suite):
 def test_criterion_05_cone_property_suite(linear_suite):
     for p, _, u in linear_suite:
         assert check_nonnegativity(u).ok
-        assert check_gamma_bound(u, float(gamma(p)), float(p.eta)).ok
+        assert check_gamma_bound(u, float(compute_constants(p).gamma), float(p.eta)).ok
     rng = np.random.default_rng(1357)
     for p in (make_sigmoid_problem(), make_exp_piecewise_problem()):
         for _ in range(100):

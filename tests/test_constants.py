@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribvp import GammaDomainError, Problem, compute_constants, lambda_constant, validate_hypotheses
-from tribvp.constants import delta_terms, gamma, gamma_terms, m_constant
+from tribvp.constants import delta_terms, gamma_terms
 from tribvp.numeric import Unreduced
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
@@ -45,15 +45,16 @@ def test_exp_problem_delta_terms():
 
 def test_m_with_zero_beta():
     p = Problem(T=F(1), eta=F(1, 2), alpha=F(1), beta=F(0))
-    assert m_constant(p) == F(7, 4)
+    assert compute_constants(p).m == F(7, 4)
 
 
 def test_gamma_equals_min_of_independent_terms():
     # eta close to T makes the third term tiny; the min must track it
     p = Problem(T=1.0, eta=0.999, alpha=0.1, beta=0.1)
     terms = gamma_terms(p)
-    assert gamma(p) == min(terms)
-    assert gamma(p) == terms[2]
+    k = compute_constants(p)
+    assert k.gamma == min(terms)
+    assert k.gamma == terms[2] and k.gamma_argmin == 2
 
 
 def test_delta_vanishes_with_beta():
@@ -71,7 +72,7 @@ def test_gamma_domain_error_outside_admissible_region():
     # beta far above its bound makes 2T - alpha*(1+beta)*eta^2 <= 0
     p = Problem(T=F(1), eta=F(9, 10), alpha=F(12, 5), beta=F(1, 2))
     with pytest.raises(GammaDomainError):
-        gamma(p)
+        compute_constants(p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,7 +129,6 @@ def _check_against_reference(p: Problem, ref: dict, same) -> None:
             assert str(err.value) == message
         return
     assert all(map(same, gamma_terms(p), ref["gamma_terms"])) and len(gamma_terms(p)) == 3
-    assert same(m_constant(p), ref["m"])
     assert all(map(same, delta_terms(p), ref["delta_terms"])) and len(delta_terms(p)) == 2
     k = compute_constants(p)
     g, d = ref["gamma_terms"], ref["delta_terms"]

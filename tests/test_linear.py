@@ -9,13 +9,10 @@ from tribvp import (
     Problem,
     SingularConfigurationError,
     SolutionCurve,
-    check_gamma_bound,
     check_nonnegativity,
-    residuals,
+    compute_constants,
     solve_linear,
-    solve_linear_oracle,
 )
-from tribvp.constants import gamma
 from tribvp.grid import cumulative_simpson, interp_cubic, partial_integral
 from tribvp.linear import LinearPlan
 
@@ -25,6 +22,7 @@ from conftest import (
     random_nonnegative_load,
     random_valid_problem,
 )
+from oracles import check_gamma_bound, residuals, solve_linear_oracle
 
 N = 2049
 
@@ -85,7 +83,7 @@ def test_oracle_equivalence_and_cone_properties_random_suite(rng):
         uo = solve_linear_oracle(p, y)
         assert np.max(np.abs(u.values - uo.values)) <= 1e-8
         assert check_nonnegativity(u).ok
-        g = float(gamma(p))
+        g = float(compute_constants(p).gamma)
         assert check_gamma_bound(u, g, float(p.eta)).ok
 
 

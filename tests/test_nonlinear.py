@@ -11,18 +11,14 @@ from tribvp import (
     SolutionCurve,
     SolveConfig,
     ThresholdTriple,
-    apply_operator_A,
     classify_solution,
     cone_membership,
     find_solutions,
-    picard_iterate,
-    shooting_residual,
     solve_linear,
-    solve_linear_oracle,
 )
 from tribvp.grid import cumulative_simpson, interp_cubic, partial_integral
 from tribvp import linear, nonlinear
-from tribvp.linear import LinearPlan, residuals
+from tribvp.linear import LinearPlan
 from tribvp.nonlinear import (
     FixedPointResult,
     _dedup,
@@ -31,7 +27,6 @@ from tribvp.nonlinear import (
     _load,
     _newton,
     newton_solutions,
-    picard_solutions,
 )
 from tribvp.config import parse_run_config
 from tribvp.constants import compute_constants
@@ -39,6 +34,7 @@ from tribvp.errors import FunctionDomainError
 from tribvp.functions import ConstantF, PolynomialU
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
+from oracles import apply_operator_A, picard_iterate, picard_solutions, shooting_residual, solve_linear_oracle
 
 N = 2049
 
@@ -253,15 +249,13 @@ def test_dedup_merges_and_keeps_better_residual():
             curve=SolutionCurve(0.0, 1.0, values),
             converged=True,
             iterations=1,
-            final_update_norm=0.0,
             residuals=ResidualReport(ode, 0.0, 0.0),
-            source="picard",
         )
 
     good = result(base, 1e-12)
     close = result(base + 1e-7, 1e-6)
     far = result(base + 1.0, 1e-12)
-    kept = _dedup([close, good, far], dedup_tol=1e-4)
+    kept = _dedup([close, good, far])
     assert len(kept) == 2
     assert any(r.residuals.ode_residual_max == 1e-12 and r.curve.values[0] == 1.0 for r in kept)
 
@@ -432,7 +426,7 @@ def test_picard_drops_a_start_where_f_overflows():
     p = u40_problem()
     with pytest.raises(FunctionDomainError, match="not finite"):
         picard_iterate(p, SolutionCurve.constant(100.0, 1.0, 129), 1e-10, 50)
-    kept = nonlinear.picard_solutions(p, SolveConfig(grid_n=129))
+    kept = picard_solutions(p, SolveConfig(grid_n=129))
     assert kept and all(r.curve.sup_norm() == 0.0 for r in kept)
 
 
