@@ -29,11 +29,10 @@ from .errors import (
 )
 from .functions import FunctionSpec, parse_function_spec
 from .grid import SolutionCurve
-from .linear import ResidualReport, check_nonnegativity, solve_linear
+from .linear import ResidualReport, solve_linear
 from .nonlinear import (
     FixedPointResult,
     SolutionClass,
-    SolveConfig,
     classify_solution,
     cone_membership,
     find_solutions,
@@ -57,14 +56,12 @@ __all__ = [
     "SingularConfigurationError",
     "SolutionClass",
     "SolutionCurve",
-    "SolveConfig",
     "ThresholdTriple",
     "TribvpError",
     "certify",
     "check_D1",
     "check_D2",
     "check_D3",
-    "check_nonnegativity",
     "check_ordering",
     "classify_solution",
     "compute_constants",

@@ -47,11 +47,6 @@ class ThresholdTriple:
         """(a, b, c, d) as floats, converted once; d stays None when unset."""
         return float(self.a), float(self.b), float(self.c), None if self.d is None else float(self.d)
 
-    @classmethod
-    def from_abc(cls, a: Number, b: Number, c: Number, gamma: Number | None = None) -> "ThresholdTriple":
-        d = None if gamma is None else b / gamma
-        return cls(a=a, b=b, c=c, d=d)
-
     def with_gamma(self, gamma: Number) -> "ThresholdTriple":
         return ThresholdTriple(self.a, self.b, self.c, self.b / gamma)
 
@@ -245,7 +240,7 @@ def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     for a in feasible_a:
         for b in feasible_b:
             if b > a and c >= b / gamma:
-                tt = ThresholdTriple.from_abc(a, b, c, gamma)
+                tt = ThresholdTriple(a, b, c).with_gamma(gamma)
                 if check_ordering(tt, k.gamma):
                     return tt
     return None

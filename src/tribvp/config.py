@@ -47,7 +47,7 @@ def _parse_thresholds(tdoc) -> ThresholdTriple:
     for name, value in zip("abc", values):
         if not (value > 0 and math.isfinite(value)):
             raise ConfigError(f"threshold {name} must be finite and positive, got {value}")
-    return ThresholdTriple.from_abc(*values)
+    return ThresholdTriple(*values)
 
 
 @dataclass(frozen=True)

@@ -85,22 +85,14 @@ def _delta_terms(T, eta, alpha, beta, lam) -> list:
     ]
 
 
-def _argmin(terms: list) -> int:
-    # ties resolve to the lowest index, as min() resolves them
-    best = 0
-    for i, term in enumerate(terms[1:], start=1):
-        if term < terms[best]:
-            best = i
-    return best
-
-
 def compute_constants(p: Problem) -> LWConstants:
     """Lambda, gamma, m and delta, with Lambda evaluated once and each constant reduced once."""
     operands = p.operands
     lam = lambda_of(*operands)
     g_terms = _gamma_terms(*operands)
     d_terms = _delta_terms(*operands, lam)
-    gamma_argmin, delta_argmin = _argmin(g_terms), _argmin(d_terms)
+    gamma_argmin = min(range(len(g_terms)), key=g_terms.__getitem__)  # the first least term on a tie, by < alone
+    delta_argmin = min(range(len(d_terms)), key=d_terms.__getitem__)
     return LWConstants(
         lam=reduced(lam),
         gamma=reduced(g_terms[gamma_argmin]),

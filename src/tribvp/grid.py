@@ -4,8 +4,8 @@ Everything in the package discretizes [0, T] on a uniform grid with an odd
 node count, so the Simpson pair structure always closes.  Partial integrals
 up to an off-grid point x are computed as (pure Simpson up to the last even
 node below x) + (Simpson over the short remainder, with integrand values
-interpolated cubically).  Cumulative integrals at grid nodes use Simpson
-pairs at even indices and a trapezoid correction on the final subinterval at
+interpolated cubically).  Cumulative integrals at grid nodes close Simpson
+pairs at even indices and integrate the first half of a pair's parabola at
 odd indices.  A curve's CSV holds the bytes of "%.17g" for each value, formatted
 for all the curves of one write at once (format_g17).
 """
@@ -68,26 +68,9 @@ class SolutionCurve:
         start = int(np.searchsorted(self.nodes, t_lo - 1e-12 * max(1.0, abs(t_lo))))
         return float(np.min(self.values[start:]))
 
-    def value_at(self, t: float) -> float:
-        return interp_cubic(self.values, self.h, t - self.t0)
-
-    def __add__(self, other: "SolutionCurve") -> "SolutionCurve":
-        return SolutionCurve(self.t0, self.t1, self.values + other.values)
-
-    def scaled(self, factor: float) -> "SolutionCurve":
-        return SolutionCurve(self.t0, self.t1, factor * self.values)
-
     @classmethod
     def constant(cls, value: float, t1: float, n: int, t0: float = 0.0) -> "SolutionCurve":
         return cls(t0, t1, np.full(n, float(value)))
-
-    def to_csv(self, path):
-        write_csv([self], [path])
-
-    @classmethod
-    def from_csv(cls, path) -> "SolutionCurve":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(float(rows[0, 0]), float(rows[-1, 0]), rows[:, 1])
 
 
 def write_csv(curves, paths):
@@ -312,7 +295,7 @@ def remove_files(paths) -> None:
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral at every node, along axis 0.
+    """Cumulative integral at every node, along axis 0 of an odd number of nodes.
 
     Even indices close Simpson pairs.  Odd indices integrate the Simpson
     parabola of their pair over its first half, (h/12)(5*v0 + 8*v1 - v2);
@@ -320,18 +303,10 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     even nodes that second differences amplify to an O(h) ODE residual.
     """
     v = np.asarray(values, dtype=float)
-    n = v.shape[0]
     out = np.zeros_like(v)  # laid out as v is, so a transposed stack of rows integrates into rows
-    if n >= 3:
-        pair = h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-        out[2::2] = np.cumsum(pair, axis=0)
-    n_half = (n - 1) // 2  # odd nodes with a full pair ahead of them
-    if n_half:
-        out[1 : 2 * n_half : 2] = out[0 : 2 * n_half - 1 : 2] + h / 12.0 * (
-            5.0 * v[0 : 2 * n_half - 1 : 2] + 8.0 * v[1 : 2 * n_half : 2] - v[2 : 2 * n_half + 1 : 2]
-        )
-    if n >= 2 and n % 2 == 0:
-        out[-1] = out[-2] + h / 2.0 * (v[-2] + v[-1])
+    pair = h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
+    out[2::2] = np.cumsum(pair, axis=0)
+    out[1::2] = out[0:-1:2] + h / 12.0 * (5.0 * v[0:-1:2] + 8.0 * v[1::2] - v[2::2])
     return out
 
 

@@ -14,13 +14,13 @@ with every integral computed by the shared Simpson rules.  A `LinearPlan` holds
 what of it depends only on the problem and the grid, so a solution route
 builds it once per grid size and applies it to every load.  The plan also
 holds both boundary conditions' eta stencils, on which the solution route
-checks its candidates.
+computes the residuals of its candidates; whether a candidate is reported,
+its cone membership included, is decided in `tribvp.nonlinear`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .grid import SolutionCurve, cumulative_simpson, interp_weights, partial_int
 from .problem import Problem, lambda_constant
 
 SINGULAR_TOL = 1e-14
-NONNEGATIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,6 @@ class ResidualReport:
             "bc0_residual": self.bc0_residual,
             "bcT_residual": self.bcT_residual,
         }
-
-
-class NonnegativityCheck(NamedTuple):
-    ok: bool
-    t_worst: float
-    min_value: float
 
 
 def check_grid(p: Problem, y: SolutionCurve) -> None:
@@ -128,9 +121,3 @@ def solve_linear(p: Problem, y: SolutionCurve) -> SolutionCurve:
     """Evaluate the closed-form solution of u'' + y = 0 on y's grid."""
     check_grid(p, y)
     return SolutionCurve(0.0, p.floats[0], LinearPlan(p, y.n)(y.values))
-
-
-def check_nonnegativity(u: SolutionCurve) -> NonnegativityCheck:
-    idx = int(np.argmin(u.values))
-    worst = float(u.values[idx])
-    return NonnegativityCheck(ok=worst >= -NONNEGATIVITY_TOL, t_worst=float(u.nodes[idx]), min_value=worst)

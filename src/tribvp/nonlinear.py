@@ -11,9 +11,10 @@ the repelling fixed points alike.  The coarse search advances all starts as
 one block; each row keeps its own stopping test, budget and halvings, so
 every root is what its start alone gives.
 
-Every candidate is re-verified against the discrete ODE/boundary residuals
-and the cone conditions (nonnegative, concave down) before it is reported,
-then classified against the thresholds (a, b, c).
+One gate in `_polish` decides which polished roots are reported: a fixed
+point (`_accepted`) that meets the discrete ODE and boundary residual bounds
+and lies in the cone (nonnegative to f's domain bound NEGATIVE_U_TOL, concave
+down).  The roots it keeps are deduplicated and classified against (a, b, c).
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 
 from .certify import ThresholdTriple
 from .errors import FunctionDomainError
+from .functions import NEGATIVE_U_TOL
 from .grid import SolutionCurve, interp_apply, interp_weights
-from .linear import LinearPlan, ResidualReport, check_nonnegativity
+from .linear import LinearPlan, ResidualReport
 from .problem import Problem
 
 # Discrete concavity allows raw second differences up to this much above zero
@@ -53,22 +55,13 @@ LADDER_STEPS = 12  # scaled concave profiles among the Newton starts
 
 
 @dataclass(frozen=True)
-class SolveConfig:
-    """Grid size and thresholds (start levels, size classes) of the multi-start solution search."""
-
-    grid_n: int = DEFAULT_GRID_N
-    thresholds: ThresholdTriple | None = None
-
-
-@dataclass(frozen=True)
 class FixedPointResult:
-    """One candidate fixed point with its convergence and residual diagnostics."""
+    """One reported fixed point with its Newton work and residual diagnostics."""
 
     curve: SolutionCurve
-    converged: bool
     iterations: int
     residuals: ResidualReport
-    clamped_evals: int = 0
+    clamped_evals: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ class SolutionClass:
 
     norm: float
     min_full: float
-    min_tail: float | None
+    min_tail: float
     label: str
 
     def to_dict(self) -> dict:
@@ -90,11 +83,11 @@ class ConeCheck(NamedTuple):
 
 
 def cone_membership(u: SolutionCurve) -> ConeCheck:
-    """Nonnegative and concave down, discretely: second differences <= slack."""
+    """Nonnegative to -NEGATIVE_U_TOL (f's domain bound) and concave down: second differences <= slack."""
     violations = []
-    nn = check_nonnegativity(u)
-    if not nn.ok:
-        violations.append(("negative", nn.t_worst, nn.min_value))
+    idx = int(np.argmin(u.values))
+    if u.values[idx] < -NEGATIVE_U_TOL:
+        violations.append(("negative", float(u.nodes[idx]), float(u.values[idx])))
     second = u.values[:-2] - 2.0 * u.values[1:-1] + u.values[2:]
     if second.size:
         idx = int(np.argmax(second))
@@ -103,29 +96,22 @@ def cone_membership(u: SolutionCurve) -> ConeCheck:
     return ConeCheck(ok=not violations, violations=tuple(violations))
 
 
-def _load(p: Problem, t: np.ndarray, u: np.ndarray, strict: bool = True) -> np.ndarray:
-    """y = f(t, u) with transient negative undershoots of u clamped to zero.
+def _load(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """y = f(t, u) with the negative entries of u clamped to zero.
 
-    FunctionDomainError when y is not finite, or (strict, from f itself) when
-    u dips below the admissible domain; newton_solutions drops such a root.
+    FunctionDomainError when y is not finite; newton_solutions drops such a root.
     """
-    y = p.f(t, u if strict else np.maximum(u, 0.0))
+    y = p.f(t, np.maximum(u, 0.0))
     if not np.isfinite(y).all():
         raise FunctionDomainError(f"f is not finite on an iterate of sup norm {np.max(np.abs(u))}")
     return y
 
 
-def _verify(p: Problem, plan: LinearPlan, curve: SolutionCurve) -> tuple[ResidualReport, bool]:
-    """Residuals of a candidate on the plan's stencils, and whether they meet ODE_C2*h^2 and RESIDUAL_TOL."""
-    rep = plan.residuals(curve.values, _load(p, plan.t, curve.values))
-    return rep, rep.within(ODE_C2 * curve.h * curve.h, RESIDUAL_TOL)
-
-
-def _start_levels(cfg: SolveConfig) -> list[float]:
+def _start_levels(thresholds: ThresholdTriple | None) -> list[float]:
     """Heights of the constant starts: 1e-2*a, a, b, (d,) c, or decades without thresholds."""
-    if cfg.thresholds is None:
+    if thresholds is None:
         return [1e-2, 1e-1, 1.0, 10.0, 100.0]
-    a, b, c, d = cfg.thresholds.floats
+    a, b, c, d = thresholds.floats
     return [1e-2 * a, a, b, *([] if d is None else [d]), c]
 
 
@@ -140,7 +126,7 @@ def _df_du(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _fixed_point_residual(p: Problem, plan: LinearPlan, u: np.ndarray) -> np.ndarray:
     """F(u) = u - A u on the plan's grid, with u clamped to zero where f is evaluated."""
-    return u - plan(_load(p, plan.t, u, strict=False))
+    return u - plan(_load(p, plan.t, u))
 
 
 def _jacobian_matvec(p: Problem, plan: LinearPlan, u: np.ndarray):
@@ -239,7 +225,7 @@ def _accepted(U: np.ndarray, rnorm):
     return rnorm <= NEWTON_ACCEPT_TOL * np.fmax(1.0, np.abs(U).max(axis=-1))
 
 
-def _coarse_roots(p: Problem, cfg: SolveConfig):
+def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
     """Dense Newton on COARSE_N nodes from the constant start levels and a ladder of concave profiles.
 
     All starts advance as one block.  Returns the coarse nodes and the
@@ -249,7 +235,7 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
     n = COARSE_N
     plan = LinearPlan(p, n)
     t, G = plan.t, plan(np.eye(n))  # G @ y == solve_linear(p, y).values, one unit load per column
-    levels = _start_levels(cfg)
+    levels = _start_levels(thresholds)
     profile = G @ np.ones(n)
     profile /= profile.max()
     starts = [np.full(n, level) for level in levels]
@@ -274,13 +260,17 @@ def _coarse_roots(p: Problem, cfg: SolveConfig):
     return t, [(U[i], int(iterations[i])) for i in kept]
 
 
-def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iterations: int):
+def _polish(
+    p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iterations: int
+) -> FixedPointResult | None:
     """Apply A once to a coarse root prolonged to the plan's grid, and finish with inexact Newton-GMRES.
 
     GMRES stops at a tenth of the Newton target in the 2-norm, which bounds the
     sup norm: the linear part of the next residual meets the target, and the
     tenth leaves room for the quadratic remainder.  The reported A u = u - F(u)
-    reuses the F(u) Newton evaluated at its final u.
+    reuses the F(u) Newton evaluated at its final u.  None unless the final u
+    is accepted as a fixed point, A u meets ODE_C2*h^2 and RESIDUAL_TOL on the
+    plan's stencils, and A u lies in the cone, checked in that order.
     """
     clamped = 0
 
@@ -295,33 +285,32 @@ def _polish(p: Problem, plan: LinearPlan, prolonged: np.ndarray, coarse_iteratio
 
     U = prolonged[None]
     (u,), (rnorm,), (iterations,), (fu,) = _newton(residual, step, U - residual(U))  # u - F(u) = A u
+    if not _accepted(u, rnorm):
+        return None
     clamped += int(np.count_nonzero(u < 0.0))  # the reported A u clamps the negatives of the final u too
     curve = SolutionCurve(0.0, plan.T, u - fu)
-    rep, verified = _verify(p, plan, curve)
-    return FixedPointResult(
-        curve=curve,
-        converged=bool(_accepted(u, rnorm)) and verified,
-        iterations=coarse_iterations + int(iterations),
-        residuals=rep,
-        clamped_evals=clamped,
-    )
+    rep = plan.residuals(curve.values, _load(p, plan.t, curve.values))
+    if not (rep.within(ODE_C2 * curve.h * curve.h, RESIDUAL_TOL) and cone_membership(curve).ok):
+        return None
+    return FixedPointResult(curve, coarse_iterations + int(iterations), rep, clamped)
 
 
-def newton_solutions(p: Problem, cfg: SolveConfig) -> list[FixedPointResult]:
+def newton_solutions(p: Problem, thresholds: ThresholdTriple | None, grid_n: int) -> list[FixedPointResult]:
     """Roots of F(u) = u - A u: coarse dense Newton from many starts, then full-grid polish.
 
     Each coarse root reaches the full grid by cubic interpolation, which
     leaves the polish at most one Newton step on the worked configs.  A root
-    where f stops being finite on the full grid is dropped.
+    that _polish's gate rejects, or where f stops being finite on the full
+    grid, is dropped.
     """
-    plan = LinearPlan(p, cfg.grid_n)
-    t_coarse, roots = _coarse_roots(p, cfg)
+    plan = LinearPlan(p, grid_n)
+    t_coarse, roots = _coarse_roots(p, thresholds)
     hand_off = interp_weights(t_coarse.size, t_coarse[1], plan.t)  # one stencil and gather index for every root
     results = []
     for u, iterations in roots:
         with contextlib.suppress(FunctionDomainError):
             results.append(_polish(p, plan, interp_apply(u, *hand_off), iterations))
-    return [r for r in results if r.converged]
+    return [r for r in results if r is not None]
 
 
 def _dedup(results: list[FixedPointResult]) -> list[FixedPointResult]:
@@ -347,13 +336,11 @@ def _dedup(results: list[FixedPointResult]) -> list[FixedPointResult]:
     return kept
 
 
-def classify_solution(
-    u: SolutionCurve, tt: ThresholdTriple | None, eta: float | None = None
-) -> SolutionClass:
+def classify_solution(u: SolutionCurve, tt: ThresholdTriple | None, eta: float) -> SolutionClass:
     """Label a solution by the three size predicates; unclassified on the edges or without thresholds."""
     norm = u.sup_norm()
     min_full = u.min_value()
-    min_tail = u.min_from(eta) if eta is not None else None
+    min_tail = u.min_from(eta)
     label = "unclassified"
     if tt is not None:
         a, b, _, _ = tt.floats
@@ -367,10 +354,9 @@ def classify_solution(
 
 
 def find_solutions(
-    p: Problem, cfg: SolveConfig = SolveConfig()
+    p: Problem, thresholds: ThresholdTriple | None = None, grid_n: int = DEFAULT_GRID_N
 ) -> list[tuple[FixedPointResult, SolutionClass]]:
-    """Newton roots of u = A u on grid_n nodes, kept when in the cone, deduplicated and classified."""
+    """Newton roots of u = A u on grid_n nodes that pass _polish's gate, deduplicated and classified."""
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
-        candidates = newton_solutions(p, cfg)
-    verified = [r for r in candidates if cone_membership(r.curve).ok]
-    return [(r, classify_solution(r.curve, cfg.thresholds, p.floats[1])) for r in _dedup(verified)]
+        found = newton_solutions(p, thresholds, grid_n)
+    return [(r, classify_solution(r.curve, thresholds, p.floats[1])) for r in _dedup(found)]

@@ -16,29 +16,22 @@ from numbers import Rational
 Number = float | Fraction
 
 
-def parse_number(value) -> Number:
-    """Parse a config scalar: int/str -> Fraction (exact), float -> float."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse {value!r} as a rational number") from exc
-    if is_exact(value):
-        return Fraction(value)
-    raise ValueError(f"expected a number, got {value!r}")
-
-
 def parse_field(value, where: str) -> Number:
-    """parse_number(value); a malformed value, or one beyond float range, is a ValueError naming `where`."""
+    """A config scalar: int/str -> Fraction (exact), float -> float; a malformed value,
+    or one beyond float range, is a ValueError naming `where`."""
+    if isinstance(value, float):
+        number = value
+    elif isinstance(value, str):
+        try:
+            number = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}: cannot parse {value!r} as a rational number") from exc
+    elif is_exact(value) and not isinstance(value, bool):
+        number = Fraction(value)
+    else:
+        raise ValueError(f"{where}: expected a number, got {value!r}")
     try:
-        number = parse_number(value)
         float(number)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
     except OverflowError as exc:
         raise ValueError(f"{where} = {value!r} is beyond float range") from exc
     return number

@@ -15,7 +15,7 @@ from .config import RunConfig, f_check_u_max
 from .constants import compute_constants
 from .errors import ConfigError, TribvpError
 from .grid import remove_files, write_csv
-from .nonlinear import SolveConfig, find_solutions
+from .nonlinear import find_solutions
 from .problem import validate_hypotheses
 from .report import SCHEMA_VERSION, dump_report, write_sweep_csv
 
@@ -87,7 +87,7 @@ def run(cfg: RunConfig) -> RunOutcome:
 
         if cfg.mode == "solve":
             with timer.time("solve"):
-                found = find_solutions(p, SolveConfig(grid_n=cfg.grid_n, thresholds=thresholds))
+                found = find_solutions(p, thresholds, cfg.grid_n)
             curve_paths = [cfg.output_dir / f"solution_{k}.csv" for k in range(len(found))]
             with timer.time("write_solutions"):
                 write_csv([result.curve for result, _ in found], curve_paths)

@@ -49,12 +49,12 @@ def exp_piecewise_problem() -> Problem:
 
 @pytest.fixture
 def sigmoid_thresholds() -> ThresholdTriple:
-    return ThresholdTriple.from_abc(F(1, 120), F(2), F(124), F(1, 4))
+    return ThresholdTriple(F(1, 120), F(2), F(124)).with_gamma(F(1, 4))
 
 
 @pytest.fixture
 def exp_thresholds() -> ThresholdTriple:
-    return ThresholdTriple.from_abc(F(1, 4), F(4), F(544), F(1, 4))
+    return ThresholdTriple(F(1, 4), F(4), F(544)).with_gamma(F(1, 4))
 
 
 def random_valid_problem(rng: np.random.Generator, allow_beta_zero: bool = True) -> Problem:

@@ -180,18 +180,18 @@ def picard_iterate(
     return PicardResult(curve, not diverged and update <= tol and verified, iterations, rep)
 
 
-def picard_solutions(p: Problem, cfg) -> list[PicardResult]:
-    """Picard iteration on one linear plan for cfg.grid_n, from constant starts at
-    1e-2*a, a, b, (d,) c of cfg.thresholds, or at decades without thresholds."""
-    if cfg.thresholds is None:
+def picard_solutions(p: Problem, thresholds, grid_n: int) -> list[PicardResult]:
+    """Picard iteration on one linear plan for grid_n nodes, from constant starts at
+    1e-2*a, a, b, (d,) c of the thresholds, or at decades without thresholds."""
+    if thresholds is None:
         levels = [1e-2, 1e-1, 1.0, 10.0, 100.0]
     else:
-        a, b, c, d = cfg.thresholds.floats
+        a, b, c, d = thresholds.floats
         levels = [1e-2 * a, a, b, *([] if d is None else [d]), c]
-    plan = LinearPlan(p, cfg.grid_n)
+    plan = LinearPlan(p, grid_n)
     results = []
     for level in levels:
-        start = SolutionCurve.constant(level, plan.T, cfg.grid_n)
+        start = SolutionCurve.constant(level, plan.T, grid_n)
         try:
             result = picard_iterate(p, start, plan=plan)
         except FunctionDomainError:

@@ -14,18 +14,16 @@ import pytest
 
 from tribvp import (
     SolutionCurve,
-    SolveConfig,
     ThresholdTriple,
     certify,
-    check_nonnegativity,
     compute_constants,
     cone_membership,
     lambda_constant,
     solve_linear,
 )
 from tribvp.config import parse_run_config
-from tribvp.functions import PiecewiseU, RationalSigmoid
-from tribvp.nonlinear import find_solutions, newton_solutions
+from tribvp.functions import NEGATIVE_U_TOL, PiecewiseU, RationalSigmoid
+from tribvp.nonlinear import DEFAULT_GRID_N, find_solutions, newton_solutions
 from tribvp.runner import run
 
 from conftest import (
@@ -57,12 +55,11 @@ def linear_suite():
 def sigmoid_search():
     """The heavy multi-start run, shared by the multiplicity criteria."""
     p = make_sigmoid_problem()
-    tt = ThresholdTriple.from_abc(F(1, 120), F(2), F(124), F(1, 4))
-    cfg = SolveConfig(thresholds=tt)
+    tt = ThresholdTriple(F(1, 120), F(2), F(124)).with_gamma(F(1, 4))
     start = time.perf_counter()
-    picard = picard_solutions(p, cfg)
-    newton = newton_solutions(p, cfg)
-    combined = find_solutions(p, cfg)
+    picard = picard_solutions(p, tt, DEFAULT_GRID_N)
+    newton = newton_solutions(p, tt, DEFAULT_GRID_N)
+    combined = find_solutions(p, tt)
     elapsed = time.perf_counter() - start
     return {
         "problem": p,
@@ -70,7 +67,6 @@ def sigmoid_search():
         "newton": newton,
         "combined": combined,
         "elapsed": elapsed,
-        "cfg": cfg,
     }
 
 
@@ -104,9 +100,9 @@ def test_criterion_02_lambda_exact_fractions():
 def test_criterion_03_certification_regression():
     start = time.perf_counter()
     p1 = make_sigmoid_problem()
-    cert1 = certify(p1, ThresholdTriple.from_abc(F(1, 120), F(2), F(124), F(1, 4)), compute_constants(p1))
+    cert1 = certify(p1, ThresholdTriple(F(1, 120), F(2), F(124)).with_gamma(F(1, 4)), compute_constants(p1))
     p2 = make_exp_piecewise_problem()
-    cert2 = certify(p2, ThresholdTriple.from_abc(F(1, 4), F(4), F(544), F(1, 4)), compute_constants(p2))
+    cert2 = certify(p2, ThresholdTriple(F(1, 4), F(4), F(544)).with_gamma(F(1, 4)), compute_constants(p2))
     elapsed = time.perf_counter() - start
     assert cert1.verdict and cert2.verdict
     assert abs(cert1.d1.bound - 1.0 / 360.0) <= 1e-9
@@ -152,7 +148,7 @@ def test_criterion_04_solver_vs_oracle_and_convergence(linear_suite):
 
 def test_criterion_05_cone_property_suite(linear_suite):
     for p, _, u in linear_suite:
-        assert check_nonnegativity(u).ok
+        assert u.min_value() >= -NEGATIVE_U_TOL
         assert check_gamma_bound(u, float(compute_constants(p).gamma), float(p.eta)).ok
     rng = np.random.default_rng(1357)
     for p in (make_sigmoid_problem(), make_exp_piecewise_problem()):

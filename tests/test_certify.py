@@ -39,15 +39,15 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_ordering_examples():
-    assert check_ordering(ThresholdTriple.from_abc(F(1, 120), F(2), F(124)), F(1, 4))
-    assert check_ordering(ThresholdTriple.from_abc(F(1, 4), F(4), F(544)), F(1, 4))
-    assert not check_ordering(ThresholdTriple.from_abc(F(2), F(2), F(100)), F(1, 4))
+    assert check_ordering(ThresholdTriple(F(1, 120), F(2), F(124)), F(1, 4))
+    assert check_ordering(ThresholdTriple(F(1, 4), F(4), F(544)), F(1, 4))
+    assert not check_ordering(ThresholdTriple(F(2), F(2), F(100)), F(1, 4))
 
 
 def test_ordering_boundary_c_equal_d():
     # b/gamma <= c is non-strict: c exactly b/gamma passes
-    assert check_ordering(ThresholdTriple.from_abc(F(1), F(2), F(8)), F(1, 4))
-    assert not check_ordering(ThresholdTriple.from_abc(F(1), F(2), F(79, 10)), F(1, 4))
+    assert check_ordering(ThresholdTriple(F(1), F(2), F(8)), F(1, 4))
+    assert not check_ordering(ThresholdTriple(F(1), F(2), F(79, 10)), F(1, 4))
 
 
 def test_small_range_cap_on_sigmoid_problem():
@@ -125,7 +125,7 @@ def test_certificates_for_both_example_problems(sigmoid_thresholds, exp_threshol
 def test_certificate_fails_when_global_cap_too_low():
     p = make_sigmoid_problem()
     k = compute_constants(p)
-    tt = ThresholdTriple.from_abc(F(1, 120), F(2), F(100), k.gamma)
+    tt = ThresholdTriple(F(1, 120), F(2), F(100)).with_gamma(k.gamma)
     cert = certify(p, tt, k)
     # m*c = 100/3 < sup f = 40: the global cap is violated
     assert not cert.d3.holds and not cert.verdict
@@ -305,7 +305,7 @@ def _pointwise_search(p, k):
             for c in feasible_c[::-1]:
                 if c < b / gamma:
                     continue
-                tt = ThresholdTriple.from_abc(a, b, c, gamma)
+                tt = ThresholdTriple(a, b, c).with_gamma(gamma)
                 if check_ordering(tt, k.gamma):
                     return tt
     return None

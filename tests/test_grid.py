@@ -141,12 +141,13 @@ def test_curve_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     curve = SolutionCurve(0.0, 1.0, rng.uniform(0.0, 5.0, 65))
     path = tmp_path / "curve.csv"
-    curve.to_csv(path)
+    write_csv([curve], [path])
     text = path.read_text()
     assert text.startswith("t,u\n")
     assert text.endswith("\n")
-    back = SolutionCurve.from_csv(path)
-    assert np.array_equal(back.values, curve.values)  # 17 digits reproduce doubles exactly
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], curve.nodes)
+    assert np.array_equal(back[:, 1], curve.values)  # 17 digits reproduce doubles exactly
 
 
 def _row_by_row_csv(curve: SolutionCurve) -> bytes:
@@ -169,7 +170,7 @@ def test_write_csv_bytes_match_row_by_row_format(tmp_path):
     write_csv(curves, paths)
     for curve, path in zip(curves, paths):
         assert path.read_bytes() == _row_by_row_csv(curve)
-    curves[2].to_csv(tmp_path / "one.csv")
+    write_csv([curves[2]], [tmp_path / "one.csv"])
     assert (tmp_path / "one.csv").read_bytes() == _row_by_row_csv(curves[2])
     # more distinct grids than the t-column cache keeps, interleaved, then the first grid again;
     # the last two grids compare equal (0.0 == -0.0) but their last nodes print apart
@@ -178,7 +179,7 @@ def test_write_csv_bytes_match_row_by_row_format(tmp_path):
     interleaved = cycle + cycle[::2] + cycle[len(cycle) - 1 :: -3]
     paths = [tmp_path / f"cycle_{k}.csv" for k in range(len(interleaved))]
     write_csv(interleaved, paths)
-    cycle[0].to_csv(tmp_path / "first_again.csv")
+    write_csv([cycle[0]], [tmp_path / "first_again.csv"])
     for curve, path in zip(interleaved + cycle[:1], paths + [tmp_path / "first_again.csv"]):
         assert path.read_bytes() == _row_by_row_csv(curve)
     # no curve writes no file; a zero curve between nonzero ones gives the bytes it gives alone
@@ -189,7 +190,7 @@ def test_write_csv_bytes_match_row_by_row_format(tmp_path):
     paths = [tmp_path / f"mixed_{k}.csv" for k in range(len(mixed))]
     write_csv(mixed, paths)
     for k, (curve, path) in enumerate(zip(mixed, paths)):
-        curve.to_csv(tmp_path / "alone.csv")
+        write_csv([curve], [tmp_path / "alone.csv"])
         assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes() == _row_by_row_csv(curve), k
 
 

@@ -9,10 +9,11 @@ from tribvp import (
     Problem,
     SingularConfigurationError,
     SolutionCurve,
-    check_nonnegativity,
     compute_constants,
+    cone_membership,
     solve_linear,
 )
+from tribvp.functions import NEGATIVE_U_TOL
 from tribvp.grid import cumulative_simpson, interp_cubic, partial_integral
 from tribvp.linear import LinearPlan
 
@@ -56,7 +57,7 @@ def test_constant_load_matches_quadratic_closed_form():
     u = solve_linear(p, y)
     for t_probe in (0.0, 0.5, 1.0):
         expected = -t_probe**2 / 2 + float(A) * t_probe + float(B)
-        assert u.value_at(t_probe) == pytest.approx(expected, abs=1e-13)
+        assert interp_cubic(u.values, u.h, t_probe) == pytest.approx(expected, abs=1e-13)
     t = u.nodes
     exact = -(t**2) / 2 + float(A) * t + float(B)
     assert np.max(np.abs(u.values - exact)) < 1e-13
@@ -82,7 +83,7 @@ def test_oracle_equivalence_and_cone_properties_random_suite(rng):
         u = solve_linear(p, y)
         uo = solve_linear_oracle(p, y)
         assert np.max(np.abs(u.values - uo.values)) <= 1e-8
-        assert check_nonnegativity(u).ok
+        assert u.min_value() >= -NEGATIVE_U_TOL
         g = float(compute_constants(p).gamma)
         assert check_gamma_bound(u, g, float(p.eta)).ok
 
@@ -93,9 +94,9 @@ def test_solver_is_linear(rng):
     y2 = random_nonnegative_load(1.0, N, rng)
     u1 = solve_linear(p, y1)
     u2 = solve_linear(p, y2)
-    u_sum = solve_linear(p, y1 + y2)
+    u_sum = solve_linear(p, SolutionCurve(0.0, 1.0, y1.values + y2.values))
     assert np.max(np.abs(u_sum.values - (u1.values + u2.values))) < 1e-10
-    u_scaled = solve_linear(p, y1.scaled(3.5))
+    u_scaled = solve_linear(p, SolutionCurve(0.0, 1.0, 3.5 * y1.values))
     assert np.max(np.abs(u_scaled.values - 3.5 * u1.values)) < 1e-10
 
 
@@ -146,9 +147,9 @@ def test_singular_beta_raises():
 
 def test_nonnegativity_check_reports_worst_node():
     u = SolutionCurve(0.0, 1.0, np.array([0.0, 1.0, -1.0, 1.0, 0.0]))
-    check = check_nonnegativity(u)
-    assert not check.ok and check.min_value == -1.0 and check.t_worst == 0.5
-    assert check_nonnegativity(SolutionCurve.constant(0.0, 1.0, 9)).ok
+    check = cone_membership(u)
+    assert not check.ok and check.violations[0] == ("negative", 0.5, -1.0)
+    assert cone_membership(SolutionCurve.constant(0.0, 1.0, 9)).ok
 
 
 def test_gamma_bound_constant_curve_margin():

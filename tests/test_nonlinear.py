@@ -9,7 +9,6 @@ import pytest
 from tribvp import (
     Problem,
     SolutionCurve,
-    SolveConfig,
     ThresholdTriple,
     classify_solution,
     cone_membership,
@@ -31,7 +30,7 @@ from tribvp.nonlinear import (
 from tribvp.config import parse_run_config
 from tribvp.constants import compute_constants
 from tribvp.errors import FunctionDomainError
-from tribvp.functions import ConstantF, PolynomialU
+from tribvp.functions import NEGATIVE_U_TOL, ConstantF, PolynomialU
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
 from oracles import apply_operator_A, picard_iterate, picard_solutions, shooting_residual, solve_linear_oracle
@@ -225,17 +224,17 @@ def test_newton_jacobian_first_order_against_central():
 
 
 def test_classification_trivials():
-    tt = ThresholdTriple.from_abc(1.0, 4.0, 100.0, 0.25)
-    small = classify_solution(SolutionCurve.constant(0.5, 1.0, 65), tt)
+    tt = ThresholdTriple(1.0, 4.0, 100.0).with_gamma(0.25)
+    small = classify_solution(SolutionCurve.constant(0.5, 1.0, 65), tt, 0.5)
     assert small.label == "small"
-    large = classify_solution(SolutionCurve.constant(8.0, 1.0, 65), tt)
+    large = classify_solution(SolutionCurve.constant(8.0, 1.0, 65), tt, 0.5)
     assert large.label == "large-min"
     t = np.linspace(0.0, 1.0, 65)
     middle_curve = SolutionCurve(0.0, 1.0, 2.0 + t)  # norm 3 > a, min 2 < b
-    middle = classify_solution(middle_curve, tt, eta=0.5)
+    middle = classify_solution(middle_curve, tt, 0.5)
     assert middle.label == "middle"
     assert middle.min_tail == pytest.approx(2.5)
-    edge = classify_solution(SolutionCurve.constant(1.0, 1.0, 65), tt)
+    edge = classify_solution(SolutionCurve.constant(1.0, 1.0, 65), tt, 0.5)
     assert edge.label == "unclassified"  # norm exactly a satisfies no predicate
 
 
@@ -247,9 +246,9 @@ def test_dedup_merges_and_keeps_better_residual():
     def result(values, ode):
         return FixedPointResult(
             curve=SolutionCurve(0.0, 1.0, values),
-            converged=True,
             iterations=1,
             residuals=ResidualReport(ode, 0.0, 0.0),
+            clamped_evals=0,
         )
 
     good = result(base, 1e-12)
@@ -262,8 +261,7 @@ def test_dedup_merges_and_keeps_better_residual():
 
 def test_find_solutions_zero_nonlinearity_returns_zero_only():
     p = zero_f_problem()
-    cfg = SolveConfig(grid_n=513)
-    found = find_solutions(p, cfg)
+    found = find_solutions(p, None, 513)
     assert len(found) == 1
     result, cls = found[0]
     assert result.curve.sup_norm() < 1e-9
@@ -272,8 +270,7 @@ def test_find_solutions_zero_nonlinearity_returns_zero_only():
 
 def test_find_solutions_exp_problem_two_verified(exp_thresholds):
     p = make_exp_piecewise_problem()
-    cfg = SolveConfig(grid_n=1025, thresholds=exp_thresholds)
-    found = find_solutions(p, cfg)
+    found = find_solutions(p, exp_thresholds, 1025)
     assert len(found) >= 2
     labels = {cls.label for _, cls in found}
     assert "small" in labels and "large-min" in labels
@@ -306,7 +303,7 @@ def test_newton_jacobian_vector_product_matches_central_difference(rng):
 
 
 def test_newton_zero_nonlinearity_has_exactly_one_root():
-    roots = newton_solutions(zero_f_problem(), SolveConfig(grid_n=513))
+    roots = newton_solutions(zero_f_problem(), None, 513)
     assert len(roots) == 1
     assert roots[0].curve.sup_norm() == 0.0
 
@@ -326,7 +323,7 @@ def _spy_newton(monkeypatch):
 
 def test_newton_rows_never_mix(monkeypatch, sigmoid_thresholds):
     calls = _spy_newton(monkeypatch)
-    nonlinear._coarse_roots(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
+    nonlinear._coarse_roots(make_sigmoid_problem(), sigmoid_thresholds)
     residual, step = calls[0]["residual"], calls[0]["step"]
 
     def uneven_step(U, R):
@@ -351,7 +348,7 @@ def test_newton_rows_never_mix(monkeypatch, sigmoid_thresholds):
 
 def test_newton_returns_the_residual_rows_of_its_final_block(monkeypatch, sigmoid_thresholds):
     calls = _spy_newton(monkeypatch)
-    nonlinear._coarse_roots(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
+    nonlinear._coarse_roots(make_sigmoid_problem(), sigmoid_thresholds)
     U, _, _, R = calls[0]["result"]
     assert np.array_equal(R, calls[0]["residual"](U))  # bit for bit, though each row was evaluated in its own block
 
@@ -366,9 +363,9 @@ def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds)
     # One start's Jacobian is singular at its first step, in the block solve and in the
     # row-by-row fallback alike.  Only that start is dropped; every other start runs bit
     # for bit as without the fault.  The dropped start is the first to reach the middle root.
-    p, cfg = make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds)
+    p, tt = make_sigmoid_problem(), sigmoid_thresholds
     calls = _spy_newton(monkeypatch)
-    _, expected = nonlinear._coarse_roots(p, cfg)
+    _, expected = nonlinear._coarse_roots(p, tt)
     U, rnorm, iterations, _ = calls[0]["result"]
     middle = sorted(expected, key=lambda root: np.max(root[0]))[1][0]
     j = next(i for i, u in enumerate(U) if np.array_equal(u, middle))
@@ -385,7 +382,7 @@ def test_singular_jacobian_drops_only_its_start(monkeypatch, sigmoid_thresholds)
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", fail_on_start_j)
-    _, found = nonlinear._coarse_roots(p, cfg)
+    _, found = nonlinear._coarse_roots(p, tt)
     U1, rnorm1, iterations1, _ = calls[1]["result"]
     others = np.arange(len(U)) != j
     assert rnorm1[j] == np.inf and iterations1[j] == 0
@@ -416,7 +413,7 @@ def test_find_solutions_computes_lambda_once_per_grid_size(monkeypatch, sigmoid_
     calls = []
     original = linear.lambda_constant
     monkeypatch.setattr(linear, "lambda_constant", lambda p: calls.append(p) or original(p))
-    found = find_solutions(make_sigmoid_problem(), SolveConfig(thresholds=sigmoid_thresholds))
+    found = find_solutions(make_sigmoid_problem(), sigmoid_thresholds)
     assert len(found) == 3
     assert len(calls) == 2  # COARSE_N and grid_n
 
@@ -426,7 +423,7 @@ def test_picard_drops_a_start_where_f_overflows():
     p = u40_problem()
     with pytest.raises(FunctionDomainError, match="not finite"):
         picard_iterate(p, SolutionCurve.constant(100.0, 1.0, 129), 1e-10, 50)
-    kept = picard_solutions(p, SolveConfig(grid_n=129))
+    kept = picard_solutions(p, None, 129)
     assert kept and all(r.curve.sup_norm() == 0.0 for r in kept)
 
 
@@ -435,8 +432,8 @@ def test_newton_polish_drops_a_root_where_f_overflows(monkeypatch):
     p = u40_problem()
     t = np.linspace(0.0, 1.0, nonlinear.COARSE_N)
     roots = [(np.full(t.size, 1e10), 0), (np.zeros(t.size), 0)]
-    monkeypatch.setattr(nonlinear, "_coarse_roots", lambda p, cfg: (t, roots))
-    kept = newton_solutions(p, SolveConfig(grid_n=129))
+    monkeypatch.setattr(nonlinear, "_coarse_roots", lambda p, thresholds: (t, roots))
+    kept = newton_solutions(p, None, 129)
     assert [r.curve.sup_norm() for r in kept] == [0.0]
 
 
@@ -461,9 +458,9 @@ def test_find_solutions_loses_no_picard_root(doc, tmp_path):
     # Picard reaches the attracting fixed points by iteration alone; the Newton route must report each one
     run_cfg = parse_run_config(doc, "solve", tmp_path)
     p = run_cfg.problem
-    cfg = SolveConfig(grid_n=run_cfg.grid_n, thresholds=run_cfg.thresholds.with_gamma(compute_constants(p).gamma))
-    picard = picard_solutions(p, cfg)
-    found = [result.curve.values for result, _ in find_solutions(p, cfg)]
+    tt, n = run_cfg.thresholds.with_gamma(compute_constants(p).gamma), run_cfg.grid_n
+    picard = picard_solutions(p, tt, n)
+    found = [result.curve.values for result, _ in find_solutions(p, tt, n)]
     assert picard
     for pr in picard:
         u = pr.curve.values
@@ -471,19 +468,19 @@ def test_find_solutions_loses_no_picard_root(doc, tmp_path):
         assert gap <= 1e-9 * max(1.0, pr.curve.sup_norm()), (pr.curve.sup_norm(), gap)
 
 
-def _problem_and_config(doc, tmp_path, grid_n):
+def _problem_and_thresholds(doc, tmp_path):
     run_cfg = parse_run_config(doc, "solve", tmp_path)
     p = run_cfg.problem
-    return p, SolveConfig(grid_n=grid_n, thresholds=run_cfg.thresholds.with_gamma(compute_constants(p).gamma))
+    return p, run_cfg.thresholds.with_gamma(compute_constants(p).gamma)
 
 
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
 def test_cubic_hand_off_leaves_at_most_one_full_grid_newton_step(doc, tmp_path, monkeypatch):
     # a work count, not a timing: a coarse root interpolated cubically starts inside the fine quadratic basin
-    p, cfg = _problem_and_config(doc, tmp_path, 2049)
-    _, roots = nonlinear._coarse_roots(p, cfg)
+    p, tt = _problem_and_thresholds(doc, tmp_path)
+    _, roots = nonlinear._coarse_roots(p, tt)
     calls = _spy_newton(monkeypatch)
-    found = newton_solutions(p, cfg)
+    found = newton_solutions(p, tt, 2049)
     polished = calls[1:]  # one polish per coarse root, in the order of the roots
     assert found and len(polished) == len(roots)
     for r in found:
@@ -495,12 +492,12 @@ def test_cubic_hand_off_leaves_at_most_one_full_grid_newton_step(doc, tmp_path, 
 @pytest.mark.parametrize("grid_n", [65, 1025, 2049])
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
 def test_one_hand_off_stencil_prolongs_each_root_as_interp_cubic_does(doc, grid_n, tmp_path, monkeypatch):
-    p, cfg = _problem_and_config(doc, tmp_path, grid_n)
-    t, roots = nonlinear._coarse_roots(p, cfg)
+    p, tt = _problem_and_thresholds(doc, tmp_path)
+    t, roots = nonlinear._coarse_roots(p, tt)
     prolonged = []
     polish = nonlinear._polish
     monkeypatch.setattr(nonlinear, "_polish", lambda p, plan, u, k: prolonged.append(u) or polish(p, plan, u, k))
-    newton_solutions(p, cfg)
+    newton_solutions(p, tt, grid_n)
     fine_t = LinearPlan(p, grid_n).t
     assert len(prolonged) == len(roots) >= 2
     for v, (u, _) in zip(prolonged, roots):
@@ -509,10 +506,10 @@ def test_one_hand_off_stencil_prolongs_each_root_as_interp_cubic_does(doc, grid_
 
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
 def test_coarse_grid_size_does_not_pick_the_roots(doc, tmp_path, monkeypatch):
-    p, cfg = _problem_and_config(doc, tmp_path, 1025)
-    default = find_solutions(p, cfg)
+    p, tt = _problem_and_thresholds(doc, tmp_path)
+    default = find_solutions(p, tt, 1025)
     monkeypatch.setattr(nonlinear, "COARSE_N", 65)
-    finer = find_solutions(p, cfg)
+    finer = find_solutions(p, tt, 1025)
     assert [cls.label for _, cls in finer] == [cls.label for _, cls in default]
     for (r, _), (s, _) in zip(default, finer):
         gap = float(np.max(np.abs(r.curve.values - s.curve.values)))
@@ -546,9 +543,9 @@ def _counting_work(monkeypatch, grid_n):
 def test_polish_work_per_solve(doc, plan_calls, matvecs, tmp_path, monkeypatch):
     # a work count, not a timing: GMRES stops at the Newton target, A u is not applied again, and
     # verification reads the plan's stencils
-    p, cfg = _problem_and_config(doc, tmp_path, 2049)
+    p, tt = _problem_and_thresholds(doc, tmp_path)
     work = _counting_work(monkeypatch, 2049)
-    assert find_solutions(p, cfg)
+    assert find_solutions(p, tt, 2049)
     assert work["plan"] <= plan_calls and work["matvec"] <= matvecs, work
 
 
@@ -556,11 +553,11 @@ def test_polish_work_per_solve(doc, plan_calls, matvecs, tmp_path, monkeypatch):
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
 def test_inexact_newton_costs_no_newton_step(doc, grid_n, tmp_path, monkeypatch):
     # GMRES solved to GMRES_RTOL alone, as before the floor, gives the same roots and steps
-    p, cfg = _problem_and_config(doc, tmp_path, grid_n)
-    inexact = find_solutions(p, cfg)
+    p, tt = _problem_and_thresholds(doc, tmp_path)
+    inexact = find_solutions(p, tt, grid_n)
     gmres = nonlinear._gmres
     monkeypatch.setattr(nonlinear, "_gmres", lambda matvec, b, floor: gmres(matvec, b, 0.0))
-    exact = find_solutions(p, cfg)
+    exact = find_solutions(p, tt, grid_n)
     assert [cls.label for _, cls in inexact] == [cls.label for _, cls in exact]
     for (r, _), (s, _) in zip(inexact, exact):
         assert (r.iterations, r.clamped_evals) == (s.iterations, s.clamped_evals)
@@ -614,13 +611,13 @@ def test_gmres_meets_its_stopping_bound_and_keeps_its_bits_without_a_floor(rng):
 
 def test_exp_small_solution_counts_the_clamps_of_its_final_iterate(exp_thresholds):
     # the final A u is no longer applied, but its clamps are still counted
-    found = find_solutions(make_exp_piecewise_problem(), SolveConfig(thresholds=exp_thresholds))
+    found = find_solutions(make_exp_piecewise_problem(), exp_thresholds)
     small = [r for r, cls in found if cls.label == "small"]
     assert [r.clamped_evals for r in small] == [2047]
 
 
-def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(monkeypatch):
-    # Newton's final u has 64 negative nodes: counted once when Newton evaluated F(u), once for the A u reported
+def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(monkeypatch, exp_thresholds):
+    # A zigzag final iterate with 64 nodes at -1e-13 is no fixed point: the gate reports nothing for it
     p, n = make_sigmoid_problem(), 129
     plan = LinearPlan(p, n)
     final = np.where(np.arange(n) % 2, -1e-13, 0.5)
@@ -630,6 +627,41 @@ def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(m
         return final[None], np.max(np.abs(R), axis=1), np.zeros(1, dtype=int), R
 
     monkeypatch.setattr(nonlinear, "_newton", newton)
-    result = nonlinear._polish(p, plan, np.zeros(n), 0)
-    assert result.clamped_evals == 2 * 64
-    assert np.array_equal(result.curve.values, final - _fixed_point_residual(p, plan, final))
+    assert nonlinear._polish(p, plan, np.zeros(n), 0) is None
+    monkeypatch.undo()
+
+    # The exp config's small root is reported: its clamps are those of every F(u) the polish
+    # evaluated, plus those of Newton's final u for the reported A u, which is u - F(u) bit for bit
+    p = make_exp_piecewise_problem()
+    plan = LinearPlan(p, nonlinear.DEFAULT_GRID_N)
+    t, roots = nonlinear._coarse_roots(p, exp_thresholds)
+    small = min(roots, key=lambda root: np.max(np.abs(root[0])))[0]
+    clamps, residual = [], nonlinear._fixed_point_residual
+
+    def counted(p, plan, u):
+        clamps.append(np.count_nonzero(u < 0.0))
+        return residual(p, plan, u)
+
+    monkeypatch.setattr(nonlinear, "_fixed_point_residual", counted)
+    calls = _spy_newton(monkeypatch)
+    result = nonlinear._polish(p, plan, interp_cubic(small, t[1], plan.t), 0)
+    (u,), _, _, (fu,) = calls[0]["result"]
+    assert result.clamped_evals == sum(clamps) + np.count_nonzero(u < 0.0) == 2047
+    assert np.array_equal(result.curve.values, u - fu)
+
+
+def test_cone_membership_rejects_exactly_the_curves_where_f_raises():
+    # one bound for both: f's domain ends at -NEGATIVE_U_TOL, and so does the cone
+    p = make_sigmoid_problem()
+    for low, in_cone in ((-NEGATIVE_U_TOL, True), (np.nextafter(-NEGATIVE_U_TOL, -1.0), False)):
+        values = np.zeros(65)
+        values[32] = low
+        curve = SolutionCurve(0.0, 1.0, values)
+        check = cone_membership(curve)
+        assert check.ok is in_cone
+        assert check.violations == (() if in_cone else (("negative", 0.5, low),))
+        if in_cone:
+            p.f(curve.nodes, curve.values)
+        else:
+            with pytest.raises(FunctionDomainError, match="below domain"):
+                p.f(curve.nodes, curve.values)

@@ -167,5 +167,5 @@ def test_float_views_are_converted_once():
     p = Problem(T=F(2), eta=F(1, 3), alpha=F(3, 2), beta=F(1, 2))
     assert p.floats == (2.0, 1 / 3, 1.5, 0.5) and p.floats is p.floats
     assert p.with_params(beta=0.25).floats == (2.0, 1 / 3, 1.5, 0.25)
-    tt = ThresholdTriple.from_abc(F(1, 4), 2, 8.0)
+    tt = ThresholdTriple(F(1, 4), 2, 8.0)
     assert tt.floats == (0.25, 2.0, 8.0, None) and tt.with_gamma(F(1, 2)).floats == (0.25, 2.0, 8.0, 4.0)
