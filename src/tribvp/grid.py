@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -303,31 +304,52 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     even nodes that second differences amplify to an O(h) ODE residual.
     """
     v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)  # laid out as v is, so a transposed stack of rows integrates into rows
-    pair = h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-    out[2::2] = np.cumsum(pair, axis=0)
-    out[1::2] = out[0:-1:2] + h / 12.0 * (5.0 * v[0:-1:2] + 8.0 * v[1::2] - v[2::2])
+    lo, mid, hi = v[0:-1:2], v[1::2], v[2::2]  # the three nodes of each pair
+    out = np.empty_like(v)  # laid out as v is, so a transposed stack of rows integrates into rows
+    out[:1] = 0.0
+    # in place, in the order of h/3*(lo + 4*mid + hi) and h/12*(5*lo + 8*mid - hi): + and * commute bit for bit
+    pair = 4.0 * mid
+    pair += lo
+    pair += hi
+    pair *= h / 3.0
+    np.cumsum(pair, axis=0, out=out[2::2])
+    half = 5.0 * lo
+    half += 8.0 * mid
+    half -= hi
+    half *= h / 12.0
+    np.add(out[0:-1:2], half, out=out[1::2])
     return out
 
 
 def interp_weights(n: int, h: float, x):
     """Four-point Lagrange stencil (start index, weights) for position x; for an array x,
-    (the four node indices of each point, their weights), as the (m, 4) arrays of a gather."""
+    (the four node indices of each point, their weights), as the (m, 4) arrays of a gather.
+
+    A scalar x is worked in Python floats: the same float64 operations, in the same
+    order, as on an array, without a 0-d array's overhead on each of them.
+    """
     if n < 4:
         raise ValueError("cubic interpolation needs at least four nodes")
-    pos = np.asarray(x) / h
-    if not np.all((-1e-9 <= pos) & (pos <= (n - 1) + 1e-9)):
+    scalar = np.ndim(x) == 0
+    if scalar:
+        pos = float(x) / h
+        inside = -1e-9 <= pos <= (n - 1) + 1e-9
+    else:
+        pos = np.asarray(x) / h
+        inside = np.all((-1e-9 <= pos) & (pos <= (n - 1) + 1e-9))
+    if not inside:
         raise ValueError(f"interpolation point {x} outside the grid")
-    start = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
+    if scalar:
+        start = min(max(math.floor(pos) - 1, 0), n - 4)
+    else:
+        start = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
     xi = pos - start
     d0, d1, d2, d3 = (xi - m for m in range(4))
-    w = np.empty(xi.shape + (4,))
     # weight k: the product of xi - m over the other nodes m, over that of k - m
-    w[..., 0] = d1 * d2 * d3 / -6.0
-    w[..., 1] = d0 * d2 * d3 / 2.0
-    w[..., 2] = d0 * d1 * d3 / -2.0
-    w[..., 3] = d0 * d1 * d2 / 6.0
-    return (start if np.ndim(start) == 0 else start[:, None] + np.arange(4)), w
+    weights = (d1 * d2 * d3 / -6.0, d0 * d2 * d3 / 2.0, d0 * d1 * d3 / -2.0, d0 * d1 * d2 / 6.0)
+    if scalar:
+        return start, np.array(weights)
+    return start[:, None] + np.arange(4), np.stack(weights, axis=-1)
 
 
 def interp_cubic(values: np.ndarray, h: float, x):
@@ -355,7 +377,7 @@ def partial_integral_weights(n: int, h: float, x: float) -> np.ndarray:
         raise ValueError(f"integration endpoint {x} outside the grid")
     x = min(max(x, 0.0), (n - 1) * h)
     w = np.zeros(n)
-    e = min(int(np.floor(x / h)), n - 1)
+    e = min(math.floor(x / h), n - 1)
     e -= e % 2
     if e >= 2:
         w[0] += h / 3.0

@@ -69,8 +69,11 @@ class LinearPlan:
     column, returns the solution's nodal values exactly as solve_linear does:
     the cumulative Simpson sums of v and t*v (one pass over both, stacked as
     two rows), three eta-weight products and the closed form, with the
-    operations and their order of two separate sums.  `residuals` checks a
-    candidate on the plan's eta stencils, interp_cubic's and partial_integral's.
+    operations and their order of two separate sums.  An (n, k) load is
+    taken C-ordered, as every caller passes it: BLAS sums w_eta @ v in the
+    order of v's layout, so an F-ordered one may differ in the last bits.
+    `residuals` checks a candidate on the plan's eta stencils, interp_cubic's
+    and partial_integral's.
     """
 
     def __init__(self, p: Problem, n: int):

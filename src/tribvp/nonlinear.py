@@ -116,12 +116,18 @@ def _start_levels(thresholds: ThresholdTriple | None) -> list[float]:
 
 
 def _df_du(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Central difference for df/du at max(u, 0), one-sided where it would cross u = 0."""
+    """Central difference for df/du at max(u, 0), one-sided where it would cross u = 0.
+
+    f is called once, on both ends stacked as (hi, lo).
+    """
     u = np.maximum(u, 0.0)
     d = FD_STEP * np.maximum(1.0, u)
-    lo = np.maximum(u - d, 0.0)
-    hi = u + d
-    return (p.f(t, hi) - p.f(t, lo)) / (hi - lo)
+    ends = np.empty((2, *u.shape))
+    hi, lo = ends
+    np.add(u, d, out=hi)
+    np.maximum(u - d, 0.0, out=lo)
+    f_hi, f_lo = p.f(t, ends)
+    return (f_hi - f_lo) / (hi - lo)
 
 
 def _fixed_point_residual(p: Problem, plan: LinearPlan, u: np.ndarray) -> np.ndarray:

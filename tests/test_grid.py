@@ -57,6 +57,26 @@ def test_cumulative_matches_full_simpson_at_even_nodes():
             assert cum[k] == pytest.approx(simpson_integral(vals[: k + 1], h), rel=1e-14)
 
 
+def _cumulative_simpson_as_two_expressions(v: np.ndarray, h: float) -> np.ndarray:
+    """The pair and half-pair rules, each written as one expression over the node slices."""
+    out = np.zeros_like(v)
+    out[2::2] = np.cumsum(h / 3.0 * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2]), axis=0)
+    out[1::2] = out[0:-1:2] + h / 12.0 * (5.0 * v[0:-1:2] + 8.0 * v[1::2] - v[2::2])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 33, 2049])
+def test_cumulative_simpson_keeps_the_bits_of_its_two_expressions(n, rng):
+    # the in-place passes reorder only operands of + and *, which commute bit for bit; the layout follows the input's
+    h = 1.0 / max(n - 1, 1)
+    for shape, axes in (((n,), None), ((2 * n,), None), ((n, 3), None), ((2, n), (1, 0)), ((2, n, 7), (1, 2, 0))):
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        v = v[::2] if shape == (2 * n,) else v if axes is None else v.transpose(axes)
+        cum = cumulative_simpson(v, h)
+        reference = _cumulative_simpson_as_two_expressions(v, h)
+        assert np.array_equal(cum, reference) and cum.strides == reference.strides, (n, shape)
+
+
 def test_partial_integral_exact_for_cubic_off_grid():
     n = 65
     t = np.linspace(0.0, 1.0, n)
@@ -99,6 +119,21 @@ def test_interp_cubic_at_every_fine_node(n_fine):
     values = rng.uniform(0.0, 5.0, 33)
     fine = interp_cubic(values, t[1], x)
     assert fine.tolist() == [interp_cubic(values, t[1], xi) for xi in x.tolist()]  # bit for bit
+
+
+@pytest.mark.parametrize("n", [4, 5, 33, 2049])
+def test_interp_weights_of_a_scalar_are_those_of_a_one_point_array(n, rng):
+    # a scalar is worked in Python floats, an array in numpy: the same stencil, bit for bit, and the same range check
+    h = 1.0 / (n - 1)
+    for x in [0.0, -1e-9 * h, 1.0, 1.0 + 1e-9 * h, 1.0 / 3.0, 0.5, np.float64(0.7), *rng.uniform(0.0, 1.0, 50)]:
+        start, w = grid.interp_weights(n, h, x)
+        index, weights = grid.interp_weights(n, h, np.array([x]))
+        assert start == index[0, 0] and list(index[0]) == list(range(start, start + 4)), x
+        assert np.array_equal(w, weights[0]), x
+    for x in (-3e-9 * h, 1.0 + 3e-9 * h, float("nan"), float("inf")):
+        for point in (x, np.array([x])):
+            with pytest.raises(ValueError, match="outside the grid"):
+                grid.interp_weights(n, h, point)
 
 
 def test_interp_cubic_fourth_order():

@@ -33,6 +33,7 @@ from tribvp.errors import FunctionDomainError
 from tribvp.functions import NEGATIVE_U_TOL, ConstantF, PolynomialU
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
+from test_functions import RANGE_FORMS
 from oracles import apply_operator_A, picard_iterate, picard_solutions, shooting_residual, solve_linear_oracle
 
 N = 2049
@@ -416,6 +417,20 @@ def test_find_solutions_computes_lambda_once_per_grid_size(monkeypatch, sigmoid_
     found = find_solutions(make_sigmoid_problem(), sigmoid_thresholds)
     assert len(found) == 3
     assert len(calls) == 2  # COARSE_N and grid_n
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FORMS))
+def test_df_du_in_one_call_of_f_keeps_the_bits_of_two(name, rng):
+    p = make_sigmoid_problem().with_params(f=RANGE_FORMS[name])
+    breakpoints = np.array([0.0, 1.0, 2.0, 4.0, 50.0, 60.0, 544.0, 546.0])
+    for t, shape in ((np.linspace(0.0, 1.0, nonlinear.COARSE_N), (17, nonlinear.COARSE_N)), (np.linspace(0.0, 1.0, N), (N,))):
+        u = 10.0 ** rng.uniform(-3.0, 3.0, shape) * rng.uniform(-0.1, 1.0, shape)
+        u.flat[: breakpoints.size] = breakpoints
+        v = np.maximum(u, 0.0)
+        d = nonlinear.FD_STEP * np.maximum(1.0, v)
+        lo, hi = np.maximum(v - d, 0.0), v + d
+        two_calls = (p.f(t, hi) - p.f(t, lo)) / (hi - lo)
+        assert np.array_equal(nonlinear._df_du(p, t, u), two_calls), shape
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
