@@ -11,6 +11,10 @@ must be continuous at their breakpoints; both are checked at construction.
 The array path converts each form's parameters to float once (a cached
 property of the frozen dataclass).
 
+Every form gives its exact slope df/du with `df_du(t, u)`, in double
+precision: the derivative of the branch it evaluates, right-sided at u = 0, at
+breakpoints and at table abscissae.  The Newton Jacobians use it.
+
 Every form bounds itself on a box with `range(t_lo, t_hi, u_lo, u_hi)`: exact
 from box edges and breakpoints for the forms monotone on each branch, and a
 rigorous interval enclosure for polynomials (Moore, *Interval Analysis*;
@@ -214,18 +218,31 @@ def _poly_range(coeffs, lo: float, hi: float, at) -> Range:
 
 @dataclass(frozen=True)
 class FunctionSpec(ABC):
-    """Base class: a nonnegative continuous f(t, u); subclasses define _value and range."""
+    """Base class: a nonnegative continuous f(t, u); subclasses define _value, _slope and range."""
 
     kind = "abstract"
 
     def __call__(self, t, u):
         """f at (t, u), on scalars or on numpy arrays broadcast together.
 
-        The one owner of the evaluation contract: u below -NEGATIVE_U_TOL is a
-        FunctionDomainError, a u between it and 0 is evaluated at 0, and a value
-        of another shape than t and u together (a scalar, say) is broadcast to it.
-        A 0-d array u is the scalar it holds, and a list u an array.
+        The evaluation contract, which df_du shares (both go through
+        _on_domain): u below -NEGATIVE_U_TOL is a FunctionDomainError, a u
+        between it and 0 is evaluated at 0, and a value of another shape than t
+        and u together (a scalar, say) is broadcast to it.  A 0-d array u is the
+        scalar it holds, and a list u an array.
         """
+        return self._on_domain(self._value, t, u)
+
+    def df_du(self, t, u):
+        """The partial derivative of f in u at (t, u), in double precision, under __call__'s contract.
+
+        On each branch it is the branch's derivative; at a kink (u = 0, a
+        breakpoint, a table abscissa) it is the right-hand one, of the branch
+        __call__ evaluates there.
+        """
+        return self._on_domain(self._slope, t, u)
+
+    def _on_domain(self, evaluate, t, u):
         if isinstance(u, np.ndarray) and u.ndim == 0:
             u = u[()]
         array = _is_array(u)
@@ -234,7 +251,7 @@ class FunctionSpec(ABC):
         umin = u.min() if array else u
         if umin < -NEGATIVE_U_TOL:
             raise FunctionDomainError(f"f evaluated at u = {umin}, below domain [0, inf)")
-        out = self._value(t, np.maximum(u, 0.0) if array else max(u, type(u)(0)))
+        out = evaluate(t, np.maximum(u, 0.0) if array else max(u, type(u)(0)))
         if array or _is_array(t):
             shape = np.broadcast(t, u).shape
             if np.shape(out) != shape:
@@ -244,6 +261,10 @@ class FunctionSpec(ABC):
     @abstractmethod
     def _value(self, t, u):
         """f at (t, u) for u >= 0, on scalars or numpy arrays; __call__ broadcasts the value."""
+
+    @abstractmethod
+    def _slope(self, t, u):
+        """df/du at (t, u) for u >= 0 as a float or float array, right-sided at kinks; df_du broadcasts it."""
 
     @abstractmethod
     def range(self, t_lo: float, t_hi: float, u_lo: float, u_hi: float) -> Range:
@@ -277,6 +298,13 @@ class RationalSigmoid(FunctionSpec):
 
     _scale = cached_property(lambda self: float(self.scale))
 
+    def _slope(self, t, u):
+        u = np.asarray(u, dtype=float) if _is_array(u) else float(u)
+        d = u * u + 1.0
+        return self._twice_scale * u / (d * d)
+
+    _twice_scale = cached_property(lambda self: float(2 * self.scale))
+
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return self._attained([(t_lo, u_lo), (t_lo, u_hi)])
 
@@ -294,6 +322,9 @@ class ConstantF(FunctionSpec):
 
     def _value(self, t, u):
         return self.value if isinstance(u, Fraction) else float(self.value)
+
+    def _slope(self, t, u):
+        return 0.0
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return self._attained([(t_lo, u_lo)])
@@ -316,6 +347,11 @@ class PolynomialU(FunctionSpec):
         return _polyval(self._coeffs, np.asarray(u, dtype=float) if _is_array(u) else float(u))
 
     _coeffs = cached_property(lambda self: [float(c) for c in self.coeffs])
+
+    def _slope(self, t, u):
+        return _polyval(self._dcoeffs, np.asarray(u, dtype=float) if _is_array(u) else float(u))
+
+    _dcoeffs = cached_property(lambda self: [float(k * c) for k, c in enumerate(self.coeffs)][1:] or [0.0])  # p'
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         if isinstance(u_lo, np.ndarray):
@@ -364,6 +400,17 @@ class Piece:
             return p[0]
         a1, a0, b1, b0 = p  # rational-linear
         return (a1 * u + a0) / (b1 * u + b0)
+
+    def slope(self, u):
+        """d/du of evaluate at u as a float; an array only for a rational-linear branch on an array u."""
+        p = self._floats
+        if self.form == "linear":
+            return p[0]
+        if self.form == "constant":
+            return 0.0
+        a1, a0, b1, b0 = p
+        d = b1 * u + b0
+        return (a1 * b0 - a0 * b1) / (d * d)
 
     _floats = cached_property(lambda self: tuple(float(x) for x in self.params))
 
@@ -415,16 +462,23 @@ class PiecewiseU(FunctionSpec):
                 )
 
     def _value(self, t, u):
-        # Branch membership is [x_i, x_{i+1}); continuity makes the edge choice moot.
-        # Each branch sees only its own points, so a rational branch never meets its pole.
+        return self._on_branches(Piece.evaluate, u)
+
+    def _slope(self, t, u):
+        return self._on_branches(Piece.slope, u)
+
+    def _on_branches(self, method, u):
+        """method(piece, u) of each u's branch.  Branch membership is [x_i, x_{i+1}): continuity makes
+        the edge choice moot for values, and makes slopes right-sided at breakpoints.  Each branch sees
+        only its own points, so a rational branch never meets its pole."""
         if not _is_array(u):
-            return next((p for p in self.pieces[:-1] if u < p.until), self.pieces[-1]).evaluate(u)
+            return method(next((p for p in self.pieces[:-1] if u < p.until), self.pieces[-1]), u)
         u = np.asarray(u, dtype=float)
         branch = np.searchsorted(self._breaks, u, side="right")
         out = np.empty_like(u)
         for i in range(branch.min(), branch.max() + 1):
             on = branch == i
-            out[on] = self.pieces[i].evaluate(u[on])
+            out[on] = method(self.pieces[i], u[on])
         return out
 
     # Branch i lies on [edges[i], edges[i + 1]]: the breakpoints as floats, from -inf to inf.
@@ -488,6 +542,16 @@ class PiecewiseLinearTable(FunctionSpec):
         return out if _is_array(u) else float(out)
 
     _arrays = cached_property(lambda self: np.array(self.table, dtype=float).T)  # abscissae, values
+
+    def _slope(self, t, u):
+        array = _is_array(u)
+        out = self._segment_slopes[np.searchsorted(self._arrays[0], u if array else float(u), side="right")]
+        return out if array else float(out)
+
+    # Entry i + 1 is the slope from abscissa i on; before the first abscissa and from the last on, f is flat.
+    _segment_slopes = cached_property(
+        lambda self: np.concatenate([[0.0], np.diff(self._arrays[1]) / np.diff(self._arrays[0]), [0.0]])
+    )
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         if isinstance(u_lo, np.ndarray):
@@ -558,6 +622,9 @@ class ProductF(FunctionSpec):
     def _value(self, t, u):
         h = self.u_factor._value(t, u)
         return self.time_factor.evaluate(t) * (float(h) if _is_fraction(h) else h)
+
+    def _slope(self, t, u):
+        return self.time_factor.evaluate(t) * self.u_factor._slope(t, u)
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
         # t and u vary independently, so all four corners (each factor's lo or hi,

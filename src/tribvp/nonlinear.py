@@ -3,13 +3,14 @@
 The solution operator A maps a candidate u to the solution of the linear
 problem with load y(t) = f(t, u(t)); its fixed points are exactly the
 solutions of the nonlinear problem.  One route looks for them: Newton on
-F(u) = u - A u with J = I - G diag(df/du), where G is the matrix of the
-linear solve, dense on a coarse grid from a few constant levels and a ladder
-of scaled concave profiles, then matrix-free Newton-GMRES on the full grid
-from each coarse root interpolated cubically.  It reaches the attracting and
-the repelling fixed points alike.  The coarse search advances all starts as
-one block; each row keeps its own stopping test, budget and halvings, so
-every root is what its start alone gives.
+F(u) = u - A u with J = I - G diag(df/du), where df/du is the form's exact
+slope (`FunctionSpec.df_du`) and G is the matrix of the linear solve, dense
+on a coarse grid from a few constant levels and a ladder of scaled concave
+profiles, then matrix-free Newton-GMRES on the full grid from each coarse
+root interpolated cubically.  It reaches the attracting and the repelling
+fixed points alike.  The coarse search advances all starts as one block;
+each row keeps its own stopping test, budget and halvings, so every root is
+what its start alone gives.
 
 One gate in `_polish` decides which polished roots are reported: a fixed
 point (`_accepted`) that meets the discrete ODE and boundary residual bounds
@@ -50,7 +51,6 @@ NEWTON_MAX_HALVINGS = 12
 COARSE_N = 33  # nodes of the dense Newton search; its roots, interpolated cubically, only start the full-grid Newton
 GMRES_RESTART = 20  # Krylov vectors per full-grid Newton step, one linear solve each
 GMRES_RTOL = 1e-12
-FD_STEP = 1e-6  # relative step of the central difference standing in for df/du
 LADDER_STEPS = 12  # scaled concave profiles among the Newton starts
 
 
@@ -115,29 +115,14 @@ def _start_levels(thresholds: ThresholdTriple | None) -> list[float]:
     return [1e-2 * a, a, b, *([] if d is None else [d]), c]
 
 
-def _df_du(p: Problem, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Central difference for df/du at max(u, 0), one-sided where it would cross u = 0.
-
-    f is called once, on both ends stacked as (hi, lo).
-    """
-    u = np.maximum(u, 0.0)
-    d = FD_STEP * np.maximum(1.0, u)
-    ends = np.empty((2, *u.shape))
-    hi, lo = ends
-    np.add(u, d, out=hi)
-    np.maximum(u - d, 0.0, out=lo)
-    f_hi, f_lo = p.f(t, ends)
-    return (f_hi - f_lo) / (hi - lo)
-
-
 def _fixed_point_residual(p: Problem, plan: LinearPlan, u: np.ndarray) -> np.ndarray:
     """F(u) = u - A u on the plan's grid, with u clamped to zero where f is evaluated."""
     return u - plan(_load(p, plan.t, u))
 
 
 def _jacobian_matvec(p: Problem, plan: LinearPlan, u: np.ndarray):
-    """v -> J v with J = I - G diag(df/du(t, u)), one linear solve per product."""
-    fu = _df_du(p, plan.t, u)
+    """v -> J v with J = I - G diag(df/du(t, u)), one linear solve per product; u is clamped to zero for df/du."""
+    fu = p.f.df_du(plan.t, np.maximum(u, 0.0))
     return lambda v: v - plan(fu * v)
 
 
@@ -253,7 +238,7 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
 
     def step(U, R):
         Jk = J[: len(U)]
-        np.multiply(G, -_df_du(p, t, U)[:, None, :], out=Jk)
+        np.multiply(G, -p.f.df_du(t, np.maximum(U, 0.0))[:, None, :], out=Jk)
         Jk.reshape(len(U), -1)[:, :: n + 1] += 1.0
         return np.linalg.solve(Jk, -R[:, :, None])[:, :, 0]
 

@@ -205,6 +205,9 @@ class _Fails(FunctionSpec):
     def _value(self, t, u):
         raise RuntimeError("no value here")
 
+    def _slope(self, t, u):
+        raise RuntimeError("no slope here")
+
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return self._attained([(t_lo, u_lo), (t_hi, u_hi)])
 

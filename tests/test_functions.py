@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tribvp import FunctionDomainError, FunctionSpecError, parse_function_spec
@@ -282,6 +282,19 @@ def test_form_without_range_cannot_be_constructed():
         NoRange()
 
 
+def test_form_without_a_slope_cannot_be_constructed():
+    # the Newton Jacobians rely on df_du, so a subclass must define its slope
+    class NoSlope(FunctionSpec):
+        def _value(self, t, u):
+            return 1.0
+
+        def range(self, t_lo, t_hi, u_lo, u_hi):
+            return self._attained([(t_lo, u_lo)])
+
+    with pytest.raises(TypeError, match="abstract.*_slope"):
+        NoSlope()
+
+
 def test_product_u_factor_must_not_depend_on_t():
     inner = ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=ConstantF(value=F(1)))
     with pytest.raises(FunctionSpecError, match="u alone"):
@@ -355,14 +368,19 @@ ARRAY_FORMS = {
 }
 
 
-def _marks(f) -> list[float]:
-    """Where the u factor of f changes branch (one point in the middle for the forms without breakpoints)."""
+def _breakpoints(f) -> list[float]:
+    """Where the u factor of f changes branch: its breakpoints or table abscissae."""
     f = getattr(f, "u_factor", f)
     if isinstance(f, PiecewiseU):
         return [float(p.until) for p in f.pieces[:-1]]
     if isinstance(f, PiecewiseLinearTable):
         return [float(u) for u, _ in f.table]
-    return [1.0]
+    return []
+
+
+def _marks(f) -> list[float]:
+    """_breakpoints, or one point in the middle for the forms without any."""
+    return _breakpoints(f) or [1.0]
 
 
 @st.composite
@@ -464,3 +482,63 @@ def test_a_list_u_evaluates_as_an_array(name):
     assert f(0.5, us).tolist() == f(0.5, np.array(us)).tolist()
     with pytest.raises(FunctionDomainError):
         f(0.5, [1.0, -1e-6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RANGE_FORMS)),
+    t=st.floats(0.0, 1.0),
+    u=st.floats(0.0, 12.0) | st.floats(0.0, 600.0),
+)
+def test_slope_matches_a_central_difference_away_from_kinks(name, t, u):
+    f = RANGE_FORMS[name]
+    h = 1e-6 * max(1.0, u)
+    assume(all(abs(u - k) > 2.0 * h for k in (0.0, *_breakpoints(f))))
+    central = (float(f(t, u + h)) - float(f(t, u - h))) / (2.0 * h)
+    assert abs(float(f.df_du(t, u)) - central) <= 1e-6 * max(1.0, abs(central))
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FORMS))
+def test_slope_at_zero_and_at_each_kink_is_the_right_hand_quotient(name):
+    # at u = 0, a breakpoint or an abscissa, df_du is the slope of the branch __call__ evaluates there
+    f = RANGE_FORMS[name]
+    kinks = [0.0, *_breakpoints(f)]
+    for t in (0.0, 0.5, 1.0):
+        on_array = f.df_du(t, np.array(kinks)).tolist()
+        for k, slope in zip(kinks, on_array):
+            h = 1e-8 * max(1.0, k)
+            right = (float(f(t, k + h)) - float(f(t, k))) / h
+            for got in (float(f.df_du(t, k)), slope):
+                assert abs(got - right) <= 1e-6 * max(1.0, abs(right)), (t, k)
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FORMS))
+def test_slope_broadcasts_as_call_does(name, rng):
+    f = RANGE_FORMS[name]
+    t = np.linspace(0.0, 1.0, 33)
+    U = 10.0 ** rng.uniform(-3.0, 3.0, (2, 3, t.size))
+    U.flat[: len(_breakpoints(f)) + 1] = [0.0, *_breakpoints(f)]
+    block = f.df_du(t, U)  # (2, k, n): a stack of blocks
+    assert block.shape == f(t, U).shape == U.shape
+    for i in range(2):
+        rows = f.df_du(t, U[i])  # (k, n): one row per start of the coarse search
+        assert np.array_equal(rows, block[i])
+        for j in range(3):
+            assert np.array_equal(f.df_du(t, U[i, j]), rows[j])  # (n,): one full-grid iterate
+    assert f.df_du(t, 1.5).shape == f(t, 1.5).shape == t.shape
+    assert isinstance(f.df_du(0.5, 1.5), float) and f.df_du(F(1, 2), F(3, 2)) == f.df_du(0.5, 1.5)
+    assert np.array_equal(f.df_du(t, np.full(t.size, -1e-12)), f.df_du(t, np.zeros(t.size)))
+    with pytest.raises(FunctionDomainError):
+        f.df_du(t, np.full(t.size, -1e-6))
+
+
+PRODUCT_FORMS = {name: f for name, f in {**RANGE_FORMS, **ARRAY_FORMS}.items() if isinstance(f, ProductF)}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FORMS))
+def test_product_slope_is_the_time_factor_times_the_u_factor_slope(name, rng):
+    f = PRODUCT_FORMS[name]
+    t = np.linspace(0.0, 1.0, 33)
+    U = 10.0 ** rng.uniform(-3.0, 3.0, (3, t.size))
+    assert np.array_equal(f.df_du(t, U), f.time_factor.evaluate(t) * f.u_factor.df_du(t, U))
+    assert f.df_du(0.5, 1.5) == f.time_factor.evaluate(0.5) * f.u_factor.df_du(0.5, 1.5)

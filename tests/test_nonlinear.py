@@ -33,7 +33,6 @@ from tribvp.errors import FunctionDomainError
 from tribvp.functions import NEGATIVE_U_TOL, ConstantF, PolynomialU
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
-from test_functions import RANGE_FORMS
 from oracles import apply_operator_A, picard_iterate, picard_solutions, shooting_residual, solve_linear_oracle
 
 N = 2049
@@ -419,20 +418,6 @@ def test_find_solutions_computes_lambda_once_per_grid_size(monkeypatch, sigmoid_
     assert len(calls) == 2  # COARSE_N and grid_n
 
 
-@pytest.mark.parametrize("name", sorted(RANGE_FORMS))
-def test_df_du_in_one_call_of_f_keeps_the_bits_of_two(name, rng):
-    p = make_sigmoid_problem().with_params(f=RANGE_FORMS[name])
-    breakpoints = np.array([0.0, 1.0, 2.0, 4.0, 50.0, 60.0, 544.0, 546.0])
-    for t, shape in ((np.linspace(0.0, 1.0, nonlinear.COARSE_N), (17, nonlinear.COARSE_N)), (np.linspace(0.0, 1.0, N), (N,))):
-        u = 10.0 ** rng.uniform(-3.0, 3.0, shape) * rng.uniform(-0.1, 1.0, shape)
-        u.flat[: breakpoints.size] = breakpoints
-        v = np.maximum(u, 0.0)
-        d = nonlinear.FD_STEP * np.maximum(1.0, v)
-        lo, hi = np.maximum(v - d, 0.0), v + d
-        two_calls = (p.f(t, hi) - p.f(t, lo)) / (hi - lo)
-        assert np.array_equal(nonlinear._df_du(p, t, u), two_calls), shape
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_picard_drops_a_start_where_f_overflows():
     p = u40_problem()
@@ -564,6 +549,13 @@ def test_polish_work_per_solve(doc, plan_calls, matvecs, tmp_path, monkeypatch):
     assert work["plan"] <= plan_calls and work["matvec"] <= matvecs, work
 
 
+@pytest.mark.parametrize("doc, total", zip(_worked_docs(), (12, 2, 5)), ids=["sigmoid", "exp_piecewise", "table"])
+def test_newton_iterations_per_solve(doc, total, tmp_path):
+    # a work count, not a timing: coarse and full-grid Newton steps over all reported roots
+    p, tt = _problem_and_thresholds(doc, tmp_path)
+    assert sum(r.iterations for r, _ in find_solutions(p, tt, 2049)) <= total
+
+
 @pytest.mark.parametrize("grid_n", [1025, 2049])
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
 def test_inexact_newton_costs_no_newton_step(doc, grid_n, tmp_path, monkeypatch):
@@ -625,13 +617,14 @@ def test_gmres_meets_its_stopping_bound_and_keeps_its_bits_without_a_floor(rng):
 
 
 def test_exp_small_solution_counts_the_clamps_of_its_final_iterate(exp_thresholds):
-    # the final A u is no longer applied, but its clamps are still counted
+    # the final A u is no longer applied, but its clamps are still counted; on this root they are all
+    # those of the prolonged coarse root, which the polish's first F(u) clamps, and Newton's final u has none
     found = find_solutions(make_exp_piecewise_problem(), exp_thresholds)
     small = [r for r, cls in found if cls.label == "small"]
-    assert [r.clamped_evals for r in small] == [2047]
+    assert [r.clamped_evals for r in small] == [1217]
 
 
-def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(monkeypatch, exp_thresholds):
+def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(monkeypatch):
     # A zigzag final iterate with 64 nodes at -1e-13 is no fixed point: the gate reports nothing for it
     p, n = make_sigmoid_problem(), 129
     plan = LinearPlan(p, n)
@@ -645,12 +638,11 @@ def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(m
     assert nonlinear._polish(p, plan, np.zeros(n), 0) is None
     monkeypatch.undo()
 
-    # The exp config's small root is reported: its clamps are those of every F(u) the polish
-    # evaluated, plus those of Newton's final u for the reported A u, which is u - F(u) bit for bit
+    # From the constant 1e-8, one Newton step reaches the exp config's zero root with negative nodes,
+    # and it is reported: its clamps are those of every F(u) the polish evaluated, plus those of
+    # Newton's final u for the reported A u, which is u - F(u) bit for bit
     p = make_exp_piecewise_problem()
     plan = LinearPlan(p, nonlinear.DEFAULT_GRID_N)
-    t, roots = nonlinear._coarse_roots(p, exp_thresholds)
-    small = min(roots, key=lambda root: np.max(np.abs(root[0])))[0]
     clamps, residual = [], nonlinear._fixed_point_residual
 
     def counted(p, plan, u):
@@ -659,9 +651,10 @@ def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(m
 
     monkeypatch.setattr(nonlinear, "_fixed_point_residual", counted)
     calls = _spy_newton(monkeypatch)
-    result = nonlinear._polish(p, plan, interp_cubic(small, t[1], plan.t), 0)
-    (u,), _, _, (fu,) = calls[0]["result"]
-    assert result.clamped_evals == sum(clamps) + np.count_nonzero(u < 0.0) == 2047
+    result = nonlinear._polish(p, plan, np.full(plan.t.size, 1e-8), 0)
+    (u,), _, (iterations,), (fu,) = calls[0]["result"]
+    assert iterations == 1 and np.count_nonzero(u < 0.0) > 0
+    assert result.clamped_evals == sum(clamps) + np.count_nonzero(u < 0.0)
     assert np.array_equal(result.curve.values, u - fu)
 
 

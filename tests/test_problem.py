@@ -71,6 +71,9 @@ class _Boom(FunctionSpec):
             raise RuntimeError("cannot evaluate here")
         return 1.0
 
+    def _slope(self, t, u):
+        return 0.0
+
     def range(self, t_lo, t_hi, u_lo, u_hi):
         return self._attained([(t_lo, u_lo), (t_hi, u_hi)])
 
