@@ -243,19 +243,27 @@ class FunctionSpec(ABC):
         return self._on_domain(self._slope, t, u)
 
     def _on_domain(self, evaluate, t, u):
-        if isinstance(u, np.ndarray) and u.ndim == 0:
-            u = u[()]
-        array = _is_array(u)
-        if array:
+        if isinstance(u, np.ndarray):
+            if not u.ndim:
+                u = u[()]
+        elif _is_array(u):  # a list
             u = np.asarray(u)
-        umin = u.min() if array else u
-        if umin < -NEGATIVE_U_TOL:
-            raise FunctionDomainError(f"f evaluated at u = {umin}, below domain [0, inf)")
-        out = evaluate(t, np.maximum(u, 0.0) if array else max(u, type(u)(0)))
-        if array or _is_array(t):
-            shape = np.broadcast(t, u).shape
-            if np.shape(out) != shape:
-                out = np.full(shape, out, dtype=float)
+        array = isinstance(u, np.ndarray)
+        low = u.min() if array else u
+        if low < -NEGATIVE_U_TOL:
+            raise FunctionDomainError(f"f evaluated at u = {low}, below domain [0, inf)")
+        if not array:
+            out = evaluate(t, max(u, type(u)(0)))
+            if not _is_array(t):
+                return out
+            shape = np.shape(t)
+        else:
+            # Where every u is above 0 the clamp changes no bit; where one is 0 or -0.0, the clamp
+            # makes it +0.0, as a slope's sign needs.
+            out = evaluate(t, u if low > 0 else np.maximum(u, 0.0))
+            shape = u.shape if np.shape(t) in ((), u.shape) else np.broadcast(t, u).shape
+        if np.shape(out) != shape:
+            out = np.full(shape, out, dtype=float)
         return out
 
     @abstractmethod

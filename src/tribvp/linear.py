@@ -69,11 +69,11 @@ class LinearPlan:
     column, returns the solution's nodal values exactly as solve_linear does:
     the cumulative Simpson sums of v and t*v (one pass over both, stacked as
     two rows), three eta-weight products and the closed form, with the
-    operations and their order of two separate sums.  An (n, k) load is
-    taken C-ordered, as every caller passes it: BLAS sums w_eta @ v in the
-    order of v's layout, so an F-ordered one may differ in the last bits.
-    `residuals` checks a candidate on the plan's eta stencils, interp_cubic's
-    and partial_integral's.
+    operations and their order of two separate sums on the load C-ordered,
+    whatever its layout: every product with the load reads the stacked copy,
+    since BLAS sums w_eta @ v in the order of v's layout.  `residuals`
+    checks a candidate on the plan's eta stencils, interp_cubic's and
+    partial_integral's.
     """
 
     def __init__(self, p: Problem, n: int):
@@ -97,6 +97,7 @@ class LinearPlan:
         t, t2, c1, c2, c3 = self._node_vectors if v.ndim == 1 else self._node_columns
         stacked = np.empty((2, *v.shape))  # v and t*v
         stacked[0] = v
+        v = stacked[0]
         tv = np.multiply(t, v, out=stacked[1])
         sums = cumulative_simpson(stacked.transpose(*range(1, stacked.ndim), 0), self.h)  # nodes first
         conv = t * sums[..., 0]

@@ -66,15 +66,17 @@ class FixedPointResult:
 
 @dataclass(frozen=True)
 class SolutionClass:
-    """Size classification of one solution against thresholds (a, b, c)."""
+    """Size classification of one solution against thresholds (a, b, c), and whether it is u = 0."""
 
     norm: float
     min_full: float
     min_tail: float
     label: str
+    trivial: bool
 
     def to_dict(self) -> dict:
-        return {"norm": self.norm, "min_full": self.min_full, "min_tail": self.min_tail, "label": self.label}
+        return {"norm": self.norm, "min_full": self.min_full, "min_tail": self.min_tail, "label": self.label,
+                "trivial": self.trivial}
 
 
 class ConeCheck(NamedTuple):
@@ -221,7 +223,8 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
 
     All starts advance as one block.  Returns the coarse nodes and the
     distinct roots as (u, iterations).  A start whose Jacobian is singular is
-    dropped; the others go on.
+    dropped; the others go on.  When f(., 0) = 0 (`Problem.zero_is_solution`),
+    an accepted root of sup norm at most NEWTON_ACCEPT_TOL becomes exact zeros.
     """
     n = COARSE_N
     plan = LinearPlan(p, n)
@@ -243,9 +246,12 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
         return np.linalg.solve(Jk, -R[:, :, None])[:, :, 0]
 
     U, rnorm, iterations, _ = _newton(residual, step, np.array(starts))
+    accepted = _accepted(U, rnorm)
+    if p.zero_is_solution:  # a root this small is u = 0, which then solves the problem exactly
+        U[accepted & (np.abs(U).max(axis=1) <= NEWTON_ACCEPT_TOL)] = 0.0
     scale = DEDUP_TOL * np.fmax(1.0, np.abs(U).max(axis=1))
     kept: list[int] = []
-    for i in np.flatnonzero(_accepted(U, rnorm)).tolist():
+    for i in np.flatnonzero(accepted).tolist():
         if not (np.abs(U[i] - U[kept]).max(axis=1) <= scale[kept]).any():
             kept.append(i)
     return t, [(U[i], int(iterations[i])) for i in kept]
@@ -327,8 +333,13 @@ def _dedup(results: list[FixedPointResult]) -> list[FixedPointResult]:
     return kept
 
 
-def classify_solution(u: SolutionCurve, tt: ThresholdTriple | None, eta: float) -> SolutionClass:
-    """Label a solution by the three size predicates; unclassified on the edges or without thresholds."""
+def classify_solution(
+    u: SolutionCurve, tt: ThresholdTriple | None, eta: float, zero_is_solution: bool = False
+) -> SolutionClass:
+    """Label a solution by the three size predicates; unclassified on the edges or without thresholds.
+
+    It is trivial when u = 0 solves the problem (`Problem.zero_is_solution`) and every value of u is 0.0.
+    """
     norm = u.sup_norm()
     min_full = u.min_value()
     min_tail = u.min_from(eta)
@@ -341,7 +352,8 @@ def classify_solution(u: SolutionCurve, tt: ThresholdTriple | None, eta: float) 
             label = "large-min"
         elif norm > a and min_full < b:
             label = "middle"
-    return SolutionClass(norm=norm, min_full=min_full, min_tail=min_tail, label=label)
+    trivial = zero_is_solution and not u.values.any()
+    return SolutionClass(norm=norm, min_full=min_full, min_tail=min_tail, label=label, trivial=trivial)
 
 
 def find_solutions(
@@ -350,4 +362,5 @@ def find_solutions(
     """Newton roots of u = A u on grid_n nodes that pass _polish's gate, deduplicated and classified."""
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
         found = newton_solutions(p, thresholds, grid_n)
-    return [(r, classify_solution(r.curve, thresholds, p.floats[1])) for r in _dedup(found)]
+    eta, zero = p.floats[1], p.zero_is_solution
+    return [(r, classify_solution(r.curve, thresholds, eta, zero)) for r in _dedup(found)]

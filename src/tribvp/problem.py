@@ -65,6 +65,13 @@ class Problem:
         """(T, eta, alpha, beta) for a closed form: `Unreduced` when the problem is exact, else as given."""
         return exact_operands(self.T, self.eta, self.alpha, self.beta)
 
+    @cached_property
+    def zero_is_solution(self) -> bool:
+        """Whether f(., 0) = 0 on [0, T], so that u = 0 solves the problem exactly: f's range on
+        [0, T] x [0, 0] is [0, 0].  Proved once per problem."""
+        r = self.f.range(0.0, self.floats[0], 0.0, 0.0)
+        return r.lo == r.hi == 0
+
     def alpha_upper(self) -> Number:
         T, eta, _, _ = self.operands
         return reduced(_alpha_upper(T, eta))

@@ -177,11 +177,24 @@ def test_criterion_06_multiplicity_exhibit(sigmoid_search):
         assert result.residuals.bcT_residual <= 1e-8
     labels = {cls.label for _, cls in found}
     assert {"small", "large-min", "middle"} <= labels, f"labels found: {labels}"
+    # f(t, 0) = 0 here, so the small solution is u = 0, written as exact zeros
+    assert [(cls.label, cls.trivial) for _, cls in found] == [("small", True), ("middle", False), ("large-min", False)]
+    assert not found[0][0].curve.values.any()
     assert sigmoid_search["elapsed"] < 120.0
     norms = sorted(round(cls.norm, 6) for _, cls in found)
+
+    # table_positive.json has f(t, 0) = 1/1000 > 0: its three certified solutions are all strictly positive
+    cfg = parse_run_config(json.loads((CONFIG_DIR / "table_positive.json").read_text()), "solve", Path("unused"))
+    k = compute_constants(cfg.problem)
+    tt = cfg.thresholds.with_gamma(k.gamma)
+    assert certify(cfg.problem, tt, k).verdict
+    positive = find_solutions(cfg.problem, tt, cfg.grid_n)
+    assert [cls.label for _, cls in positive] == ["small", "middle", "large-min"]
+    assert all(cls.min_full > 0 and not cls.trivial for _, cls in positive)
     print(
         f"CRITERION 6 PASS: {len(found)} verified solutions with norms {norms}, "
-        f"labels {sorted(labels)}, in {sigmoid_search['elapsed']:.1f}s"
+        f"labels {sorted(labels)}, in {sigmoid_search['elapsed']:.1f}s; the small one trivial; "
+        f"table_positive.json: 3 solutions, min_full >= {min(cls.min_full for _, cls in positive):.3g}"
     )
 
 

@@ -528,6 +528,8 @@ def test_slope_broadcasts_as_call_does(name, rng):
     assert f.df_du(t, 1.5).shape == f(t, 1.5).shape == t.shape
     assert isinstance(f.df_du(0.5, 1.5), float) and f.df_du(F(1, 2), F(3, 2)) == f.df_du(0.5, 1.5)
     assert np.array_equal(f.df_du(t, np.full(t.size, -1e-12)), f.df_du(t, np.zeros(t.size)))
+    for method in (f, f.df_du):  # -0.0 is taken at +0.0, bit for bit
+        assert method(t, np.full(t.size, -0.0)).tobytes() == method(t, np.zeros(t.size)).tobytes()
     with pytest.raises(FunctionDomainError):
         f.df_du(t, np.full(t.size, -1e-6))
 

@@ -251,14 +251,18 @@ def _plan_as_two_sums(plan: LinearPlan, v: np.ndarray) -> np.ndarray:
     stride=st.sampled_from([1, 2]),
 )
 def test_plan_keeps_the_bits_of_two_separate_sums(make, n, columns, seed, decades, signed, stride):
-    # one load (n,) or C-ordered (n, k) loads, as the solution routes pass them; a 1-d load may be a strided view
+    # one load (n,) or (n, k) loads, with the bits of the sums on the C-ordered load whatever the
+    # layout passed: a 1-d load may be a strided view, and (n, k) loads may be F-ordered
     plan = LinearPlan(make(), n)
     rng = np.random.default_rng(seed)
     shape = (n,) if columns is None else (n, columns)
     v = (rng.normal(size=shape) if signed else rng.uniform(0.0, 1.0, shape)) * 10.0**decades
+    expected = _plan_as_two_sums(plan, v)
+    assert np.array_equal(plan(v), expected)
     if columns is None and stride > 1:
-        v = np.repeat(v, stride)[::stride]
-    assert np.array_equal(plan(v), _plan_as_two_sums(plan, v))
+        assert np.array_equal(plan(np.repeat(v, stride)[::stride]), expected)
+    elif columns is not None:
+        assert np.array_equal(plan(np.asfortranarray(v)), expected)
 
 
 def test_plan_for_a_singular_beta_raises():

@@ -17,7 +17,7 @@ from tribvp import (
 )
 from tribvp.grid import cumulative_simpson, interp_cubic, partial_integral
 from tribvp import linear, nonlinear
-from tribvp.linear import LinearPlan
+from tribvp.linear import LinearPlan, ResidualReport
 from tribvp.nonlinear import (
     FixedPointResult,
     _dedup,
@@ -27,6 +27,7 @@ from tribvp.nonlinear import (
     _newton,
     newton_solutions,
 )
+from tribvp.certify import certify, search_thresholds
 from tribvp.config import parse_run_config
 from tribvp.constants import compute_constants
 from tribvp.errors import FunctionDomainError
@@ -446,11 +447,9 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _worked_docs() -> list[dict]:
-    """Both worked configs, and the sigmoid problem with a table f whose three solutions are all positive."""
-    sigmoid, exp = (json.loads((CONFIG_DIR / name).read_text()) for name in ("sigmoid.json", "exp_piecewise.json"))
-    table_f = {"kind": "piecewise-linear-table", "params": [0, "1/1000", "1/120", "1/500", 2, 30, 1000, 30]}
-    table = {"problem": {**sigmoid["problem"], "f": table_f}, "thresholds": {"a": "1/120", "b": 2, "c": 124}}
-    return [sigmoid, exp, table]
+    """Both worked configs, and table_positive.json, whose three solutions are all positive."""
+    names = ("sigmoid.json", "exp_piecewise.json", "table_positive.json")
+    return [json.loads((CONFIG_DIR / name).read_text()) for name in names]
 
 
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
@@ -617,11 +616,86 @@ def test_gmres_meets_its_stopping_bound_and_keeps_its_bits_without_a_floor(rng):
 
 
 def test_exp_small_solution_counts_the_clamps_of_its_final_iterate(exp_thresholds):
-    # the final A u is no longer applied, but its clamps are still counted; on this root they are all
-    # those of the prolonged coarse root, which the polish's first F(u) clamps, and Newton's final u has none
+    # the final A u is no longer applied, but its clamps are still counted; this root is u = 0, which
+    # the coarse search hands over as exact zeros, so no F(u) of the polish meets a negative node
     found = find_solutions(make_exp_piecewise_problem(), exp_thresholds)
     small = [r for r, cls in found if cls.label == "small"]
-    assert [r.clamped_evals for r in small] == [1217]
+    assert [r.clamped_evals for r in small] == [0]
+
+
+@pytest.mark.parametrize("doc", _worked_docs()[:2], ids=["sigmoid", "exp_piecewise"])
+def test_the_small_solution_of_a_zero_at_zero_f_is_exact_zeros(doc, tmp_path):
+    # f(t, 0) = 0 on both worked configs: u = 0 solves them exactly, and it is reported as exact zeros
+    p, tt = _problem_and_thresholds(doc, tmp_path)
+    assert p.zero_is_solution
+    found = find_solutions(p, tt)
+    assert [(cls.label, cls.trivial) for _, cls in found][0] == ("small", True)
+    assert not any(cls.trivial for _, cls in found[1:])
+    small = found[0][0]
+    assert not small.curve.values.any() and small.clamped_evals == 0
+    assert small.residuals == ResidualReport(0.0, 0.0, 0.0)
+
+
+def test_a_near_zero_root_of_an_f_positive_at_zero_is_polished_as_found(monkeypatch):
+    # f = 1e-12 > 0 at u = 0: the one root, u = 1e-12 A1, is below NEWTON_ACCEPT_TOL but is no zero, and
+    # the coarse search hands it over as Newton left it
+    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=ConstantF(value=F(1, 10**12)))
+    assert not p.zero_is_solution
+    calls = _spy_newton(monkeypatch)
+    _, roots = nonlinear._coarse_roots(p, None)
+    U, rnorm, _, _ = calls[0]["result"]
+    assert len(roots) == 1 and 0.0 < np.max(roots[0][0]) <= nonlinear.NEWTON_ACCEPT_TOL
+    assert any(np.array_equal(roots[0][0], u) for u in U[nonlinear._accepted(U, rnorm)])
+    (result, cls), = find_solutions(p, None, 513)
+    assert cls.min_full > 0 and not cls.trivial
+    expected = LinearPlan(p, 513)(np.full(513, 1e-12))
+    assert np.max(np.abs(result.curve.values - expected)) <= 1e-12 * np.max(expected)
+
+
+# The problems of bench/problems.py's generate_batch(1, 320) that certify, by number: at n = 1025 each
+# reports small, middle and large-min, except those that lack large-min or middle (ROADMAP item 3).
+CERTIFIED = (
+    "004 006 008 010 012 014 016 022 024 026 030 032 034 036 038 041 042 048 058 062 064 068 070 072 074 076 078 088 "
+    "090 092 094 096 098 100 102 105 108 110 112 116 118 120 122 124 128 134 136 138 142 146 148 152 156 160 164 172 "
+    "174 180 182 186 188 194 196 198 200 206 215 216 220 228 232 240 244 245 246 248 253 256 258 260 262 268 270 272 "
+    "278 279 280 284 295 296 300 302 304 312 314 316"
+)
+NO_LARGE_MIN = (
+    "004 006 010 014 016 022 024 030 032 034 036 058 062 064 070 088 094 100 108 110 116 128 134 146 164 172 174 180 "
+    "188 194 198 228 244 246 258 262 268 278 302 312 314"
+)
+NO_MIDDLE = "041 105 215 245 253 279 295"
+
+
+def test_labels_and_counts_of_the_certified_generated_problems(tmp_path, monkeypatch):
+    # both families have f(t, 0) = 0, so every small solution is u = 0, written as exact zeros
+    monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "bench"))
+    from problems import generate_batch
+
+    expected = {f"gen{k}": ["small", "middle", "large-min"] for k in CERTIFIED.split()}
+    expected.update({f"gen{k}": ["small", "middle"] for k in NO_LARGE_MIN.split()})
+    expected.update({f"gen{k}": ["small", "large-min"] for k in NO_MIDDLE.split()})
+    labels = {}
+    for g in generate_batch(1, 320):
+        cfg = parse_run_config(g.doc, "solve", tmp_path)
+        p, k = cfg.problem, compute_constants(cfg.problem)
+        tt = search_thresholds(p, k) if cfg.thresholds is None else cfg.thresholds
+        if tt is None or not certify(p, tt.with_gamma(k.gamma), k).verdict:
+            continue
+        found = find_solutions(p, tt.with_gamma(k.gamma), 1025)
+        labels[g.name] = [cls.label for _, cls in found]
+        assert [cls.trivial for _, cls in found] == [not r.curve.values.any() for r, _ in found], g.name
+        assert [cls.trivial for _, cls in found] == [True] + [False] * (len(found) - 1), g.name
+    assert labels == expected
+
+
+def test_zero_is_solution_is_proved_once_per_solve(monkeypatch, exp_thresholds):
+    p = make_exp_piecewise_problem()
+    boxes = []
+    range_of = type(p.f).range
+    monkeypatch.setattr(type(p.f), "range", lambda f, *box: boxes.append(box) or range_of(f, *box))
+    find_solutions(p, exp_thresholds, 129)
+    assert boxes == [(0.0, 1.0, 0.0, 0.0)]
 
 
 def test_polish_counts_the_clamps_of_its_final_iterate_and_reuses_its_residual(monkeypatch):
