@@ -349,7 +349,12 @@ def interp_weights(n: int, h: float, x):
     weights = (d1 * d2 * d3 / -6.0, d0 * d2 * d3 / 2.0, d0 * d1 * d3 / -2.0, d0 * d1 * d2 / 6.0)
     if scalar:
         return start, np.array(weights)
-    return start[:, None] + np.arange(4), np.stack(weights, axis=-1)
+    # written by columns: a (m, 4) broadcast or stack runs a length-4 inner loop once per row
+    idx, w = np.empty((start.size, 4), dtype=start.dtype), np.empty((start.size, 4))
+    for k in range(4):
+        np.add(start, k, out=idx[:, k])
+        w[:, k] = weights[k]
+    return idx, w
 
 
 def interp_cubic(values: np.ndarray, h: float, x):

@@ -12,10 +12,13 @@ fixed points alike.  The coarse search advances all starts as one block;
 each row keeps its own stopping test, budget and halvings, so every root is
 what its start alone gives.
 
-One gate in `_polish` decides which polished roots are reported: a fixed
-point (`_accepted`) that meets the discrete ODE and boundary residual bounds
-and lies in the cone (nonnegative to f's domain bound NEGATIVE_U_TOL, concave
-down).  The roots it keeps are deduplicated and classified against (a, b, c).
+One gate in `_polish` decides which roots are reported: a fixed point
+(`_accepted`) that meets the discrete ODE and boundary residual bounds and
+lies in the cone (nonnegative to f's domain bound NEGATIVE_U_TOL, concave
+down).  It decides every root but the proven u = 0: when f(., 0) = 0 is
+proved (`Problem.zero_is_solution`), a coarse root of exact zeros is reported
+with the numbers the gate would compute for it, without full-grid work.  The
+roots kept are deduplicated and classified against (a, b, c).
 """
 
 from __future__ import annotations
@@ -298,13 +301,20 @@ def newton_solutions(p: Problem, thresholds: ThresholdTriple | None, grid_n: int
     Each coarse root reaches the full grid by cubic interpolation, which
     leaves the polish at most one Newton step on the worked configs.  A root
     that _polish's gate rejects, or where f stops being finite on the full
-    grid, is dropped.
+    grid, is dropped.  The proven u = 0 (`Problem.zero_is_solution` and a
+    coarse root of exact zeros) is reported without the hand-off or _polish:
+    f(t, 0) = +-0.0 at every node, so _polish would start at A 0 = 0, stop
+    after 0 steps with no clamp, and find residuals of 0.0 and zeros in the cone.
     """
     plan = LinearPlan(p, grid_n)
     t_coarse, roots = _coarse_roots(p, thresholds)
     hand_off = interp_weights(t_coarse.size, t_coarse[1], plan.t)  # one stencil and gather index for every root
     results = []
     for u, iterations in roots:
+        if p.zero_is_solution and not u.any():
+            zero = SolutionCurve.constant(0.0, plan.T, grid_n)
+            results.append(FixedPointResult(zero, iterations, ResidualReport(0.0, 0.0, 0.0), 0))
+            continue
         with contextlib.suppress(FunctionDomainError):
             results.append(_polish(p, plan, interp_apply(u, *hand_off), iterations))
     return [r for r in results if r is not None]

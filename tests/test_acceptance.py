@@ -258,13 +258,19 @@ def test_criterion_08_function_catalog():
 
 
 def test_criterion_09_deterministic_reports(tmp_path):
-    for name in ("sigmoid.json", "exp_piecewise.json"):
+    runs = [("certify", name) for name in ("sigmoid.json", "exp_piecewise.json")]
+    runs += [("solve", name) for name in ("sigmoid.json", "exp_piecewise.json", "table_positive.json")]
+    for mode, name in runs:
         doc = json.loads((CONFIG_DIR / name).read_text())
-        out = tmp_path / name.removesuffix(".json")
-        cfg = parse_run_config(doc, "certify", out, include_timing=False)
-        reports = []
+        out = tmp_path / mode / name.removesuffix(".json")
+        cfg = parse_run_config(doc, mode, out, include_timing=False)
+        outputs = []
         for _ in range(2):
             run(cfg)
-            reports.append((out / "report.json").read_bytes())
-        assert reports[0] == reports[1], f"report for {name} not byte-identical"
-    print("CRITERION 9 PASS: repeated runs produce byte-identical reports (timing excluded)")
+            files = [out / "report.json", *sorted(out.glob("solution_*.csv"))]
+            outputs.append({f.name: f.read_bytes() for f in files})
+            for f in files:
+                f.unlink()
+        assert outputs[0] == outputs[1], f"{mode} outputs for {name} not byte-identical"
+        assert mode == "certify" or len(outputs[0]) > 1, f"solve on {name} wrote no solution CSV"
+    print("CRITERION 9 PASS: repeated runs produce byte-identical reports and solution CSVs (timing excluded)")

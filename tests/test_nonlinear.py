@@ -31,9 +31,19 @@ from tribvp.certify import certify, search_thresholds
 from tribvp.config import parse_run_config
 from tribvp.constants import compute_constants
 from tribvp.errors import FunctionDomainError
-from tribvp.functions import NEGATIVE_U_TOL, ConstantF, PolynomialU
+from tribvp.functions import (
+    NEGATIVE_U_TOL,
+    ConstantF,
+    ExpDecay,
+    Piece,
+    PiecewiseLinearTable,
+    PiecewiseU,
+    PolynomialU,
+    ProductF,
+    RationalSigmoid,
+)
 
-from conftest import make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
+from conftest import EXP_PIECES, make_exp_piecewise_problem, make_sigmoid_problem, random_nonnegative_load
 from oracles import apply_operator_A, picard_iterate, picard_solutions, shooting_residual, solve_linear_oracle
 
 N = 2049
@@ -473,14 +483,25 @@ def _problem_and_thresholds(doc, tmp_path):
     return p, run_cfg.thresholds.with_gamma(compute_constants(p).gamma)
 
 
+def _proven_zero(p: Problem, u: np.ndarray) -> bool:
+    """The root newton_solutions reports without a hand-off or a polish: exact zeros of a proven f(., 0) = 0."""
+    return p.zero_is_solution and not u.any()
+
+
+def _polished_roots(p: Problem, roots):
+    """The coarse roots that newton_solutions hands to _polish, in order."""
+    return [(u, k) for u, k in roots if not _proven_zero(p, u)]
+
+
 @pytest.mark.parametrize("doc", _worked_docs(), ids=["sigmoid", "exp_piecewise", "table"])
 def test_cubic_hand_off_leaves_at_most_one_full_grid_newton_step(doc, tmp_path, monkeypatch):
     # a work count, not a timing: a coarse root interpolated cubically starts inside the fine quadratic basin
     p, tt = _problem_and_thresholds(doc, tmp_path)
     _, roots = nonlinear._coarse_roots(p, tt)
+    roots = _polished_roots(p, roots)
     calls = _spy_newton(monkeypatch)
-    found = newton_solutions(p, tt, 2049)
-    polished = calls[1:]  # one polish per coarse root, in the order of the roots
+    found = [r for r in newton_solutions(p, tt, 2049) if not _proven_zero(p, r.curve.values)]
+    polished = calls[1:]  # one polish per coarse root but the proven u = 0, in the order of the roots
     assert found and len(polished) == len(roots)
     for r in found:
         i = int(np.argmin([np.max(np.abs(c["result"][0][0] - r.curve.values)) for c in polished]))
@@ -493,6 +514,7 @@ def test_cubic_hand_off_leaves_at_most_one_full_grid_newton_step(doc, tmp_path, 
 def test_one_hand_off_stencil_prolongs_each_root_as_interp_cubic_does(doc, grid_n, tmp_path, monkeypatch):
     p, tt = _problem_and_thresholds(doc, tmp_path)
     t, roots = nonlinear._coarse_roots(p, tt)
+    roots = _polished_roots(p, roots)
     prolonged = []
     polish = nonlinear._polish
     monkeypatch.setattr(nonlinear, "_polish", lambda p, plan, u, k: prolonged.append(u) or polish(p, plan, u, k))
@@ -537,7 +559,7 @@ def _counting_work(monkeypatch, grid_n):
 
 
 @pytest.mark.parametrize(
-    "doc, plan_calls, matvecs", zip(_worked_docs(), (15, 14, 13), (7, 7, 6)), ids=["sigmoid", "exp_piecewise", "table"]
+    "doc, plan_calls, matvecs", zip(_worked_docs(), (13, 12, 13), (7, 7, 6)), ids=["sigmoid", "exp_piecewise", "table"]
 )
 def test_polish_work_per_solve(doc, plan_calls, matvecs, tmp_path, monkeypatch):
     # a work count, not a timing: GMRES stops at the Newton target, A u is not applied again, and
@@ -617,7 +639,7 @@ def test_gmres_meets_its_stopping_bound_and_keeps_its_bits_without_a_floor(rng):
 
 def test_exp_small_solution_counts_the_clamps_of_its_final_iterate(exp_thresholds):
     # the final A u is no longer applied, but its clamps are still counted; this root is u = 0, which
-    # the coarse search hands over as exact zeros, so no F(u) of the polish meets a negative node
+    # the coarse search hands over as exact zeros and newton_solutions reports without a polish
     found = find_solutions(make_exp_piecewise_problem(), exp_thresholds)
     small = [r for r, cls in found if cls.label == "small"]
     assert [r.clamped_evals for r in small] == [0]
@@ -650,6 +672,55 @@ def test_a_near_zero_root_of_an_f_positive_at_zero_is_polished_as_found(monkeypa
     assert cls.min_full > 0 and not cls.trivial
     expected = LinearPlan(p, 513)(np.full(513, 1e-12))
     assert np.max(np.abs(result.curve.values - expected)) <= 1e-12 * np.max(expected)
+
+
+ZERO_AT_ZERO_FORMS = {  # catalog forms with f(t, 0) = 0, which Problem.zero_is_solution proves
+    "sigmoid": RationalSigmoid(scale=F(40)),
+    "exp-product": ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PiecewiseU(pieces=EXP_PIECES)),
+    "polynomial": PolynomialU(coeffs=(F(0), F(1), F(2))),
+    "piecewise": PiecewiseU(pieces=(Piece(F(1), "linear", (F(3), F(0))), Piece(None, "constant", (F(3),)))),
+    "table": PiecewiseLinearTable(table=((F(0), F(0)), (F(2), F(4)))),
+}
+
+
+def _with_coarse_zero_root(monkeypatch, iterations):
+    """Make _coarse_roots hand newton_solutions one root of exact zeros; returns the _polish calls made."""
+    t = np.linspace(0.0, 1.0, nonlinear.COARSE_N)
+    monkeypatch.setattr(nonlinear, "_coarse_roots", lambda p, tt: (t, [(np.zeros(t.size), iterations)]))
+    polished, polish = [], nonlinear._polish
+    monkeypatch.setattr(nonlinear, "_polish", lambda *args: polished.append(args) or polish(*args))
+    return polished
+
+
+def _bits(r: FixedPointResult):
+    """Every field of a result, with each float as its bit pattern, so that -0.0 and 0.0 differ."""
+    rep = r.residuals
+    curve = (r.curve.t0.hex(), r.curve.t1.hex(), r.curve.values.dtype, r.curve.values.tobytes())
+    residuals = (rep.ode_residual_max.hex(), rep.bc0_residual.hex(), rep.bcT_residual.hex())
+    return curve, r.iterations, r.clamped_evals, residuals
+
+
+@pytest.mark.parametrize("n", [65, 2049])
+@pytest.mark.parametrize("form", sorted(ZERO_AT_ZERO_FORMS))
+def test_the_proven_zero_root_is_reported_as_polish_would_report_it(form, n, monkeypatch):
+    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=ZERO_AT_ZERO_FORMS[form])
+    assert p.zero_is_solution
+    polished = _with_coarse_zero_root(monkeypatch, 3)
+    (shortcut,) = newton_solutions(p, None, n)
+    assert polished == []  # the full-grid Newton did not run
+    gated = nonlinear._polish(p, LinearPlan(p, n), np.zeros(n), 3)
+    assert gated is not None and _bits(shortcut) == _bits(gated)
+
+
+def test_an_exact_zero_root_of_an_unproven_f_still_goes_through_polish(monkeypatch):
+    # f = 1e-12 > 0 at u = 0: zeros are no fixed point, so the gate, not the shortcut, decides the root
+    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=ConstantF(value=F(1, 10**12)))
+    assert not p.zero_is_solution
+    polished = _with_coarse_zero_root(monkeypatch, 0)
+    found = newton_solutions(p, None, 129)
+    assert len(polished) == 1 and not polished[0][2].any()
+    (result,) = found  # A 0 = 1e-12 A 1, the fixed point, not the zeros the shortcut would report
+    assert result.curve.values.min() > 0.0
 
 
 # The problems of bench/problems.py's generate_batch(1, 320) that certify, by number: at n = 1025 each
