@@ -14,14 +14,15 @@ that bounds f, and the method ("exact" or "enclosure").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .constants import LWConstants
 from .errors import CertificationError
-from .functions import Range
+from .functions import EXACT, Range
 from .numeric import Number, Unreduced, exact_operands, render_number
 from .problem import FLOAT_STRICTNESS_TOL, Problem
 
@@ -31,6 +32,10 @@ SEARCH_LO = 1e-4
 SEARCH_HI = 1e4
 SEARCH_PER_AXIS = 13
 SEARCH_MAX_LEVELS = 8
+# Relative slack of a refuted bracket [x_lo, x_hi]: it is widened to [x_lo(1-s), x_hi(1+s)], and
+# f at the witness is shaded by the same s, which covers the ulps by which a later level's
+# samples, its boxes' float bounds and the witness's value can stray.
+_REFUTE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,45 @@ def _floor(p: Problem, eta: float, T: float, delta: float, b, d) -> tuple:
     return margin >= 0, margin, bound, r
 
 
+# Refuters: whether no threshold in the bracket [x_lo, x_hi], widened by _REFUTE_SLACK, can
+# pass _cap or _floor.  Each bounds f on one witness segment {u} x [t_lo, t_hi] that lies in
+# every box of the bracket; a witness where f raises or is not finite refutes nothing.
+
+
+def _on_segment(p: Problem, t_lo: float, t_hi: float, u: float) -> Range | None:
+    """f's range on the segment [t_lo, t_hi] x {u}, or None if f raises or is not finite there.
+
+    An "exact" range's lo and hi are values f takes on the segment; an "enclosure" only bounds them."""
+    try:
+        r = p.f.range(t_lo, t_hi, u, u)
+    except Exception:  # the next level's array call reports a failing f
+        return None
+    return r if math.isfinite(r.lo) and math.isfinite(r.hi) else None
+
+
+def _cap_refuted(p: Problem, T: float, m: float, x_lo: float, x_hi: float, strict: bool) -> bool:
+    """Every box [0, T] x [0, x] of the bracket holds the segment u = x_lo(1-s): _cap fails on all
+    of them when f there reaches the largest cap m*x_hi(1+s) (exceeds it if not strict)."""
+    s = _REFUTE_SLACK
+    r = _on_segment(p, 0.0, T, x_lo * (1 - s))
+    if r is None:
+        return False
+    f, cap = (r.hi if r.method == EXACT else r.lo) * (1 - s), m * x_hi * (1 + s)
+    return f >= cap if strict else f > cap
+
+
+def _floor_refuted(p: Problem, eta: float, T: float, delta: float, gamma: float, x_lo: float, x_hi: float) -> bool:
+    """When the bracket is narrow enough that every box [eta, T] x [b, b/gamma] of it holds the
+    segment u = x_hi(1+s): _floor fails on all of them when f there is below the least floor
+    x_lo(1-s)/delta."""
+    s = _REFUTE_SLACK
+    lo, hi = x_lo * (1 - s), x_hi * (1 + s)
+    if hi > lo / gamma:
+        return False
+    r = _on_segment(p, eta, T, hi)
+    return r is not None and (r.lo if r.method == EXACT else r.hi) * (1 + s) < lo / delta
+
+
 def check_D1(p: Problem, m: Number, a: Number) -> ConditionReport:
     """Small-range cap: f < m*a on [0, T] x [0, a] (strict)."""
     a = float(a)
@@ -190,26 +234,29 @@ def certify(p: Problem, tt: ThresholdTriple, k: LWConstants) -> Certificate:
     )
 
 
-def _feasible_axis_points(evaluate) -> list[float]:
+def _feasible_axis_points(evaluate, refute) -> list[float]:
     """Coarse-to-fine log-grid scan of one threshold axis.
 
     evaluate(xs) returns (holds, margin, bound, range) for the array xs, one
     box per point.  Each level scans SEARCH_PER_AXIS points in one call; if
-    none holds, the next level zooms into the one-step bracket around the
-    best relative margin.  Growth conditions depend on a single threshold
-    each, so the axes can be searched independently like this.
+    none holds, the next level zooms into the one-step bracket [x_lo, x_hi]
+    around the best relative margin.  Every later sample lies in that bracket,
+    so when refute(x_lo, x_hi) proves that no point of it can hold, the scan
+    stops with the [] the remaining levels would return.  Growth conditions
+    depend on a single threshold each, so the axes can be searched
+    independently like this.
     """
     lo_log, hi_log = np.log10(SEARCH_LO), np.log10(SEARCH_HI)
-    for _ in range(SEARCH_MAX_LEVELS + 1):
+    for level in range(SEARCH_MAX_LEVELS + 1):
         xs = np.logspace(lo_log, hi_log, SEARCH_PER_AXIS)
         holds, margin, bound, _ = evaluate(xs)
         if holds.any():
             return xs[holds].tolist()
         rel = margin / np.maximum(np.abs(bound), 1e-300)
         best = int(np.argmax(rel))
-        lo_log = np.log10(xs[max(best - 1, 0)])
-        hi_log = np.log10(xs[min(best + 1, len(xs) - 1)])
-        if hi_log - lo_log < 1e-15:
+        x_lo, x_hi = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
+        lo_log, hi_log = np.log10(x_lo), np.log10(x_hi)
+        if hi_log - lo_log < 1e-15 or level == SEARCH_MAX_LEVELS or refute(float(x_lo), float(x_hi)):
             break
     return []
 
@@ -218,7 +265,9 @@ def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     """Find a certifiable (a, b, c) by coarse-to-fine scanning; None if absent.
 
     Each axis is scanned with local zooming (some problems admit only a
-    narrow window, e.g. a pointwise-tight tail floor).  The growth checks are
+    narrow window, e.g. a pointwise-tight tail floor), and stops early once
+    _cap_refuted or _floor_refuted proves that nothing in its bracket can
+    hold, which returns what its remaining levels would.  The growth checks are
     proofs, so every scanned point that holds stays valid; the first triple in
     deterministic order (a ascending, b ascending) whose ordering holds is
     returned, with the largest feasible c: c enters the ordering only through
@@ -226,13 +275,19 @@ def search_thresholds(p: Problem, k: LWConstants) -> ThresholdTriple | None:
     """
     T, eta, _, _ = p.floats
     m, delta, gamma = float(k.m), float(k.delta), float(k.gamma)
-    feasible_a = _feasible_axis_points(lambda a: _cap(p, T, m, a, strict=True))
+    feasible_a = _feasible_axis_points(
+        lambda a: _cap(p, T, m, a, strict=True), partial(_cap_refuted, p, T, m, strict=True)
+    )
     if not feasible_a:
         return None
-    feasible_b = _feasible_axis_points(lambda b: _floor(p, eta, T, delta, b, b / gamma))
+    feasible_b = _feasible_axis_points(
+        lambda b: _floor(p, eta, T, delta, b, b / gamma), partial(_floor_refuted, p, eta, T, delta, gamma)
+    )
     if not feasible_b:
         return None
-    feasible_c = _feasible_axis_points(lambda c: _cap(p, T, m, c, strict=False))
+    feasible_c = _feasible_axis_points(
+        lambda c: _cap(p, T, m, c, strict=False), partial(_cap_refuted, p, T, m, strict=False)
+    )
     if not feasible_c:
         return None
 

@@ -228,6 +228,8 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
     distinct roots as (u, iterations).  A start whose Jacobian is singular is
     dropped; the others go on.  When f(., 0) = 0 (`Problem.zero_is_solution`),
     an accepted root of sup norm at most NEWTON_ACCEPT_TOL becomes exact zeros.
+    An accepted root is kept unless it lies within DEDUP_TOL * max(1, ||v||) of
+    a root v kept before it, read from one table of all pairs.
     """
     n = COARSE_N
     plan = LinearPlan(p, n)
@@ -252,12 +254,15 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
     accepted = _accepted(U, rnorm)
     if p.zero_is_solution:  # a root this small is u = 0, which then solves the problem exactly
         U[accepted & (np.abs(U).max(axis=1) <= NEWTON_ACCEPT_TOL)] = 0.0
-    scale = DEDUP_TOL * np.fmax(1.0, np.abs(U).max(axis=1))
+    rows = np.flatnonzero(accepted)
+    V = U[rows]
+    scale = DEDUP_TOL * np.fmax(1.0, np.abs(V).max(axis=1))
+    near = (np.abs(V[:, None, :] - V[None, :, :]).max(axis=2) <= scale).tolist()  # [i][j]: i within j's tolerance
     kept: list[int] = []
-    for i in np.flatnonzero(accepted).tolist():
-        if not (np.abs(U[i] - U[kept]).max(axis=1) <= scale[kept]).any():
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
             kept.append(i)
-    return t, [(U[i], int(iterations[i])) for i in kept]
+    return t, [(V[i], int(iterations[rows[i]])) for i in kept]
 
 
 def _polish(

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -92,3 +93,22 @@ def random_nonnegative_load(T: float, n: int, rng: np.random.Generator) -> Solut
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+def pytest_runtest_makereport(item, call):
+    """Let a failing Hypothesis test print its example under `pytest -W error`.
+
+    On a failure Hypothesis's plugin imports `hypothesis.extra._patching` to
+    write a patch, and libcst's import there raises a DeprecationWarning
+    (mypy_extensions.TypedDict), which `-W error` turns into an INTERNALERROR.
+    Importing it here first, with only that warning ignored, keeps every other
+    warning an error; it costs about 0.5 s, so only when such a test fails.
+    """
+    if call.when != "call" or call.excinfo is None or not getattr(getattr(item, "obj", None), "is_hypothesis_test", False):
+        return
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:  # without libcst Hypothesis writes no patch and prints the example anyway
+            pass

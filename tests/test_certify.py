@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from dataclasses import dataclass
@@ -338,11 +339,16 @@ SEARCHED = {
         ("3", ["11/150", 0]), ("12", ["23903/900", "-23837/300"]), ("1632", ["957/4"]), ("1638", ["319/2176", 0]),
         (None, ["1287/4", "243243/4", 1, 810])])),
     "exp-zoom-fixture": make_exp_piecewise_problem(),
-    # nothing holds: every level of D2 is scanned
+    # nothing holds on D2: the oracle scans every level of it, the search stops once f refutes the bracket
     "sigmoid-nothing": _generated("1/5", 45, "1/85", {"kind": "autonomous-rational-sigmoid", "params": [91]}),
     "exp-nothing": _generated("1/2", 4, "1/40", _exp_f(1, [
         ("5/4", ["2/125", 0]), ("5", ["2173/375", "-2167/300"]), ("680", ["87/4"]), ("1365/2", ["87/2720", 0]),
         (None, ["117/4", "36855/16", 1, "675/2"])])),
+    # nothing holds on D1 (gen226 and gen211 of bench/problems.py's generate_batch(1, 320))
+    "sigmoid-a-nothing": _generated("9/20", "40/27", "153/140", {"kind": "autonomous-rational-sigmoid", "params": [833]}),
+    "exp-a-nothing": _generated("3/10", "170/9", "51/620", _exp_f(1, [
+        ("3", ["3/50", 0]), ("12", ["2173/100", "-6501/100"]), ("1632", ["783/4"]), ("1638", ["261/2176", 0]),
+        (None, ["1053/4", "199017/4", 1, 810])])),
     "polynomial": make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(1, 10), F(0), F(3), F(1, 10)))),
     "table": make_sigmoid_problem().with_params(
         f=PiecewiseLinearTable(table=((F(0), F(0)), (F(1, 2), F(1, 10)), (F(2), F(30)), (F(50), F(31)), (F(60), F(400))))
@@ -363,3 +369,158 @@ def test_search_keeps_the_pointwise_triples(name):
         assert tt is None
     elif not name.startswith(("polynomial", "table")):
         assert tt is not None
+
+
+# --- the early stop: a bracket that one f value refutes ends its axis ---------
+
+certify_module = importlib.import_module("tribvp.certify")  # tribvp.certify is the function
+SCAN = certify_module._feasible_axis_points
+
+
+def _full_scan(evaluate, refute):
+    """_feasible_axis_points with a refuter that never fires: every level is scanned."""
+    return SCAN(evaluate, lambda lo, hi: False)
+
+
+def _count_boxes(monkeypatch) -> list:
+    """t_lo of every _box_range call from now on: one call per scanned level, t_lo = eta on D2."""
+    calls, box_range = [], certify_module._box_range
+    monkeypatch.setattr(certify_module, "_box_range", lambda p, t_lo, *box: calls.append(t_lo) or box_range(p, t_lo, *box))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, axis", [("sigmoid-nothing", "D2"), ("exp-nothing", "D2"), ("sigmoid-a-nothing", "D1"), ("exp-a-nothing", "D1")]
+)
+def test_an_exhausted_axis_stops_once_its_bracket_is_refuted(monkeypatch, name, axis):
+    p = SEARCHED[name]
+    k = compute_constants(p)
+    calls = _count_boxes(monkeypatch)
+    levels = (lambda: calls.count(p.floats[1])) if axis == "D2" else (lambda: len(calls))  # D1 is searched first
+    assert search_thresholds(p, k) is None
+    refuted = levels()
+    calls.clear()
+    monkeypatch.setattr(certify_module, "_feasible_axis_points", _full_scan)
+    assert search_thresholds(p, k) is None
+    assert levels() == SEARCH_MAX_LEVELS + 1 and refuted <= 4
+
+
+@pytest.fixture(scope="module")
+def stripped_batch():
+    """generate_batch(1, 320) without thresholds, each problem searched with refutation and
+    without: rows (carried thresholds, (triple, _box_range calls) per run), and each refuted
+    bracket with the evaluate of its axis."""
+    rows, refuted = [], []
+
+    def recording(evaluate, refute):
+        def spy(lo, hi):
+            if refute(lo, hi):
+                refuted.append((evaluate, lo, hi))
+                return True
+            return False
+
+        return SCAN(evaluate, spy)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(CONFIG_DIR.parent / "bench"))
+        from problems import generate_batch
+
+        calls = _count_boxes(mp)
+        for g in generate_batch(1, 320):
+            doc = {key: value for key, value in g.doc.items() if key != "thresholds"}
+            p = parse_run_config(doc, "certify", "out").problem
+            k = compute_constants(p)
+            runs = []
+            for scan in (recording, _full_scan):
+                mp.setattr(certify_module, "_feasible_axis_points", scan)
+                calls.clear()
+                runs.append((search_thresholds(p, k), len(calls)))
+            rows.append(("thresholds" in g.doc, runs))
+    return rows, refuted
+
+
+def test_refutation_keeps_every_searched_triple_of_a_generated_batch(stripped_batch):
+    rows, refuted = stripped_batch
+    assert [on[0] for _, (on, full) in rows] == [full[0] for _, (on, full) in rows]
+    # 229 problems find no triple; a refuted bracket ends the search of 212 of them
+    assert (sum(on[0] is None for _, (on, _) in rows), len(refuted)) == (229, 212)
+
+
+def test_no_point_of_a_refuted_bracket_holds(stripped_batch):
+    s = certify_module._REFUTE_SLACK
+    for evaluate, lo, hi in stripped_batch[1]:
+        xs = np.logspace(np.log10(lo * (1 - s)), np.log10(hi * (1 + s)), 1001)
+        assert not evaluate(xs)[0].any(), (lo, hi)
+
+
+def test_refutation_halves_the_range_calls_of_the_searched_problems(stripped_batch):
+    searched = [runs for carried, runs in stripped_batch[0] if not carried]
+    on, full = (sum(run[i][1] for run in searched) for i in (0, 1))
+    assert (len(searched), full) == (128, 995)
+    assert on <= full // 2
+
+
+@pytest.mark.parametrize("scalar", [RuntimeError("no scalar value"), math.inf, math.nan])
+def test_a_witness_that_raises_or_is_not_finite_refutes_nothing(monkeypatch, scalar):
+    # the witness is bounded by a scalar range call, the levels by array calls
+    p = SEARCHED["sigmoid-nothing"]
+    k = compute_constants(p)
+    T, eta, _, _ = p.floats
+    m, delta, gamma = float(k.m), float(k.delta), float(k.gamma)
+
+    def refuted():  # f(1) = 45.5, above the caps m*x <= 0.14 and below the floors x/delta >= 96
+        caps = [certify_module._cap_refuted(p, T, m, 1.0, 1.1, strict) for strict in (True, False)]
+        return [*caps, certify_module._floor_refuted(p, eta, T, delta, gamma, 1.0 / 1.1, 1.0)]
+
+    assert refuted() == [True] * 3
+    expected = _pointwise_search(p, k)  # before the patch: the oracle's scalar calls need f
+    value = RationalSigmoid._value
+
+    def array_only(self, t, u):
+        if isinstance(u, np.ndarray):
+            return value(self, t, u)
+        if isinstance(scalar, Exception):
+            raise scalar
+        return scalar
+
+    monkeypatch.setattr(RationalSigmoid, "_value", array_only)
+    assert refuted() == [False] * 3
+    calls = _count_boxes(monkeypatch)
+    assert search_thresholds(p, k) == expected
+    assert calls.count(eta) == SEARCH_MAX_LEVELS + 1  # D2 scanned to its last level
+
+
+def test_an_overflowing_witness_refutes_nothing():
+    f = PiecewiseU(pieces=tuple(Piece(d["until"], d["form"], tuple(d["params"])) for d in OVERFLOWING_F["pieces"]))
+    p = make_sigmoid_problem().with_params(f=f)
+    k = compute_constants(p)
+    T, eta, _, _ = p.floats
+    m, delta, gamma = float(k.m), float(k.delta), float(k.gamma)
+    # f(2.5) is about 2.5 exactly, below the floor 2/delta = 22.5, but inf in floats
+    assert not certify_module._floor_refuted(p, eta, T, delta, gamma, 2.0, 2.5)
+    # f(1e10) is 3.56e9 exactly, above the cap m*1.01e10 = 3.37e9, but NaN in floats
+    assert not certify_module._cap_refuted(p, T, m, 1e10, 1.01e10, strict=False)
+    assert search_thresholds(p, k) == _pointwise_search(p, k)
+
+
+def test_the_floor_refuter_needs_one_u_in_every_box_of_its_bracket():
+    p = make_sigmoid_problem().with_params(f=ConstantF(value=F(0)))
+    T, eta, _, _ = p.floats
+    # f = 0 is below every floor b/delta, but the boxes [1, 4] and [5, 20] of [1, 5] share no u
+    assert certify_module._floor_refuted(p, eta, T, 4 / 45, 0.25, 1.0, 3.9)
+    assert not certify_module._floor_refuted(p, eta, T, 4 / 45, 0.25, 1.0, 5.0)
+
+
+def test_a_bracket_that_holds_a_feasible_point_is_not_refuted():
+    # f = u^2: D1 holds for a < m (f(a) < m*a) and D2 for b >= 1/delta (f(b) >= b/delta)
+    p = make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(0), F(0), F(1))))
+    T, eta, _, _ = p.floats
+    assert check_D1(p, 1, 0.5).holds and check_D2(p, 1, 1.1, F(1, 2)).holds
+    assert not certify_module._cap_refuted(p, T, 1.0, 0.5, 2.0, strict=True)  # f(2) = 4 >= 2 proves nothing
+    assert certify_module._cap_refuted(p, T, 1.0, 2.0, 3.0, strict=True)
+    assert not certify_module._floor_refuted(p, eta, T, 1.0, 0.5, 0.8, 1.2)  # f(0.8) = 0.64 < 0.8 proves nothing
+    assert certify_module._floor_refuted(p, eta, T, 1.0, 0.5, 0.5, 0.7)
+    # f = 1 meets the cap m*a = 1 at a = 4 exactly; the next float above 4, inside the widened bracket, holds
+    p = p.with_params(f=ConstantF(value=F(1)))
+    assert certify_module._cap(p, T, 0.25, np.array([math.nextafter(4.0, 5.0)]), strict=True)[0].all()
+    assert not certify_module._cap_refuted(p, T, 0.25, 4.0, 4.0, strict=True)
