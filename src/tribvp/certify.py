@@ -196,13 +196,18 @@ def _floor_refuted(p: Problem, eta: float, T: float, delta: float, gamma: float,
     return r is not None and (r.lo if r.method == EXACT else r.hi) * (1 + s) < lo / delta
 
 
+def _check_cap(p: Problem, condition: str, name: str, m: Number, x: Number, strict: bool) -> ConditionReport:
+    """D1 or D3 as condition: f against the cap m*x on [0, T] x [0, x], for the positive threshold x called name."""
+    x = float(x)
+    if not x > 0:
+        raise ValueError(f"threshold {name} must be positive")
+    holds, margin, bound, r = _cap(p, p.floats[0], float(m), x, strict)
+    return ConditionReport(condition, holds=holds, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
+
+
 def check_D1(p: Problem, m: Number, a: Number) -> ConditionReport:
     """Small-range cap: f < m*a on [0, T] x [0, a] (strict)."""
-    a = float(a)
-    if not a > 0:
-        raise ValueError("threshold a must be positive")
-    holds, margin, bound, r = _cap(p, p.floats[0], float(m), a, strict=True)
-    return ConditionReport("D1", holds=holds, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
+    return _check_cap(p, "D1", "a", m, a, strict=True)
 
 
 def check_D2(p: Problem, delta: Number, b: Number, gamma: Number) -> ConditionReport:
@@ -217,11 +222,7 @@ def check_D2(p: Problem, delta: Number, b: Number, gamma: Number) -> ConditionRe
 
 def check_D3(p: Problem, m: Number, c: Number) -> ConditionReport:
     """Global cap: f <= m*c on [0, T] x [0, c]."""
-    c = float(c)
-    if not c > 0:
-        raise ValueError("threshold c must be positive")
-    holds, margin, bound, r = _cap(p, p.floats[0], float(m), c, strict=False)
-    return ConditionReport("D3", holds=holds, margin=margin, bound=bound, worst_point=r.hi_at, method=r.method)
+    return _check_cap(p, "D3", "c", m, c, strict=False)
 
 
 def certify(p: Problem, tt: ThresholdTriple, k: LWConstants) -> Certificate:

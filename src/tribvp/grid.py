@@ -305,7 +305,7 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     lo, mid, hi = v[0:-1:2], v[1::2], v[2::2]  # the three nodes of each pair
-    out = np.empty_like(v)  # laid out as v is, so a transposed stack of rows integrates into rows
+    out = np.empty_like(v)
     out[:1] = 0.0
     # in place, in the order of h/3*(lo + 4*mid + hi) and h/12*(5*lo + 8*mid - hi): + and * commute bit for bit
     pair = 4.0 * mid

@@ -67,10 +67,8 @@ class LinearPlan:
 
     Calling the plan on a load v of shape (n,), or (n, k) with one load per
     column, returns the solution's nodal values exactly as solve_linear does:
-    the cumulative Simpson sums of v and t*v (one pass over both, stacked as
-    two rows), three eta-weight products and the closed form, with the
-    operations and their order of two separate sums on the load C-ordered,
-    whatever its layout: every product with the load reads the stacked copy,
+    the cumulative Simpson sums of v and t*v, three eta-weight products and
+    the closed form, all on the load made C-ordered, whatever its layout,
     since BLAS sums w_eta @ v in the order of v's layout.  `residuals`
     checks a candidate on the plan's eta stencils, interp_cubic's and
     partial_integral's.
@@ -95,13 +93,10 @@ class LinearPlan:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         t, t2, c1, c2, c3 = self._node_vectors if v.ndim == 1 else self._node_columns
-        stacked = np.empty((2, *v.shape))  # v and t*v
-        stacked[0] = v
-        v = stacked[0]
-        tv = np.multiply(t, v, out=stacked[1])
-        sums = cumulative_simpson(stacked.transpose(*range(1, stacked.ndim), 0), self.h)  # nodes first
-        conv = t * sums[..., 0]
-        conv -= sums[..., 1]  # integral_0^t (t - s) y(s) ds
+        v = np.ascontiguousarray(v, dtype=float)
+        tv = t * v
+        conv = t * cumulative_simpson(v, self.h)
+        conv -= cumulative_simpson(tv, self.h)  # integral_0^t (t - s) y(s) ds
         eta, w_eta = self.eta, self.w_eta
         y1_eta, y2_eta, y3_eta = w_eta @ v, w_eta @ tv, w_eta @ (t2 * v)
         i1 = eta * y1_eta - y2_eta

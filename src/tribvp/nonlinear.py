@@ -18,7 +18,8 @@ lies in the cone (nonnegative to f's domain bound NEGATIVE_U_TOL, concave
 down).  It decides every root but the proven u = 0: when f(., 0) = 0 is
 proved (`Problem.zero_is_solution`), a coarse root of exact zeros is reported
 with the numbers the gate would compute for it, without full-grid work.  The
-roots kept are deduplicated and classified against (a, b, c).
+roots that `_distinct` keeps, on the coarse grid and again on the reported
+curves in (sup norm, min) order, are classified against (a, b, c).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ CONCAVITY_SLACK = 1e-8
 DEFAULT_GRID_N = 2049  # grid nodes of every reported solution unless a run sets grid_n
 RESIDUAL_TOL = 1e-8  # verification bound on the boundary residuals
 ODE_C2 = 100.0  # verification bound on the ODE residual is ODE_C2 * h^2
-DEDUP_TOL = 1e-4  # relative sup-norm distance that merges two solutions
+DEDUP_TOL = 1e-4  # relative sup-norm distance within which two roots are one (`_distinct`)
 NEWTON_TOL = 1e-12  # relative target driven by the Newton iteration
 NEWTON_MAX_ITER = 25
 # A Newton root counts when ||u - A u|| <= NEWTON_ACCEPT_TOL * max(1, ||u||),
@@ -228,8 +229,7 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
     distinct roots as (u, iterations).  A start whose Jacobian is singular is
     dropped; the others go on.  When f(., 0) = 0 (`Problem.zero_is_solution`),
     an accepted root of sup norm at most NEWTON_ACCEPT_TOL becomes exact zeros.
-    An accepted root is kept unless it lies within DEDUP_TOL * max(1, ||v||) of
-    a root v kept before it, read from one table of all pairs.
+    Of the accepted roots, the `_distinct` ones are kept, in start order.
     """
     n = COARSE_N
     plan = LinearPlan(p, n)
@@ -241,7 +241,7 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
     starts += [lam * profile for lam in np.geomspace(levels[0], levels[-1], LADDER_STEPS)]
     J = np.empty((len(starts), n, n))  # one Jacobian per row, reused at every step
 
-    def residual(U):  # G @ y per row as a stacked matmul, which keeps the bits of a matrix-vector product
+    def residual(U):  # G @ y per row as one batched matmul, which keeps the bits of a matrix-vector product
         return U - (G @ p.f(t, np.maximum(U, 0.0))[:, :, None])[:, :, 0]
 
     def step(U, R):
@@ -255,14 +255,21 @@ def _coarse_roots(p: Problem, thresholds: ThresholdTriple | None):
     if p.zero_is_solution:  # a root this small is u = 0, which then solves the problem exactly
         U[accepted & (np.abs(U).max(axis=1) <= NEWTON_ACCEPT_TOL)] = 0.0
     rows = np.flatnonzero(accepted)
-    V = U[rows]
+    return t, [(U[rows[i]], int(iterations[rows[i]])) for i in _distinct(U[rows])]
+
+
+def _distinct(V) -> list[int]:
+    """Indices of the distinct roots among the rows of V (k, n), in order: a row within
+    DEDUP_TOL * max(1, ||v||_inf) of a row v kept before it, read from one table of all pairs, is dropped."""
+    if not len(V):
+        return []
     scale = DEDUP_TOL * np.fmax(1.0, np.abs(V).max(axis=1))
     near = (np.abs(V[:, None, :] - V[None, :, :]).max(axis=2) <= scale).tolist()  # [i][j]: i within j's tolerance
     kept: list[int] = []
     for i, row in enumerate(near):
         if not any(row[j] for j in kept):
             kept.append(i)
-    return t, [(V[i], int(iterations[rows[i]])) for i in kept]
+    return kept
 
 
 def _polish(
@@ -325,29 +332,6 @@ def newton_solutions(p: Problem, thresholds: ThresholdTriple | None, grid_n: int
     return [r for r in results if r is not None]
 
 
-def _dedup(results: list[FixedPointResult]) -> list[FixedPointResult]:
-    """Merge near-identical curves, keeping the one with the smaller residuals."""
-
-    def badness(r: FixedPointResult) -> float:
-        rep = r.residuals
-        return rep.ode_residual_max + rep.bc0_residual + rep.bcT_residual
-
-    ordered = sorted(results, key=lambda r: (r.curve.sup_norm(), r.curve.min_value(), badness(r)))
-    kept: list[FixedPointResult] = []
-    for cand in ordered:
-        merged = False
-        for i, ref in enumerate(kept):
-            scale = max(1.0, ref.curve.sup_norm())
-            if float(np.max(np.abs(cand.curve.values - ref.curve.values))) < DEDUP_TOL * scale:
-                if badness(cand) < badness(ref):
-                    kept[i] = cand
-                merged = True
-                break
-        if not merged:
-            kept.append(cand)
-    return kept
-
-
 def classify_solution(
     u: SolutionCurve, tt: ThresholdTriple | None, eta: float, zero_is_solution: bool = False
 ) -> SolutionClass:
@@ -374,8 +358,10 @@ def classify_solution(
 def find_solutions(
     p: Problem, thresholds: ThresholdTriple | None = None, grid_n: int = DEFAULT_GRID_N
 ) -> list[tuple[FixedPointResult, SolutionClass]]:
-    """Newton roots of u = A u on grid_n nodes that pass _polish's gate, deduplicated and classified."""
+    """Newton roots of u = A u on grid_n nodes that pass _polish's gate, in (sup norm, min) order, distinct and classified."""
     with np.errstate(over="ignore", invalid="ignore"):  # a start where f stops being finite is dropped
         found = newton_solutions(p, thresholds, grid_n)
+    found.sort(key=lambda r: (r.curve.sup_norm(), r.curve.min_value()))
     eta, zero = p.floats[1], p.zero_is_solution
-    return [(r, classify_solution(r.curve, thresholds, eta, zero)) for r in _dedup(found)]
+    kept = _distinct(np.array([r.curve.values for r in found]))
+    return [(found[i], classify_solution(found[i].curve, thresholds, eta, zero)) for i in kept]

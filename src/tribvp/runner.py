@@ -182,9 +182,8 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
                     row["verdict"] = "true" if cert.verdict else "false"
                 else:
                     row["verdict"] = ""
-        except (TribvpError, ValueError) as exc:
+        except (TribvpError, ValueError):
             row["verdict"] = "error"
-            row["message"] = str(exc)
         rows.append(row)
     write_sweep_csv(cfg.output_dir / "sweep.csv", axis_names, rows)
     report = {"rows": len(rows), "axes": axis_names}

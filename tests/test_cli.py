@@ -290,6 +290,41 @@ def test_sweep_flags_inadmissible_rows(tmp_path):
     assert text.endswith("\n")
 
 
+def test_sweep_writes_a_row_whose_problem_cannot_be_built_as_error(tmp_path):
+    # eta = T = 1 leaves no three-point problem: with_params raises, and the row keeps only its axis value
+    assert main(["sweep", "--config", SIGMOID, "--out", str(tmp_path), "--axis", "eta:0.5:1:2"]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1].split(",")[-1] in ("true", "false")
+    assert lines[2] == "1,,,,,error"
+
+
+def test_sweep_without_thresholds_writes_an_empty_verdict(tmp_path):
+    doc = json.loads(Path(SIGMOID).read_text())
+    del doc["thresholds"]
+    config = tmp_path / "no_thresholds.json"
+    config.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"), "--axis", "beta:0.1:0.9:2"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(row[-1] == "" and all(row[:-1]) for row in rows)  # constants written, verdict empty
+
+
+def test_certify_without_certifiable_thresholds_exits_4_and_echoes_each_factor(tmp_path, capsys):
+    f = {"kind": "product", "time": {"kind": "constant", "params": ["1/2"]}, "u": {"kind": "constant", "params": [3]}}
+    config = tmp_path / "product.json"
+    config.write_text(json.dumps({"problem": {**json.loads(Path(SIGMOID).read_text())["problem"], "f": f}}))
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "o"), "--no-timing"]) == 4
+    assert capsys.readouterr().err == "no certifiable thresholds found\n"
+    rep = read_report(tmp_path / "o")
+    assert rep["certificate"] is None and "thresholds" not in rep
+    # a constant time factor is the degree-0 polynomial (PolynomialT), the u factor a ConstantF
+    assert rep["config"]["problem"]["f"] == {
+        "kind": "product",
+        "time": {"kind": "polynomial", "params": ["1/2"]},
+        "u": {"kind": "constant", "params": ["3"]},
+    }
+
+
 def test_sweep_csv_has_full_precision(tmp_path):
     assert main(["sweep", "--config", SIGMOID, "--out", str(tmp_path), "--axis", "eta:0.3333:0.3333:1"]) == 0
     line = (tmp_path / "sweep.csv").read_text().splitlines()[1]

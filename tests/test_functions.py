@@ -186,10 +186,11 @@ def test_parse_product_kind():
         ({"kind": "polynomial", "params": []}, {"kind": "polynomial", "params": [0, 1]}),
         ("x", {"kind": "polynomial", "params": [0, 1]}),
         ({"kind": "constant", "params": [1]}, "x"),
+        ({"kind": "sine", "params": [1]}, {"kind": "constant", "params": [1]}),
     ],
 )
 def test_parse_product_rejects_malformed_factors(time, u):
-    # parameter counts as for the u forms: exp-decay and constant take one, polynomial at least one
+    # parameter counts as for the u forms: exp-decay and constant take one, polynomial at least one; no other kind
     with pytest.raises(FunctionSpecError):
         parse_function_spec({"kind": "product", "time": time, "u": u})
 

@@ -19,8 +19,9 @@ from tribvp.grid import cumulative_simpson, interp_cubic, partial_integral
 from tribvp import linear, nonlinear
 from tribvp.linear import LinearPlan, ResidualReport
 from tribvp.nonlinear import (
+    DEDUP_TOL,
     FixedPointResult,
-    _dedup,
+    _distinct,
     _fixed_point_residual,
     _jacobian_matvec,
     _load,
@@ -249,25 +250,24 @@ def test_classification_trivials():
     assert edge.label == "unclassified"  # norm exactly a satisfies no predicate
 
 
-def test_dedup_merges_and_keeps_better_residual():
-    from tribvp.linear import ResidualReport
-
+def test_distinct_keeps_the_first_root_in_norm_order(monkeypatch):
     base = np.linspace(1.0, 2.0, 65)
 
-    def result(values, ode):
-        return FixedPointResult(
-            curve=SolutionCurve(0.0, 1.0, values),
-            iterations=1,
-            residuals=ResidualReport(ode, 0.0, 0.0),
-            clamped_evals=0,
-        )
+    def result(values):
+        return FixedPointResult(SolutionCurve(0.0, 1.0, values), 1, ResidualReport(0.0, 0.0, 0.0), 0)
 
-    good = result(base, 1e-12)
-    close = result(base + 1e-7, 1e-6)
-    far = result(base + 1.0, 1e-12)
-    kept = _dedup([close, good, far])
-    assert len(kept) == 2
-    assert any(r.residuals.ode_residual_max == 1e-12 and r.curve.values[0] == 1.0 for r in kept)
+    first, near, far = result(base), result(base + 1e-7), result(base + 1.0)
+    monkeypatch.setattr(nonlinear, "newton_solutions", lambda p, thresholds, grid_n: [near, far, first])
+    kept = [r for r, _ in find_solutions(zero_f_problem(), None, 65)]
+    assert kept[0] is first and kept[1] is far and len(kept) == 2  # first precedes near in (norm, min) order
+    assert _distinct(np.array([base + 1e-7, base])) == [0]  # given order, not norm order, picks the kept row
+
+
+def test_distinct_counts_a_distance_at_the_tolerance_as_the_same_root():
+    zero = np.zeros(65)  # tolerance DEDUP_TOL * max(1, 0) = DEDUP_TOL, reached exactly by a shift of DEDUP_TOL
+    assert _distinct(np.array([zero, zero + DEDUP_TOL])) == [0]
+    assert _distinct(np.array([zero, zero + np.nextafter(DEDUP_TOL, 1.0)])) == [0, 1]
+    assert _distinct(np.array([])) == [] and _distinct(np.empty((0, 65))) == []
 
 
 def test_find_solutions_zero_nonlinearity_returns_zero_only():
