@@ -20,7 +20,7 @@ from .errors import ConfigError, TribvpError
 from .runner import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
-    parse_axis,
+    parse_axes,
     run,
     sweep,
 )
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         if args.mode == "solve" and args.grid is not None:
             kwargs["grid_n"] = args.grid
         cfg = load_run_config(args.config, args.mode, args.out, **kwargs)
-        axes = [parse_axis(spec) for spec in args.axis] if args.mode == "sweep" else None
+        axes = parse_axes(args.axis) if args.mode == "sweep" else None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

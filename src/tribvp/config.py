@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .certify import ThresholdTriple
 from .errors import ConfigError, FunctionSpecError
-from .functions import parse_function_spec
+from .functions import F_CHECK_U_MAX, parse_function_spec
 from .nonlinear import DEFAULT_GRID_N
 from .numeric import parse_field, render_number
 from .problem import Problem
@@ -32,8 +32,8 @@ MODES = ("constants", "certify", "solve", "sweep")
 
 
 def f_check_u_max(thresholds: ThresholdTriple | None) -> float:
-    """u range of the f >= 0 checks, at construction and for H1: 2c, or 10 without thresholds."""
-    return 2.0 * thresholds.floats[2] if thresholds is not None else 10.0
+    """u range of the f >= 0 checks, at construction and for H1: 2c, or F_CHECK_U_MAX without thresholds."""
+    return 2.0 * thresholds.floats[2] if thresholds is not None else F_CHECK_U_MAX
 
 
 def _parse_thresholds(tdoc) -> ThresholdTriple:

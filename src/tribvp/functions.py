@@ -20,10 +20,10 @@ from box edges and breakpoints for the forms monotone on each branch, and a
 rigorous interval enclosure for polynomials (Moore, *Interval Analysis*;
 Tucker, *Validated Numerics*).  The same call bounds many boxes with one t
 interval when u_lo and u_hi are arrays of u edges, one box per entry, and
-then gives lo and hi only: the sigmoid, constant, piecewise and product forms
-pick from all boxes' candidates at once, the polynomial and table forms take
-the boxes one by one.  Either way each box's lo and hi are the bits the scalar
-call gives it.
+then gives lo and hi only: the sigmoid, piecewise and product forms and a
+constant (the degree-0 polynomial) pick from all boxes' candidates at once,
+the other polynomials and the table forms take the boxes one by one.  Either
+way each box's lo and hi are the bits the scalar call gives it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ NEGATIVE_U_TOL = 1e-10
 
 # Continuity requirement at piecewise breakpoints.
 BREAKPOINT_TOL = 1e-9
+
+# Top of the u range [0, F_CHECK_U_MAX] of the f >= 0 checks when no threshold c sets one.
+F_CHECK_U_MAX = 10.0
 
 # Bisection depth at which a polynomial's range takes its Taylor-form enclosure.
 POLY_DEPTH = 40
@@ -321,29 +324,8 @@ class RationalSigmoid(FunctionSpec):
 
 
 @dataclass(frozen=True)
-class ConstantF(FunctionSpec):
-    """f(t, u) = c.  c = 0 is allowed for tests but fails the H1 check."""
-
-    value: Number = 0
-
-    kind = "constant"
-
-    def _value(self, t, u):
-        return self.value if isinstance(u, Fraction) else float(self.value)
-
-    def _slope(self, t, u):
-        return 0.0
-
-    def range(self, t_lo, t_hi, u_lo, u_hi):
-        return self._attained([(t_lo, u_lo)])
-
-    def to_config(self):
-        return {"kind": self.kind, "params": [render_number(self.value)]}
-
-
-@dataclass(frozen=True)
 class PolynomialU(FunctionSpec):
-    """Autonomous polynomial in u: coeffs[0] + coeffs[1]*u + ..."""
+    """Autonomous polynomial in u: coeffs[0] + coeffs[1]*u + ...; a `constant` f is the degree-0 one."""
 
     coeffs: tuple = (0,)
 
@@ -362,6 +344,8 @@ class PolynomialU(FunctionSpec):
     _dcoeffs = cached_property(lambda self: [float(k * c) for k, c in enumerate(self.coeffs)][1:] or [0.0])  # p'
 
     def range(self, t_lo, t_hi, u_lo, u_hi):
+        if len(self.coeffs) == 1:  # a constant attains its one value everywhere
+            return self._attained([(t_lo, u_lo)])
         if isinstance(u_lo, np.ndarray):
             return _each_box(self.range, t_lo, t_hi, u_lo, u_hi)
         return _poly_range(self.coeffs, u_lo, u_hi, lambda u: (t_lo, u))
@@ -670,7 +654,7 @@ def _parse_pieces(doc_pieces, where: str) -> tuple[Piece, ...]:
     return tuple(pieces)
 
 
-def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = 10.0) -> FunctionSpec:
+def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = F_CHECK_U_MAX) -> FunctionSpec:
     """Build a FunctionSpec from a config fragment and run construction checks.
 
     Rejects unknown kinds, discontinuous piecewise tables, rational-linear
@@ -696,7 +680,7 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSp
     elif kind == "constant":
         if len(params) != 1:
             raise FunctionSpecError("constant takes params [value]")
-        spec = ConstantF(value=params[0])
+        spec = PolynomialU(coeffs=(params[0],))
     elif kind == "polynomial":
         if not params:
             raise FunctionSpecError("polynomial needs at least one coefficient")
@@ -724,12 +708,10 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSp
             raise FunctionSpecError(f"{tkind} time factor takes exactly one parameter")
         if tkind == "exp-decay":
             tf = ExpDecay(rate=tparams[0])
-        elif tkind == "polynomial":
+        elif tkind in ("polynomial", "constant"):  # a constant is the degree-0 polynomial
             if not tparams:
                 raise FunctionSpecError("polynomial time factor needs at least one coefficient")
             tf = PolynomialT(coeffs=tuple(tparams))
-        elif tkind == "constant":
-            tf = PolynomialT(coeffs=(tparams[0],))
         else:
             raise FunctionSpecError(f"unknown time-factor kind {tkind!r}")
         spec = ProductF(time_factor=tf, u_factor=_parse_spec(u_doc, t_max, u_max, f"{where}.u"))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .functions import FunctionSpec
+from .functions import F_CHECK_U_MAX, FunctionSpec
 from .numeric import Number, exact_operands, is_exact, reduced
 
 # Strict inequalities are checked with zero tolerance in exact-rational mode
@@ -109,15 +109,22 @@ class HypothesisReport:
         }
 
 
-def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisReport:
+def validate_hypotheses(p: Problem, u_max: float = F_CHECK_U_MAX) -> HypothesisReport:
     """Check the parameter bounds and the f-hypothesis.
 
     The bound checks are strict: zero tolerance when the parameters are exact
     rationals, 1e-12 otherwise.  The f check bounds f over [0, T] x [0, u_max]
-    (default u_max = 10) with its `range` and requires f >= 0 on the whole box
-    and f > 0 somewhere; f is continuous, so a positive value means f does not
-    vanish on a set of positive measure.
+    with its `range` and requires f >= 0 on the whole box and f > 0 somewhere;
+    f is continuous, so a positive value means f does not vanish on a set of
+    positive measure.
     """
+    h2_alpha_ok, h2_beta_ok, messages = check_h2(p)
+    h1_ok, h1_messages = _check_f(p, float(u_max))
+    return HypothesisReport(h2_alpha_ok, h2_beta_ok, h1_ok, messages + h1_messages)
+
+
+def check_h2(p: Problem) -> tuple[bool, bool, tuple]:
+    """The bound checks of `validate_hypotheses` alone: (h2_alpha_ok, h2_beta_ok, messages)."""
     tol = 0 if p.exact else FLOAT_STRICTNESS_TOL
     messages = []
     T, eta, alpha, beta = p.operands
@@ -140,16 +147,7 @@ def validate_hypotheses(p: Problem, u_max: float | None = None) -> HypothesisRep
             f"beta = {p.floats[3]} violates 0 < beta < "
             f"(2T - alpha*eta^2)/(alpha*eta^2 - 2*eta + 2T) = {float(beta_bound)}"
         )
-
-    h1_ok, h1_messages = _check_f(p, 10.0 if u_max is None else float(u_max))
-    messages.extend(h1_messages)
-
-    return HypothesisReport(
-        h2_alpha_ok=h2_alpha_ok,
-        h2_beta_ok=h2_beta_ok,
-        h1_ok=h1_ok,
-        messages=tuple(messages),
-    )
+    return h2_alpha_ok, h2_beta_ok, tuple(messages)
 
 
 def _check_f(p: Problem, u_hi: float):

@@ -16,8 +16,8 @@ from .constants import compute_constants
 from .errors import ConfigError, TribvpError
 from .grid import remove_files, write_csv
 from .nonlinear import find_solutions
-from .problem import validate_hypotheses
-from .report import SCHEMA_VERSION, dump_report, write_sweep_csv
+from .problem import check_h2, validate_hypotheses
+from .report import SCHEMA_VERSION, dump_report, format_sig, write_sweep_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -150,22 +150,34 @@ def parse_axis(spec: str):
     return name, values
 
 
+def parse_axes(specs: list[str]) -> list[tuple[str, np.ndarray]]:
+    """parse_axis of each spec; an axis named twice is a ConfigError, since a row holds one value per name."""
+    axes = [parse_axis(spec) for spec in specs]
+    names = [name for name, _ in axes]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"sweep axis {name!r} is given more than once")
+    return axes
+
+
 def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
     """Evaluate constants (and certificates, when thresholds are set) over a grid.
 
     Rows that violate the admissibility bounds are emitted with verdict
     "H2-fail" instead of aborting; evaluation errors inside a row are
-    reported as "error".
+    reported as "error", and the outcome's message gives each one's reason.
+    Rows check only the bounds: T and f, and so the f check, are the same in
+    every row.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     axis_names = [name for name, _ in axes]
-    rows = []
+    rows, errors = [], []
     for combo in itertools.product(*(values.tolist() for _, values in axes)):
         row = dict(zip(axis_names, combo))
         try:
             p = cfg.problem.with_params(**{name: float(v) for name, v in zip(axis_names, combo)})
-            hyp = validate_hypotheses(p, u_max=f_check_u_max(cfg.thresholds))
-            if not (hyp.h2_alpha_ok and hyp.h2_beta_ok):
+            h2_alpha_ok, h2_beta_ok, _ = check_h2(p)
+            if not (h2_alpha_ok and h2_beta_ok):
                 row["verdict"] = "H2-fail"
             else:
                 k = compute_constants(p)
@@ -182,9 +194,11 @@ def sweep(cfg: RunConfig, axes: list[tuple[str, np.ndarray]]) -> RunOutcome:
                     row["verdict"] = "true" if cert.verdict else "false"
                 else:
                     row["verdict"] = ""
-        except (TribvpError, ValueError):
+        except (TribvpError, ValueError) as exc:
             row["verdict"] = "error"
+            point = ", ".join(f"{name}={format_sig(v)}" for name, v in zip(axis_names, combo))
+            errors.append(f"row {len(rows) + 1} ({point}): {exc}")
         rows.append(row)
     write_sweep_csv(cfg.output_dir / "sweep.csv", axis_names, rows)
     report = {"rows": len(rows), "axes": axis_names}
-    return RunOutcome(EXIT_OK, report)
+    return RunOutcome(EXIT_OK, report, "\n".join(errors))

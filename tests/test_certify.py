@@ -24,7 +24,6 @@ from tribvp.certify import SEARCH_HI, SEARCH_LO, SEARCH_MAX_LEVELS, SEARCH_PER_A
 from tribvp.cli import main
 from tribvp.config import parse_run_config
 from tribvp.functions import (
-    ConstantF,
     FunctionSpec,
     Piece,
     PiecewiseLinearTable,
@@ -97,7 +96,7 @@ def test_exp_problem_conditions():
 
 def test_strictness_boundary_cases():
     # f == m*a everywhere: the strict small-range cap fails, margin 0
-    p = make_sigmoid_problem().with_params(f=ConstantF(value=F(1)))
+    p = make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(1),)))
     rep = check_D1(p, F(1, 3), F(3))  # m*a = 1 exactly
     assert rep.margin == 0.0 and not rep.holds
     # the global cap is non-strict: f == m*c passes with margin 0
@@ -106,7 +105,7 @@ def test_strictness_boundary_cases():
 
 
 def test_zero_nonlinearity_cannot_satisfy_tail_floor():
-    p = make_sigmoid_problem().with_params(f=ConstantF(value=F(0)))
+    p = make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(0),)))
     rep = check_D2(p, F(4, 45), F(2), F(1, 4))
     assert not rep.holds
     assert rep.margin == pytest.approx(-22.5)
@@ -196,7 +195,7 @@ def test_search_exp_problem():
 
 
 def test_search_returns_none_for_zero_nonlinearity():
-    p = make_sigmoid_problem().with_params(f=ConstantF(value=F(0)))
+    p = make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(0),)))
     k = compute_constants(p)
     assert search_thresholds(p, k) is None
 
@@ -504,7 +503,7 @@ def test_an_overflowing_witness_refutes_nothing():
 
 
 def test_the_floor_refuter_needs_one_u_in_every_box_of_its_bracket():
-    p = make_sigmoid_problem().with_params(f=ConstantF(value=F(0)))
+    p = make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(0),)))
     T, eta, _, _ = p.floats
     # f = 0 is below every floor b/delta, but the boxes [1, 4] and [5, 20] of [1, 5] share no u
     assert certify_module._floor_refuted(p, eta, T, 4 / 45, 0.25, 1.0, 3.9)
@@ -521,6 +520,6 @@ def test_a_bracket_that_holds_a_feasible_point_is_not_refuted():
     assert not certify_module._floor_refuted(p, eta, T, 1.0, 0.5, 0.8, 1.2)  # f(0.8) = 0.64 < 0.8 proves nothing
     assert certify_module._floor_refuted(p, eta, T, 1.0, 0.5, 0.5, 0.7)
     # f = 1 meets the cap m*a = 1 at a = 4 exactly; the next float above 4, inside the widened bracket, holds
-    p = p.with_params(f=ConstantF(value=F(1)))
+    p = p.with_params(f=PolynomialU(coeffs=(F(1),)))
     assert certify_module._cap(p, T, 0.25, np.array([math.nextafter(4.0, 5.0)]), strict=True)[0].all()
     assert not certify_module._cap_refuted(p, T, 0.25, 4.0, 4.0, strict=True)

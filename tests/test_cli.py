@@ -7,7 +7,7 @@ import pytest
 from tribvp import cli, grid
 from tribvp.cli import build_parser, main
 from tribvp.config import parse_run_config
-from tribvp.runner import run
+from tribvp.runner import parse_axes, run, sweep
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIGMOID = str(CONFIG_DIR / "sigmoid.json")
@@ -80,6 +80,14 @@ def test_non_finite_axis_bound_is_config_error(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err == f"config error: axis bounds must be finite numbers, got {spec!r}\n"
     assert not out.exists()
+
+
+def test_an_axis_given_twice_is_config_error(tmp_path, capsys):
+    # a row holds one value per axis name, so the second beta axis would hide the first
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", SIGMOID, "--out", str(out), "--axis", "beta:0.1:0.2:2", "--axis", "beta:0.5:0.6:2"]) == 2
+    assert capsys.readouterr().err == "config error: sweep axis 'beta' is given more than once\n"
+    assert not (out / "sweep.csv").exists()
 
 
 def test_hypothesis_violation_exit_code(tmp_path):
@@ -290,12 +298,26 @@ def test_sweep_flags_inadmissible_rows(tmp_path):
     assert text.endswith("\n")
 
 
-def test_sweep_writes_a_row_whose_problem_cannot_be_built_as_error(tmp_path):
-    # eta = T = 1 leaves no three-point problem: with_params raises, and the row keeps only its axis value
+def test_sweep_writes_a_row_whose_problem_cannot_be_built_as_error(tmp_path, capsys):
+    # eta = T = 1 leaves no three-point problem: with_params raises, the row keeps only its axis value,
+    # and stderr says why
     assert main(["sweep", "--config", SIGMOID, "--out", str(tmp_path), "--axis", "eta:0.5:1:2"]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[1].split(",")[-1] in ("true", "false")
     assert lines[2] == "1,,,,,error"
+    assert capsys.readouterr().err == "row 2 (eta=1): eta must lie strictly inside (0, T), got 1.0\n"
+
+
+@pytest.mark.parametrize("spec, calls", [("alpha:7:18:2", 3), ("alpha:18:19:2", 0)])
+def test_sweep_rows_bound_f_only_in_their_certificate(tmp_path, monkeypatch, spec, calls):
+    # T and f are the same in every row, so no row repeats the f >= 0 check: an admissible row
+    # (alpha = 7) bounds f once in each of D1-D3, an H2-fail row (alpha >= 18) not at all
+    cfg = parse_run_config(json.loads(Path(SIGMOID).read_text()), "sweep", tmp_path)
+    boxes = []
+    range_of = type(cfg.problem.f).range
+    monkeypatch.setattr(type(cfg.problem.f), "range", lambda f, *box: boxes.append(box) or range_of(f, *box))
+    sweep(cfg, parse_axes([spec]))
+    assert len(boxes) == calls
 
 
 def test_sweep_without_thresholds_writes_an_empty_verdict(tmp_path):
@@ -317,11 +339,11 @@ def test_certify_without_certifiable_thresholds_exits_4_and_echoes_each_factor(t
     assert capsys.readouterr().err == "no certifiable thresholds found\n"
     rep = read_report(tmp_path / "o")
     assert rep["certificate"] is None and "thresholds" not in rep
-    # a constant time factor is the degree-0 polynomial (PolynomialT), the u factor a ConstantF
+    # a constant factor is the degree-0 polynomial, in t (PolynomialT) as in u (PolynomialU)
     assert rep["config"]["problem"]["f"] == {
         "kind": "product",
         "time": {"kind": "polynomial", "params": ["1/2"]},
-        "u": {"kind": "constant", "params": ["3"]},
+        "u": {"kind": "polynomial", "params": ["3"]},
     }
 
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tribvp import FunctionDomainError, FunctionSpecError, parse_function_spec
+from tribvp import FunctionDomainError, FunctionSpecError, functions, parse_function_spec
 from tribvp.functions import (
-    ConstantF,
     FunctionSpec,
     ExpDecay,
     Piece,
@@ -19,6 +18,7 @@ from tribvp.functions import (
     PolynomialU,
     ProductF,
     RationalSigmoid,
+    Range,
     _boxes_range,
     _range,
 )
@@ -105,6 +105,31 @@ def test_parse_exp_doc_matches_direct():
 def test_parse_constant_zero_allowed():
     f = parse_function_spec({"kind": "constant", "params": [0]})
     assert f(0.3, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("c", [F(0), F(3), F(1, 3), 1e-3])
+def test_a_constant_is_the_degree_0_polynomial(c):
+    # alone and as a product's u factor, as a constant time factor is the degree-0 PolynomialT
+    doc = {"kind": "constant", "params": [c if isinstance(c, float) else str(c)]}
+    assert parse_function_spec(doc) == PolynomialU(coeffs=(c,))
+    product = parse_function_spec({"kind": "product", "time": {"kind": "exp-decay", "params": [1]}, "u": doc})
+    assert product == ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PolynomialU(coeffs=(c,)))
+    with pytest.raises(FunctionSpecError, match=r"constant takes params \[value\]"):
+        parse_function_spec({"kind": "constant", "params": [c, 1]})
+
+
+def test_a_degree_0_polynomial_takes_its_range_from_its_one_value(monkeypatch):
+    # no rational enclosure and no box-by-box pass: the value at (t_lo, u_lo) is lo and hi of every box
+    def fail(*args):
+        raise AssertionError("a constant's range went through the general polynomial path")
+
+    monkeypatch.setattr(functions, "_poly_range", fail)
+    monkeypatch.setattr(functions, "_each_box", fail)
+    f = PolynomialU(coeffs=(F(3),))
+    assert f.range(0.25, 0.75, 1.5, 2.5) == Range(3.0, 3.0, (0.25, 1.5), (0.25, 1.5), "exact")
+    edges = np.geomspace(1e-6, 1e3, 14)
+    r = f.range(0.0, 1.0, edges[:-1], edges[1:])
+    assert r.lo.tolist() == r.hi.tolist() == [3.0] * 13
 
 
 def test_parse_unknown_kind_rejected():
@@ -211,7 +236,7 @@ def test_domain_error_below_tolerance():
 
 
 def test_constant_broadcasts_over_t():
-    f = ConstantF(value=F(3))
+    f = PolynomialU(coeffs=(F(3),))
     ts = np.linspace(0, 1, 5)
     out = f(ts, 1.0)
     assert out.shape == ts.shape and np.all(out == 3.0)
@@ -222,7 +247,7 @@ BROADCAST_FORMS = {  # the constant form's case is test_constant_broadcasts_over
     "polynomial": PolynomialU(coeffs=(F(1), F(0), F(2))),
     "piecewise": PiecewiseU(pieces=EXP_PIECES),
     "table": PiecewiseLinearTable(table=((F(0), F(0)), (F(2), F(4)))),
-    "product": ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=ConstantF(value=F(3))),
+    "product": ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PolynomialU(coeffs=(F(3),))),
 }
 
 
@@ -297,14 +322,14 @@ def test_form_without_a_slope_cannot_be_constructed():
 
 
 def test_product_u_factor_must_not_depend_on_t():
-    inner = ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=ConstantF(value=F(1)))
+    inner = ProductF(time_factor=ExpDecay(rate=F(1)), u_factor=PolynomialU(coeffs=(F(1),)))
     with pytest.raises(FunctionSpecError, match="u alone"):
         ProductF(time_factor=ExpDecay(rate=F(-1)), u_factor=inner)
 
 
 RANGE_FORMS = {
     "sigmoid": RationalSigmoid(scale=F(40)),
-    "constant": ConstantF(value=F(3)),
+    "constant": PolynomialU(coeffs=(F(3),)),
     "bump": PolynomialU(coeffs=(F(1), F(3), F(-1), F(1, 10))),
     "spike-table": PiecewiseLinearTable(
         table=((F(0), F(1)), (F(1, 10), F(1)), (F(23, 200), F(3)), (F(13, 100), F(1)), (F(10), F(2)))
@@ -354,7 +379,7 @@ def test_range_brackets_a_dense_sample(name, t, u):
 
 ARRAY_FORMS = {
     "sigmoid": RationalSigmoid(scale=F(40)),
-    "constant": ConstantF(value=F(3)),
+    "constant": PolynomialU(coeffs=(F(3),)),
     "exp-piecewise": PiecewiseU(pieces=EXP_PIECES),  # linear, constant and rational-linear branches
     "peak": RANGE_FORMS["peak"],
     "rational-tail": RANGE_FORMS["rational-tail"],

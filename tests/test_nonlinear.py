@@ -34,7 +34,6 @@ from tribvp.constants import compute_constants
 from tribvp.errors import FunctionDomainError
 from tribvp.functions import (
     NEGATIVE_U_TOL,
-    ConstantF,
     ExpDecay,
     Piece,
     PiecewiseLinearTable,
@@ -53,7 +52,7 @@ N = 2049
 def zero_f_problem() -> Problem:
     # the zero nonlinearity violates the non-vanishing hypothesis; it is
     # used here only to exercise the operator plumbing on a known case
-    return Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=ConstantF(value=F(0)))
+    return Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=PolynomialU(coeffs=(F(0),)))
 
 
 def test_psi_trivials():
@@ -201,7 +200,7 @@ def test_shooting_agrees_with_picard_fixed_point():
 
 def test_shooting_blowup_flagged():
     # strong constant push with a huge start blows past the guard
-    p = make_sigmoid_problem().with_params(f=ConstantF(value=F(10)))
+    p = make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(10),)))
     shot = shooting_residual(p, 1e9 * 0.9, 1e9, n=257)
     assert shot.blew_up
     assert np.isinf(shot.r1) and np.isinf(shot.r2)
@@ -661,7 +660,7 @@ def test_the_small_solution_of_a_zero_at_zero_f_is_exact_zeros(doc, tmp_path):
 def test_a_near_zero_root_of_an_f_positive_at_zero_is_polished_as_found(monkeypatch):
     # f = 1e-12 > 0 at u = 0: the one root, u = 1e-12 A1, is below NEWTON_ACCEPT_TOL but is no zero, and
     # the coarse search hands it over as Newton left it
-    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=ConstantF(value=F(1, 10**12)))
+    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=PolynomialU(coeffs=(F(1, 10**12),)))
     assert not p.zero_is_solution
     calls = _spy_newton(monkeypatch)
     _, roots = nonlinear._coarse_roots(p, None)
@@ -714,7 +713,7 @@ def test_the_proven_zero_root_is_reported_as_polish_would_report_it(form, n, mon
 
 def test_an_exact_zero_root_of_an_unproven_f_still_goes_through_polish(monkeypatch):
     # f = 1e-12 > 0 at u = 0: zeros are no fixed point, so the gate, not the shortcut, decides the root
-    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=ConstantF(value=F(1, 10**12)))
+    p = Problem(T=F(1), eta=F(1, 3), alpha=F(3), beta=F(1, 2), f=PolynomialU(coeffs=(F(1, 10**12),)))
     assert not p.zero_is_solution
     polished = _with_coarse_zero_root(monkeypatch, 0)
     found = newton_solutions(p, None, 129)

@@ -11,7 +11,7 @@ from tribvp import Problem, lambda_constant, validate_hypotheses
 from tribvp.certify import ThresholdTriple
 from tribvp.functions import _is_fraction
 from tribvp.numeric import Unreduced, is_exact
-from tribvp.functions import ConstantF, FunctionSpec, PiecewiseLinearTable, PolynomialU, RationalSigmoid
+from tribvp.functions import FunctionSpec, PiecewiseLinearTable, PolynomialU, RationalSigmoid
 
 from conftest import make_exp_piecewise_problem, make_sigmoid_problem
 
@@ -47,13 +47,13 @@ def test_beta_at_bound_fails():
 
 
 def test_float_mode_uses_tolerance():
-    p = Problem(T=1.0, eta=1.0 / 3.0, alpha=18.0 * (1 - 1e-14), beta=0.5, f=ConstantF(value=1.0))
+    p = Problem(T=1.0, eta=1.0 / 3.0, alpha=18.0 * (1 - 1e-14), beta=0.5, f=PolynomialU(coeffs=(1.0,)))
     rep = validate_hypotheses(p)
     assert not rep.h2_alpha_ok  # within 1e-12 of the bound counts as violating
 
 
 def test_zero_nonlinearity_fails_sampled_check():
-    p = make_sigmoid_problem().with_params(f=ConstantF(value=F(0)))
+    p = make_sigmoid_problem().with_params(f=PolynomialU(coeffs=(F(0),)))
     rep = validate_hypotheses(p)
     assert rep.h2_alpha_ok and rep.h2_beta_ok and not rep.h1_ok
     assert any("vanishes" in m for m in rep.messages)
