@@ -6,10 +6,14 @@ For thresholds 0 < a < b < b/gamma <= c the three growth conditions are
     D2:  f(t, u) >= b/delta  on [eta, T] x [b, b/gamma]
     D3:  f(t, u) <= m*c      on [0, T]   x [0, c]
 
-Each box is bounded by the nonlinearity's own `range`: the exact extremum for
-forms monotone on each branch, a rigorous enclosure for polynomials.  A
-positive verdict is therefore a proof; reports carry the margin, the point
-that bounds f, and the method ("exact" or "enclosure").
+Each box is bounded by the nonlinearity's own `range`: the extremum for forms
+monotone on each branch, a rigorous enclosure for polynomials.  Reports carry
+the margin, the point that bounds f, and the method ("exact" or "enclosure").
+A positive verdict is a proof only where the margin is wider than rounding:
+the extremum and the levels m*a, b/delta and m*c are compared as
+round-to-nearest floats, so a margin within a few ulps of 0 can read as
+holding when the condition fails exactly (ROADMAP item 19; pinned by
+tests/test_certify.py::test_d1_met_with_equality_in_exact_arithmetic_is_refused).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from .errors import ConfigError, TribvpError
 from .runner import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
+    StageTimer,
     parse_axes,
     run,
     sweep,
@@ -64,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    timer = StageTimer()
     try:
         kwargs = {"include_timing": not args.no_timing}
         if args.mode == "certify":
@@ -75,7 +77,8 @@ def main(argv=None) -> int:
                 kwargs["thresholds_override"] = overrides
         if args.mode == "solve" and args.grid is not None:
             kwargs["grid_n"] = args.grid
-        cfg = load_run_config(args.config, args.mode, args.out, **kwargs)
+        with timer.time("load_config"):
+            cfg = load_run_config(args.config, args.mode, args.out, **kwargs)
         axes = parse_axes(args.axis) if args.mode == "sweep" else None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -85,7 +88,7 @@ def main(argv=None) -> int:
         if args.mode == "sweep":
             outcome = sweep(cfg, axes)
         else:
-            outcome = run(cfg)
+            outcome = run(cfg, timer)
     except OSError as exc:  # only the output directory and the files written into it are touched here
         print(f"config error: cannot write output {exc.filename or cfg.output_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

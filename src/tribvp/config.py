@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .certify import ThresholdTriple
 from .errors import ConfigError, FunctionSpecError
-from .functions import F_CHECK_U_MAX, parse_function_spec
+from .functions import F_CHECK_U_MAX, Range, parse_function_spec_with_range
 from .nonlinear import DEFAULT_GRID_N
 from .numeric import parse_field, render_number
 from .problem import Problem
@@ -52,7 +52,12 @@ def _parse_thresholds(tdoc) -> ThresholdTriple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one batch run needs: problem, thresholds, grid size, output."""
+    """Everything one batch run needs: problem, thresholds, grid size, output.
+
+    f_range is the range of problem.f on [0, T] x [0, f_check_u_max(thresholds)]
+    that parse_run_config's construction check took, so that the run's f
+    hypothesis reuses it; None makes the run bound that box itself.
+    """
 
     problem: Problem
     thresholds: ThresholdTriple | None
@@ -60,6 +65,7 @@ class RunConfig:
     output_dir: Path
     grid_n: int = DEFAULT_GRID_N
     include_timing: bool = True
+    f_range: Range | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -117,7 +123,7 @@ def parse_run_config(
         tdoc = doc.get("thresholds") if thresholds_override is None else dict(zip("abc", thresholds_override))
         thresholds = None if tdoc is None else _parse_thresholds(tdoc)
 
-        f_spec = parse_function_spec(pdoc["f"], t_max=float(t_val), u_max=f_check_u_max(thresholds))
+        f_spec, f_range = parse_function_spec_with_range(pdoc["f"], t_max=float(t_val), u_max=f_check_u_max(thresholds))
         problem = Problem(
             T=t_val,
             eta=parse_field(pdoc["eta"], "problem.eta"),
@@ -135,6 +141,7 @@ def parse_run_config(
         output_dir=Path(output_dir),
         grid_n=n,
         include_timing=include_timing,
+        f_range=f_range,
     )
 
 

@@ -6,7 +6,7 @@ there is deliberately no expression parser.  Each spec evaluates on scalars
 (double precision, broadcasting over t and u).
 
 All specs must be nonnegative for t in [0, T], u >= 0, and piecewise forms
-must be continuous at their breakpoints; both are checked at construction.
+must be continuous at positive breakpoints; both are checked at construction.
 
 The array path converts each form's parameters to float once (a cached
 property of the frozen dataclass).
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FunctionDomainError, FunctionSpecError
-from .numeric import Number, is_exact, parse_field, render_number
+from .numeric import TINY, UNIT, Number, filtered_sign, is_exact, parse_field, render_number
 
 # Below this, a negative u is treated as a domain violation rather than noise.
 NEGATIVE_U_TOL = 1e-10
@@ -414,6 +414,45 @@ class Piece:
         }
 
 
+def _sign(value, x: float) -> int:
+    """The sign of the number value whose nearest double is x: rounding to x moves a real v
+    by UNIT |v| + TINY/2 at most, which is under 2 UNIT |x| + TINY."""
+    return filtered_sign(x, 2 * UNIT * abs(x) + TINY, lambda: value)
+
+
+def _linear(a: float, b: float, x: float) -> tuple[float, float]:
+    """a*x + b in floats, as Piece.evaluate computes it, and a bound on its distance from A*X + B,
+    where a, b and x are the doubles nearest the reals A, B and X (or are A, B and X).
+
+    Each of a, b and x strays by UNIT of itself (with slack) plus TINY/2; so a*x strays from A*X by
+    2 UNIT |ax| + (|a| + |x|) TINY/2, its rounding adds UNIT |ax| + TINY/2, b adds UNIT |b| +
+    TINY/2 and the sum's rounding UNIT (|ax| + |b|): under 5 UNIT (|ax| + |b|) + TINY (|a| + |x| + 2).
+    """
+    ax = a * x
+    return ax + b, 5 * UNIT * (abs(ax) + abs(b)) + TINY * (abs(a) + abs(x) + 2)
+
+
+def _branch(form: str, p: tuple, x: float) -> tuple[float, float]:
+    """A branch of the given form, with float parameters p, at x, as _linear gives a line.
+
+    A constant strays by 2 UNIT of itself plus TINY (_sign).  A quotient n/d, with n and d within
+    en and ed of N and D and |d| > 2 ed, has |N/D - n/d| <= (en + |n/d| ed)/(|d| - ed) <= 2 (en + |n/d|
+    ed)/|d|, and |n/d| <= |q| + TINY with some slack for q = fl(n/d), which itself rounds by UNIT |q|
+    + TINY/2; 3 in place of 2 and 2 UNIT in place of UNIT cover the roundings of the bound.  A
+    denominator within 2 ed of 0 gives NaN, which leaves the check to exact arithmetic.
+    """
+    if form == "constant":
+        return p[0], 2 * UNIT * abs(p[0]) + TINY
+    if form == "linear":
+        return _linear(p[0], p[1], x)
+    n, en = _linear(p[0], p[1], x)
+    d, ed = _linear(p[2], p[3], x)
+    if not abs(d) > 2 * ed:
+        return math.nan, math.nan
+    q = n / d
+    return q, 3 * (en + (abs(q) + TINY) * ed) / abs(d) + 2 * UNIT * abs(q) + TINY
+
+
 @dataclass(frozen=True)
 class PiecewiseU(FunctionSpec):
     """Autonomous piecewise function of u with linear/constant/rational branches."""
@@ -430,28 +469,63 @@ class PiecewiseU(FunctionSpec):
         breakpoints = [p.until for p in self.pieces[:-1]]
         if any(b is None for b in breakpoints):
             raise FunctionSpecError("only the final branch may be unbounded")
-        for left, right in zip(breakpoints, breakpoints[1:]):
-            if not right > left:
+        # Every check below is on exact values.  filtered_sign decides each one from floats, with
+        # the rounding bound derived at the use, and computes exactly only where they cannot.
+        try:
+            xs = (0.0, *self._edges[1:-1])  # xs[i]: the left end of branch i as a float
+            floats = [p._floats for p in self.pieces]
+        except OverflowError:  # a number beyond float range: NaN leaves every check to exact arithmetic
+            xs = (math.nan,) * len(self.pieces)
+            floats = [(math.nan,) * len(p.params) for p in self.pieces]
+        if breakpoints and _sign(breakpoints[0], xs[1]) <= 0:
+            raise FunctionSpecError(f"pieces[0].until = {breakpoints[0]} is not positive: f is defined for u >= 0 only")
+        for i, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
+            # right - left: each end strays from its real by 2 UNIT of its float plus TINY (_sign), and
+            # the subtraction rounds by UNIT (|x_left| + |x_right|) at most, with no absolute term.
+            x_left, x_right = xs[i + 1], xs[i + 2]
+            err = 3 * UNIT * (abs(x_left) + abs(x_right)) + 2 * TINY
+            if filtered_sign(x_right - x_left, err, lambda: (right > left) - (right < left)) <= 0:
                 raise FunctionSpecError(
                     f"breakpoints must be strictly ascending, got {left} then {right}"
                 )
         # Before the continuity check, which evaluates each branch at its ends and would divide by zero at a pole there.
-        for left, piece in zip([0, *breakpoints], self.pieces):
+        for i, (left, piece) in enumerate(zip([0, *breakpoints], self.pieces)):
             if piece.form == "rational-linear":
                 # No pole on the branch iff the denominator has one sign at both ends
                 # (at u = inf: the sign of b1, or of b0 when b1 = 0).
                 b1, b0 = piece.params[2:]
-                far = (b1 or b0) if piece.until is None else b1 * piece.until + b0
-                if (b1 * left + b0) * far <= 0:
+                f1, f0 = floats[i][2:]
+                near = filtered_sign(*_linear(f1, f0, xs[i]), lambda: b1 * left + b0)
+                if piece.until is None:
+                    far = _sign(b1, f1) or _sign(b0, f0)
+                else:
+                    far = filtered_sign(*_linear(f1, f0, xs[i + 1]), lambda: b1 * piece.until + b0)
+                if near * far <= 0:
                     raise FunctionSpecError(f"rational-linear branch on [{left}, {piece.until}] has a pole")
         for i, b in enumerate(breakpoints):
-            lo = self.pieces[i].evaluate(b if isinstance(b, Fraction) else float(b))
-            hi = self.pieces[i + 1].evaluate(b if isinstance(b, Fraction) else float(b))
-            if abs(float(lo) - float(hi)) > BREAKPOINT_TOL:
+            lo, lo_err = _branch(self.pieces[i].form, floats[i], xs[i + 1])
+            hi, hi_err = _branch(self.pieces[i + 1].form, floats[i + 1], xs[i + 1])
+            # |lo - hi| - BREAKPOINT_TOL strays from the exact gap less the tolerance (a double, so exact)
+            # by lo_err + hi_err, plus the roundings of the subtractions: UNIT (|lo| + |hi|) and
+            # UNIT (|lo| + |hi| + BREAKPOINT_TOL) at most, and 3 UNIT covers both with slack.
+            excess = abs(lo - hi) - BREAKPOINT_TOL
+            err = lo_err + hi_err + 3 * UNIT * (abs(lo) + abs(hi) + BREAKPOINT_TOL)
+            if filtered_sign(excess, err, lambda: self._gap_at(i, b) - Fraction(BREAKPOINT_TOL)) > 0:
+                lo, hi = self._values_at(i, b)
                 raise FunctionSpecError(
                     f"discontinuity at breakpoint u = {b}: "
                     f"left branch gives {float(lo)!r}, right branch gives {float(hi)!r}"
                 )
+
+    def _values_at(self, i: int, b) -> tuple:
+        """Branches i and i + 1 at their common breakpoint b: exact when b and their parameters are."""
+        u = b if isinstance(b, Fraction) else float(b)
+        return self.pieces[i].evaluate(u), self.pieces[i + 1].evaluate(u)
+
+    def _gap_at(self, i: int, b):
+        """|lo - hi| of _values_at(i, b), exactly; a value that is inf or NaN makes it a float that is one."""
+        lo, hi = (Fraction(v) if not isinstance(v, float) or math.isfinite(v) else v for v in self._values_at(i, b))
+        return abs(lo - hi)
 
     def _value(self, t, u):
         return self._on_branches(Piece.evaluate, u)
@@ -643,7 +717,8 @@ def _params(doc: dict, where: str) -> list:
     return [parse_field(x, f"{where}.params[{i}]") for i, x in enumerate(params)]
 
 
-def _parse_pieces(doc_pieces, where: str) -> tuple[Piece, ...]:
+def _parse_piecewise(doc_pieces, where: str) -> PiecewiseU:
+    """The PiecewiseU of a document's pieces; a breakpoint it rejects is named as the document does, f.pieces[0].until."""
     if not isinstance(doc_pieces, list) or not all(isinstance(frag, dict) for frag in doc_pieces):
         raise FunctionSpecError(f"{where}.pieces must be a list of objects, got {doc_pieces!r}")
     pieces = []
@@ -651,23 +726,34 @@ def _parse_pieces(doc_pieces, where: str) -> tuple[Piece, ...]:
         until, at = frag.get("until"), f"{where}.pieces[{i}]"
         until = None if until is None else parse_field(until, f"{at}.until")
         pieces.append(Piece(until, frag.get("form"), tuple(_params(frag, at))))
-    return tuple(pieces)
+    try:
+        return PiecewiseU(pieces=tuple(pieces))
+    except FunctionSpecError as exc:
+        if not str(exc).startswith("pieces["):
+            raise
+        raise FunctionSpecError(f"{where}.{exc}") from exc
 
 
 def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = F_CHECK_U_MAX) -> FunctionSpec:
     """Build a FunctionSpec from a config fragment and run construction checks.
 
-    Rejects unknown kinds, discontinuous piecewise tables, rational-linear
-    branches with a pole, and any spec whose range on [0, t_max] x [0, u_max]
-    reaches below 0.  A `monotone_in_u` key is accepted and ignored: the range
-    finds each form's extrema without it.  `separable-exponential-piecewise`
-    [rate] with `pieces` is the product exp(-rate*t) * piecewise(u).  A number
-    malformed or beyond float range is a ValueError naming it, as f.params[0].
+    Rejects unknown kinds, discontinuous piecewise tables, breakpoints at or
+    below 0, rational-linear branches with a pole, and any spec whose range
+    on [0, t_max] x [0, u_max] reaches below 0.  A `monotone_in_u` key is
+    accepted and ignored: the range finds each form's extrema without it.
+    `separable-exponential-piecewise` [rate] with `pieces` is the product
+    exp(-rate*t) * piecewise(u).  A number malformed or beyond float range is
+    a ValueError naming it, as f.params[0].
     """
+    return parse_function_spec_with_range(doc, t_max, u_max)[0]
+
+
+def parse_function_spec_with_range(doc: dict, t_max: float = 1.0, u_max: float = F_CHECK_U_MAX) -> tuple[FunctionSpec, Range]:
+    """parse_function_spec's spec, and the Range on [0, t_max] x [0, u_max] its nonnegativity check took."""
     return _parse_spec(doc, t_max, u_max, "f")
 
 
-def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSpec:
+def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> tuple[FunctionSpec, Range]:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FunctionSpecError(f"function spec must be an object with a 'kind': {doc!r}")
     kind = doc["kind"]
@@ -686,7 +772,7 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSp
             raise FunctionSpecError("polynomial needs at least one coefficient")
         spec = PolynomialU(coeffs=tuple(params))
     elif kind == "piecewise":
-        spec = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", []), where))
+        spec = _parse_piecewise(doc.get("pieces", []), where)
     elif kind == "piecewise-linear-table":
         if len(params) < 4 or len(params) % 2:
             raise FunctionSpecError("piecewise-linear-table params are flattened (u, v) pairs")
@@ -695,7 +781,7 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSp
     elif kind == "separable-exponential-piecewise":
         if len(params) != 1:
             raise FunctionSpecError("separable-exponential-piecewise takes params [rate]")
-        h = PiecewiseU(pieces=_parse_pieces(doc.get("pieces", []), where))
+        h = _parse_piecewise(doc.get("pieces", []), where)
         spec = ProductF(time_factor=ExpDecay(rate=params[0]), u_factor=h)
     elif kind == "product":
         time_doc = doc.get("time")
@@ -714,7 +800,7 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSp
             tf = PolynomialT(coeffs=tuple(tparams))
         else:
             raise FunctionSpecError(f"unknown time-factor kind {tkind!r}")
-        spec = ProductF(time_factor=tf, u_factor=_parse_spec(u_doc, t_max, u_max, f"{where}.u"))
+        spec = ProductF(time_factor=tf, u_factor=_parse_spec(u_doc, t_max, u_max, f"{where}.u")[0])
     else:
         raise FunctionSpecError(f"unknown function kind {kind!r}")
 
@@ -723,4 +809,4 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> FunctionSp
         raise FunctionSpecError(f"nonlinearity is not finite on [0, {float(t_max)}] x [0, {float(u_max)}]")
     if r.lo < 0:
         raise FunctionSpecError(f"nonlinearity is negative at (t, u) = {r.lo_at}: {r.lo} ({r.method} bound)")
-    return spec
+    return spec, r

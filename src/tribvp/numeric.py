@@ -5,7 +5,9 @@ floats.  Downstream arithmetic is written with plain Python operators, so a
 computation stays exact whenever every operand is a Fraction and silently
 degrades to double precision otherwise.  The constants' closed forms run on
 `exact_operands`, which trades Fractions for `Unreduced` rationals, and reduce
-each result once.
+each result once.  A check on exact values that a float decides by a wide
+margin goes through `filtered_sign`, which computes exactly only where the
+float cannot decide.
 """
 
 from __future__ import annotations
@@ -16,12 +18,31 @@ from numbers import Rational
 Number = float | Fraction
 
 
+# Unit roundoff of round-to-nearest doubles, and the least positive double.  Rounding a real x
+# to a double, as one arithmetic operation or a conversion does, gives x (1 + d) + e with
+# |d| <= UNIT and |e| <= TINY / 2, e nonzero only below the normal range and never for + and -
+# (Higham, *Accuracy and Stability of Numerical Algorithms*, section 2.1).
+UNIT = 2.0 ** -53
+TINY = 2.0 ** -1074
+
+# Digits of each part of a plain numeral that parse_field reads with int(): 10**15 is far inside float range.
+_PLAIN_DIGITS = 15
+
+
 def parse_field(value, where: str) -> Number:
     """A config scalar: int/str -> Fraction (exact), float -> float; a malformed value,
-    or one beyond float range, is a ValueError naming `where`."""
+    or one beyond float range, is a ValueError naming `where`.
+
+    A plain numeral ("-" at most in front, ASCII digits, at most one "/" with a
+    nonzero denominator, at most 15 digits a part) is read with int(); any
+    other string goes through Fraction(str), with the same value or error.
+    """
     if isinstance(value, float):
         number = value
     elif isinstance(value, str):
+        plain = _plain_numeral(value)
+        if plain is not None:
+            return plain  # within float range by its digit count
         try:
             number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -35,6 +56,37 @@ def parse_field(value, where: str) -> Number:
     except OverflowError as exc:
         raise ValueError(f"{where} = {value!r} is beyond float range") from exc
     return number
+
+
+def _plain_numeral(text: str) -> Fraction | None:
+    """Fraction(text) for a plain numeral as parse_field defines it; None for any other string."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (text.isascii() and digits.isdigit() and len(digits) <= _PLAIN_DIGITS):
+        return None
+    if not slash:
+        return Fraction(int(num))
+    if not (den.isdigit() and len(den) <= _PLAIN_DIGITS):
+        return None
+    d = int(den)
+    return Fraction(int(num), d) if d else None
+
+
+def filtered_sign(approx: float, err: float, exact) -> int:
+    """The sign (-1, 0 or 1) of a real q known to lie within err of the float approx.
+
+    A float filter (Shewchuk, *Discrete Comput. Geom.* 18, 1997): when approx
+    lies farther than err from 0, q has its sign and exact is not called;
+    otherwise, and whenever approx or err is NaN or err is inf, exact() gives
+    q, or any number with q's sign, computed exactly.  Each caller derives its
+    err from the operations that produced approx.
+    """
+    if approx > err:
+        return 1
+    if approx < -err:
+        return -1
+    q = exact()
+    return (q > 0) - (q < 0)
 
 
 def is_exact(*values) -> bool:

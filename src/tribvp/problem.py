@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .functions import F_CHECK_U_MAX, FunctionSpec
+from .functions import F_CHECK_U_MAX, FunctionSpec, Range
 from .numeric import Number, exact_operands, is_exact, reduced
 
 # Strict inequalities are checked with zero tolerance in exact-rational mode
@@ -109,17 +109,18 @@ class HypothesisReport:
         }
 
 
-def validate_hypotheses(p: Problem, u_max: float = F_CHECK_U_MAX) -> HypothesisReport:
+def validate_hypotheses(p: Problem, u_max: float = F_CHECK_U_MAX, f_range: Range | None = None) -> HypothesisReport:
     """Check the parameter bounds and the f-hypothesis.
 
     The bound checks are strict: zero tolerance when the parameters are exact
     rationals, 1e-12 otherwise.  The f check bounds f over [0, T] x [0, u_max]
     with its `range` and requires f >= 0 on the whole box and f > 0 somewhere;
     f is continuous, so a positive value means f does not vanish on a set of
-    positive measure.
+    positive measure.  f_range, when given, is p.f's range on that box,
+    already taken (as a run's configuration takes it), and is used as is.
     """
     h2_alpha_ok, h2_beta_ok, messages = check_h2(p)
-    h1_ok, h1_messages = _check_f(p, float(u_max))
+    h1_ok, h1_messages = _check_f(p, float(u_max), f_range)
     return HypothesisReport(h2_alpha_ok, h2_beta_ok, h1_ok, messages + h1_messages)
 
 
@@ -150,15 +151,16 @@ def check_h2(p: Problem) -> tuple[bool, bool, tuple]:
     return h2_alpha_ok, h2_beta_ok, tuple(messages)
 
 
-def _check_f(p: Problem, u_hi: float):
+def _check_f(p: Problem, u_hi: float, r: Range | None):
     if p.f is None:
         return False, ("no nonlinearity configured",)
     T = p.floats[0]
     box = f"[0, {T}] x [0, {u_hi}]"
-    try:
-        r = p.f.range(0.0, T, 0.0, u_hi)
-    except Exception as exc:  # report a failing user-supplied f as a failed hypothesis
-        return False, (f"f evaluation failed on {box}: {exc}",)
+    if r is None:
+        try:
+            r = p.f.range(0.0, T, 0.0, u_hi)
+        except Exception as exc:  # report a failing user-supplied f as a failed hypothesis
+            return False, (f"f evaluation failed on {box}: {exc}",)
     if not (math.isfinite(r.lo) and math.isfinite(r.hi)):
         return False, (f"f is not finite on {box}",)
     if r.lo < 0:

@@ -33,7 +33,9 @@ class RunOutcome:
     message: str = ""
 
 
-class _StageTimer:
+class StageTimer:
+    """Wall time per named stage of one run, for the report's timing section."""
+
     def __init__(self):
         self.stages: dict[str, float] = {}
 
@@ -46,17 +48,19 @@ class _StageTimer:
             self.stages[name] = time.perf_counter() - start
 
 
-def run(cfg: RunConfig) -> RunOutcome:
+def run(cfg: RunConfig, timer: StageTimer | None = None) -> RunOutcome:
     """Execute the stages implied by cfg.mode and write artifacts to output_dir.
 
-    If writing an artifact raises OSError, the files this run wrote are removed before it propagates.
+    The report's timing section holds timer's stages (the caller's, as loading
+    the configuration) and this run's.  If writing an artifact raises OSError,
+    the files this run wrote are removed before it propagates.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    timer = _StageTimer()
+    timer = StageTimer() if timer is None else timer
     p = cfg.problem
 
     with timer.time("validate"):
-        hypothesis = validate_hypotheses(p, u_max=f_check_u_max(cfg.thresholds))
+        hypothesis = validate_hypotheses(p, u_max=f_check_u_max(cfg.thresholds), f_range=cfg.f_range)
     report = {"schema_version": SCHEMA_VERSION, "config": cfg.to_doc(), "hypothesis": hypothesis.to_dict(),
               "constants": None, "certificate": None, "solutions": None}
     curve_paths = []
@@ -116,7 +120,7 @@ def run(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(EXIT_OK, report)
 
 
-def _finish(cfg: RunConfig, timer: _StageTimer, report: dict, curve_paths: list) -> None:
+def _finish(cfg: RunConfig, timer: StageTimer, report: dict, curve_paths: list) -> None:
     """Add the stage timings to the report and write report.json; if it cannot be written, remove the run's curves (curve_paths) too."""
     if cfg.include_timing:
         report["timing"] = dict(sorted(timer.stages.items()))

@@ -523,3 +523,16 @@ def test_a_bracket_that_holds_a_feasible_point_is_not_refuted():
     p = p.with_params(f=PolynomialU(coeffs=(F(1),)))
     assert certify_module._cap(p, T, 0.25, np.array([math.nextafter(4.0, 5.0)]), strict=True)[0].all()
     assert not certify_module._cap_refuted(p, T, 0.25, 4.0, 4.0, strict=True)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 19")
+def test_d1_met_with_equality_in_exact_arithmetic_is_refused(tmp_path):
+    # f(a) = m*a exactly: 10610/309 * a^2/(a^2 + 1) at a = 1/103 is 1/309 = m/103 with m = 1/3, and
+    # D1 is strict, so the verdict must be false; round-to-nearest floats read a margin of about 1e-18
+    doc = json.loads((CONFIG_DIR / "sigmoid.json").read_text())
+    doc["problem"]["f"]["params"] = ["10610/309"]
+    doc["thresholds"] = {"a": "1/103", "b": 2, "c": 124}
+    config = tmp_path / "d1_equality.json"
+    config.write_text(json.dumps(doc))
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out"), "--no-timing"]) == 4
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["certificate"]["verdict"] is False

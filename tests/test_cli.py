@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from tribvp import cli, grid
+from tribvp import cli, grid, validate_hypotheses
 from tribvp.cli import build_parser, main
 from tribvp.config import parse_run_config
+from tribvp.functions import RationalSigmoid
 from tribvp.runner import parse_axes, run, sweep
+
+from conftest import make_sigmoid_problem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIGMOID = str(CONFIG_DIR / "sigmoid.json")
@@ -186,6 +189,19 @@ def test_config_errors_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         if f_doc in pole_at_breakpoint:
             assert "config error: rational-linear branch on [2, None] has a pole" in err, err
+
+    # f is defined for u >= 0 only: a breakpoint at or below 0 is named, before a pole beyond it is sought
+    for until, first in (
+        ("-2", {"form": "rational-linear", "params": [1, 0, 1, 1]}),
+        ("-1", {"form": "linear", "params": [0, 1]}),
+        ("0", {"form": "linear", "params": [1, 1]}),
+    ):
+        pieces = [{"until": until, **first}, {"until": None, "form": "constant", "params": [1 if until != "-2" else 2]}]
+        bad = tmp_path / "bad_breakpoint.json"
+        bad.write_text(json.dumps({"problem": {**problem, "f": {"kind": "piecewise", "pieces": pieces}}}))
+        assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2, until
+        err = capsys.readouterr().err
+        assert f"config error: f.pieces[0].until = {until} is not positive" in err, err
 
     # f is -1 at u = 0.115, between the points any coarse sample would take
     dip = tmp_path / "dip.json"
@@ -500,7 +516,24 @@ def test_a_failed_write_leaves_no_file_of_the_run(argv, blocked, tmp_path, capsy
 def test_solve_times_the_csv_write(tmp_path):
     assert main(["solve", "--config", SIGMOID, "--grid", "65", "--out", str(tmp_path / "t")]) == 0
     timing = read_report(tmp_path / "t")["timing"]
-    assert sorted(timing) == ["certify", "constants", "solve", "validate", "write_solutions"]
-    assert timing["write_solutions"] > 0
+    assert sorted(timing) == ["certify", "constants", "load_config", "solve", "validate", "write_solutions"]
+    assert timing["write_solutions"] > 0 and timing["load_config"] > 0
     assert main(["solve", "--config", SIGMOID, "--grid", "65", "--out", str(tmp_path / "n"), "--no-timing"]) == 0
     assert "timing" not in read_report(tmp_path / "n")
+
+
+def test_a_run_from_a_document_bounds_the_f_check_box_once(tmp_path, monkeypatch):
+    # a work count: the construction check's range of f on [0, T] x [0, 2c] is the H1 check's too,
+    # while a Problem built in Python has none, and validate_hypotheses bounds that box itself
+    box, calls = (0.0, 1.0, 0.0, 248.0), []
+    bound = RationalSigmoid.range
+
+    def counted(self, t_lo, t_hi, u_lo, u_hi):
+        calls.append(isinstance(u_hi, float) and (t_lo, t_hi, u_lo, u_hi) == box)
+        return bound(self, t_lo, t_hi, u_lo, u_hi)
+
+    monkeypatch.setattr(RationalSigmoid, "range", counted)
+    assert main(["certify", "--config", SIGMOID, "--out", str(tmp_path), "--no-timing"]) == 0
+    assert calls.count(True) == 1
+    assert validate_hypotheses(make_sigmoid_problem(), u_max=248.0).h1_ok
+    assert calls.count(True) == 2

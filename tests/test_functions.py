@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tribvp import FunctionDomainError, FunctionSpecError, functions, parse_function_spec
 from tribvp.functions import (
+    BREAKPOINT_TOL,
     FunctionSpec,
     ExpDecay,
     Piece,
@@ -296,6 +297,109 @@ def test_rational_linear_pole_on_branch_rejected(pieces):
     # 1/(u - 2) has its pole at u = 2, inside the branch
     with pytest.raises(FunctionSpecError, match="pole"):
         PiecewiseU(pieces=pieces)
+
+
+def _exact_rejection(pieces) -> str | None:
+    """The first check PiecewiseU's construction fails, decided in exact arithmetic on the breakpoints,
+    the parameters and the values the branches give (exact for Fractions, the float evaluation otherwise)."""
+    breakpoints = [p.until for p in pieces[:-1]]
+    if breakpoints and not breakpoints[0] > 0:
+        return "is not positive"
+    if any(not right > left for left, right in zip(breakpoints, breakpoints[1:])):
+        return "strictly ascending"
+    for left, p in zip([0, *breakpoints], pieces):
+        if p.form == "rational-linear":
+            b1, b0 = p.params[2:]
+            far = (b1 or b0) if p.until is None else b1 * p.until + b0
+            if F(b1 * left + b0) * F(far) <= 0:
+                return "has a pole"
+    for i, b in enumerate(breakpoints):
+        u = b if isinstance(b, F) else float(b)
+        if abs(F(pieces[i].evaluate(u)) - F(pieces[i + 1].evaluate(u))) > F(BREAKPOINT_TOL):
+            return "discontinuity"
+    return None
+
+
+# Gaps between the branches at a breakpoint: none, the tolerance and the doubles on either side of it.
+_GAPS = [F(0), F(BREAKPOINT_TOL), F(math.nextafter(BREAKPOINT_TOL, 0)), F(math.nextafter(BREAKPOINT_TOL, 1)),
+         F(1, 10**12), F(3, 10**9)]
+
+
+@st.composite
+def _branches(draw):
+    """Two or three branches: breakpoints that floats may not tell apart, and a second branch that meets
+    the first within a gap near BREAKPOINT_TOL or has its denominator vanish at one of its ends."""
+    def rational(max_exp=6):
+        return F(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**6))) * F(10) ** draw(st.integers(-3, max_exp))
+
+    b = (abs(rational()) or F(1)) if draw(st.integers(0, 5)) else draw(st.sampled_from([F(0), F(-1), F(1, 10**400)]))
+    step = draw(st.sampled_from([F(1), F(1, 10**30), F(0), F(-1, 10**30), F(1, 3)]))
+    a, c = rational(), rational()
+    value = a * b + c + draw(st.sampled_from([1, -1])) * draw(st.sampled_from(_GAPS))
+    form = draw(st.sampled_from(["constant", "linear", "rational-linear"]))
+    if form == "constant":
+        params = (value,)
+    elif form == "linear":
+        slope = rational()
+        params = (slope, value - slope * b)
+    else:
+        d1 = rational()
+        d0 = draw(st.sampled_from([-d1 * b, -d1 * (b + step), rational() or F(1)]))
+        n1, den = rational(), d1 * b + d0
+        params = (n1, value * den - n1 * b, d1, d0)
+    pieces = [Piece(b, "linear", (a, c))]
+    if draw(st.booleans()):
+        pieces += [Piece(b + step, form, params), Piece(None, "constant", (draw(st.sampled_from([F(1), F(0)])),))]
+    else:
+        pieces += [Piece(None, form, params)]
+    if draw(st.booleans()):  # float parameters and breakpoints: checked on what the floats evaluate to
+        pieces = [Piece(None if p.until is None else float(p.until), p.form, tuple(float(x) for x in p.params))
+                  for p in pieces]
+    return tuple(pieces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_branches())
+def test_piecewise_construction_decides_each_check_exactly(pieces):
+    expected = _exact_rejection(pieces)
+    if expected is None:
+        PiecewiseU(pieces=pieces)
+    else:
+        with pytest.raises(FunctionSpecError, match=expected):
+            PiecewiseU(pieces=pieces)
+
+
+@pytest.mark.parametrize("gap", [-1, 0, 1])
+@pytest.mark.parametrize("level", [F(87), F(10**6, 3)])
+def test_a_continuity_gap_at_the_tolerance_is_decided_exactly(gap, level):
+    # the branches meet BREAKPOINT_TOL apart, or one double step of it nearer or farther: only
+    # exact arithmetic tells these apart at the level 87 or 10^6/3, where a float's ulp is above 1e-14
+    tol = F(math.nextafter(BREAKPOINT_TOL, {-1: 0, 0: BREAKPOINT_TOL, 1: 1}[gap]))
+    pieces = (Piece(F(2), "linear", (level / 2, F(0))), Piece(None, "constant", (level + tol,)))
+    if gap > 0:
+        with pytest.raises(FunctionSpecError, match="discontinuity"):
+            PiecewiseU(pieces=pieces)
+    else:
+        PiecewiseU(pieces=pieces)
+
+
+def test_a_denominator_vanishing_exactly_at_a_branch_end_is_a_pole():
+    # 1/(u - b) with b = 1/3 + 10^-30, which no double tells apart from 1/3, the branch's left end or its right end
+    b = F(1, 3) + F(1, 10**30)
+    for left, right in ((b, F(2)), (F(1, 3), b)):
+        pieces = (Piece(left, "constant", (F(1),)), Piece(right, "rational-linear", (F(0), F(1), F(1), -b)),
+                  Piece(None, "constant", (F(1),)))
+        with pytest.raises(FunctionSpecError, match="has a pole"):
+            PiecewiseU(pieces=pieces)
+
+
+def test_numbers_beyond_float_range_are_checked_exactly():
+    # no float holds 10^400: the construction checks fall back to exact arithmetic instead of raising
+    huge = F(10**400)
+    PiecewiseU(pieces=(Piece(huge, "constant", (F(1),)), Piece(None, "constant", (F(1),))))
+    PiecewiseU(pieces=(Piece(F(2), "constant", (huge,)), Piece(None, "constant", (huge,))))
+    with pytest.raises(FunctionSpecError, match="has a pole"):
+        PiecewiseU(pieces=(Piece(F(2), "constant", (F(1),)), Piece(None, "rational-linear", (F(0), huge, F(1), -huge))))
 
 
 def test_form_without_range_cannot_be_constructed():
