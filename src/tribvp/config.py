@@ -30,6 +30,10 @@ from .problem import Problem
 
 MODES = ("constants", "certify", "solve", "sweep")
 
+# The largest grid_n, 2^16 + 1: a run holds a few float vectors of grid_n entries, and a grid far larger
+# would fail in numpy's allocator (or be killed) instead of being refused here.
+MAX_GRID_N = 65537
+
 
 def f_check_u_max(thresholds: ThresholdTriple | None) -> float:
     """u range of the f >= 0 checks, at construction and for H1: 2c, or F_CHECK_U_MAX without thresholds."""
@@ -73,6 +77,8 @@ class RunConfig:
         n = self.grid_n
         if not isinstance(n, int) or isinstance(n, bool) or n < 65 or n % 2 == 0:
             raise ConfigError(f"grid_n must be an odd integer >= 65, got {n!r}")
+        if n > MAX_GRID_N:
+            raise ConfigError(f"grid_n = {n} is above the largest grid, {MAX_GRID_N}")
 
     def to_doc(self) -> dict:
         p = self.problem

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FunctionDomainError, FunctionSpecError
-from .numeric import TINY, UNIT, Number, filtered_sign, is_exact, parse_field, render_number
+from .numeric import Number, is_exact, parse_field, render_number
 
 # Below this, a negative u is treated as a domain violation rather than noise.
 NEGATIVE_U_TOL = 1e-10
@@ -414,43 +414,44 @@ class Piece:
         }
 
 
-def _sign(value, x: float) -> int:
-    """The sign of the number value whose nearest double is x: rounding to x moves a real v
-    by UNIT |v| + TINY/2 at most, which is under 2 UNIT |x| + TINY."""
-    return filtered_sign(x, 2 * UNIT * abs(x) + TINY, lambda: value)
+def _line(a, b, x) -> tuple[int, int]:
+    """a*x + b as integers n, d with d > 0, for exact a, b and x."""
+    an, ad, bn, bd, xn, xd = a.numerator, a.denominator, b.numerator, b.denominator, x.numerator, x.denominator
+    return an * xn * bd + bn * ad * xd, ad * bd * xd
 
 
-def _linear(a: float, b: float, x: float) -> tuple[float, float]:
-    """a*x + b in floats, as Piece.evaluate computes it, and a bound on its distance from A*X + B,
-    where a, b and x are the doubles nearest the reals A, B and X (or are A, B and X).
-
-    Each of a, b and x strays by UNIT of itself (with slack) plus TINY/2; so a*x strays from A*X by
-    2 UNIT |ax| + (|a| + |x|) TINY/2, its rounding adds UNIT |ax| + TINY/2, b adds UNIT |b| +
-    TINY/2 and the sum's rounding UNIT (|ax| + |b|): under 5 UNIT (|ax| + |b|) + TINY (|a| + |x| + 2).
-    """
-    ax = a * x
-    return ax + b, 5 * UNIT * (abs(ax) + abs(b)) + TINY * (abs(a) + abs(x) + 2)
+def _sign_of_line(a, b, x) -> int:
+    """The sign of a*x + b: in integers when a, b and x are exact, else of Python's float value (0 for NaN)."""
+    v = _line(a, b, x)[0] if is_exact(a, b, x) else a * x + b
+    return (v > 0) - (v < 0)
 
 
-def _branch(form: str, p: tuple, x: float) -> tuple[float, float]:
-    """A branch of the given form, with float parameters p, at x, as _linear gives a line.
+def _value_at(piece: Piece, b):
+    """The branch's value at breakpoint b as integers n, d with d > 0: exact when b is a Fraction and the
+    parameters are exact, else those of the float Piece.evaluate gives at float(b), which stays a float
+    when it is inf or NaN."""
+    if isinstance(b, Fraction) and is_exact(*piece.params):
+        if piece.form == "constant":
+            c = piece.params[0]
+            return c.numerator, c.denominator
+        n, d = _line(*piece.params[:2], b)
+        if piece.form == "linear":
+            return n, d
+        dn, dd = _line(*piece.params[2:], b)  # rational-linear: nonzero, as the pole check proved
+        return (n * dd, d * dn) if dn > 0 else (-n * dd, -d * dn)
+    v = piece.evaluate(float(b))
+    return v.as_integer_ratio() if math.isfinite(v) else v
 
-    A constant strays by 2 UNIT of itself plus TINY (_sign).  A quotient n/d, with n and d within
-    en and ed of N and D and |d| > 2 ed, has |N/D - n/d| <= (en + |n/d| ed)/(|d| - ed) <= 2 (en + |n/d|
-    ed)/|d|, and |n/d| <= |q| + TINY with some slack for q = fl(n/d), which itself rounds by UNIT |q|
-    + TINY/2; 3 in place of 2 and 2 UNIT in place of UNIT cover the roundings of the bound.  A
-    denominator within 2 ed of 0 gives NaN, which leaves the check to exact arithmetic.
-    """
-    if form == "constant":
-        return p[0], 2 * UNIT * abs(p[0]) + TINY
-    if form == "linear":
-        return _linear(p[0], p[1], x)
-    n, en = _linear(p[0], p[1], x)
-    d, ed = _linear(p[2], p[3], x)
-    if not abs(d) > 2 * ed:
-        return math.nan, math.nan
-    q = n / d
-    return q, 3 * (en + (abs(q) + TINY) * ed) / abs(d) + 2 * UNIT * abs(q) + TINY
+
+_TOL_N, _TOL_D = BREAKPOINT_TOL.as_integer_ratio()
+
+
+def _apart(lo, hi) -> bool:
+    """|lo - hi| > BREAKPOINT_TOL, exactly, for values as _value_at gives them."""
+    if type(lo) is float or type(hi) is float:  # inf or NaN: any finite x (0.0 here) leaves inf - x and NaN - x as they are
+        return abs((lo if type(lo) is float else 0.0) - (hi if type(hi) is float else 0.0)) > BREAKPOINT_TOL
+    (n1, d1), (n2, d2) = lo, hi
+    return abs(n1 * d2 - n2 * d1) * _TOL_D > _TOL_N * d1 * d2
 
 
 @dataclass(frozen=True)
@@ -469,63 +470,33 @@ class PiecewiseU(FunctionSpec):
         breakpoints = [p.until for p in self.pieces[:-1]]
         if any(b is None for b in breakpoints):
             raise FunctionSpecError("only the final branch may be unbounded")
-        # Every check below is on exact values.  filtered_sign decides each one from floats, with
-        # the rounding bound derived at the use, and computes exactly only where they cannot.
-        try:
-            xs = (0.0, *self._edges[1:-1])  # xs[i]: the left end of branch i as a float
-            floats = [p._floats for p in self.pieces]
-        except OverflowError:  # a number beyond float range: NaN leaves every check to exact arithmetic
-            xs = (math.nan,) * len(self.pieces)
-            floats = [(math.nan,) * len(p.params) for p in self.pieces]
-        if breakpoints and _sign(breakpoints[0], xs[1]) <= 0:
+        # Every check below is on exact values: plain comparisons, and integers where a branch is exact.
+        if breakpoints and not breakpoints[0] > 0:
             raise FunctionSpecError(f"pieces[0].until = {breakpoints[0]} is not positive: f is defined for u >= 0 only")
-        for i, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-            # right - left: each end strays from its real by 2 UNIT of its float plus TINY (_sign), and
-            # the subtraction rounds by UNIT (|x_left| + |x_right|) at most, with no absolute term.
-            x_left, x_right = xs[i + 1], xs[i + 2]
-            err = 3 * UNIT * (abs(x_left) + abs(x_right)) + 2 * TINY
-            if filtered_sign(x_right - x_left, err, lambda: (right > left) - (right < left)) <= 0:
+        for left, right in zip(breakpoints, breakpoints[1:]):
+            if not right > left:
                 raise FunctionSpecError(
                     f"breakpoints must be strictly ascending, got {left} then {right}"
                 )
         # Before the continuity check, which evaluates each branch at its ends and would divide by zero at a pole there.
-        for i, (left, piece) in enumerate(zip([0, *breakpoints], self.pieces)):
+        for left, piece in zip([0, *breakpoints], self.pieces):
             if piece.form == "rational-linear":
                 # No pole on the branch iff the denominator has one sign at both ends
                 # (at u = inf: the sign of b1, or of b0 when b1 = 0).
                 b1, b0 = piece.params[2:]
-                f1, f0 = floats[i][2:]
-                near = filtered_sign(*_linear(f1, f0, xs[i]), lambda: b1 * left + b0)
                 if piece.until is None:
-                    far = _sign(b1, f1) or _sign(b0, f0)
+                    far = ((b1 > 0) - (b1 < 0)) or (b0 > 0) - (b0 < 0)
                 else:
-                    far = filtered_sign(*_linear(f1, f0, xs[i + 1]), lambda: b1 * piece.until + b0)
-                if near * far <= 0:
+                    far = _sign_of_line(b1, b0, piece.until)
+                if _sign_of_line(b1, b0, left) * far <= 0:
                     raise FunctionSpecError(f"rational-linear branch on [{left}, {piece.until}] has a pole")
         for i, b in enumerate(breakpoints):
-            lo, lo_err = _branch(self.pieces[i].form, floats[i], xs[i + 1])
-            hi, hi_err = _branch(self.pieces[i + 1].form, floats[i + 1], xs[i + 1])
-            # |lo - hi| - BREAKPOINT_TOL strays from the exact gap less the tolerance (a double, so exact)
-            # by lo_err + hi_err, plus the roundings of the subtractions: UNIT (|lo| + |hi|) and
-            # UNIT (|lo| + |hi| + BREAKPOINT_TOL) at most, and 3 UNIT covers both with slack.
-            excess = abs(lo - hi) - BREAKPOINT_TOL
-            err = lo_err + hi_err + 3 * UNIT * (abs(lo) + abs(hi) + BREAKPOINT_TOL)
-            if filtered_sign(excess, err, lambda: self._gap_at(i, b) - Fraction(BREAKPOINT_TOL)) > 0:
-                lo, hi = self._values_at(i, b)
+            if _apart(_value_at(self.pieces[i], b), _value_at(self.pieces[i + 1], b)):
+                u = b if isinstance(b, Fraction) else float(b)
+                lo, hi = (float(p.evaluate(u)) for p in self.pieces[i:i + 2])
                 raise FunctionSpecError(
-                    f"discontinuity at breakpoint u = {b}: "
-                    f"left branch gives {float(lo)!r}, right branch gives {float(hi)!r}"
+                    f"discontinuity at breakpoint u = {b}: left branch gives {lo!r}, right branch gives {hi!r}"
                 )
-
-    def _values_at(self, i: int, b) -> tuple:
-        """Branches i and i + 1 at their common breakpoint b: exact when b and their parameters are."""
-        u = b if isinstance(b, Fraction) else float(b)
-        return self.pieces[i].evaluate(u), self.pieces[i + 1].evaluate(u)
-
-    def _gap_at(self, i: int, b):
-        """|lo - hi| of _values_at(i, b), exactly; a value that is inf or NaN makes it a float that is one."""
-        lo, hi = (Fraction(v) if not isinstance(v, float) or math.isfinite(v) else v for v in self._values_at(i, b))
-        return abs(lo - hi)
 
     def _value(self, t, u):
         return self._on_branches(Piece.evaluate, u)
@@ -749,11 +720,20 @@ def parse_function_spec(doc: dict, t_max: float = 1.0, u_max: float = F_CHECK_U_
 
 
 def parse_function_spec_with_range(doc: dict, t_max: float = 1.0, u_max: float = F_CHECK_U_MAX) -> tuple[FunctionSpec, Range]:
-    """parse_function_spec's spec, and the Range on [0, t_max] x [0, u_max] its nonnegativity check took."""
-    return _parse_spec(doc, t_max, u_max, "f")
+    """parse_function_spec's spec, and the Range on [0, t_max] x [0, u_max] its nonnegativity check took.
+
+    The check bounds the whole f once; a product's factors are not bounded on their own.
+    """
+    spec = _parse_spec(doc, "f")
+    r = spec.range(0.0, float(t_max), 0.0, float(u_max))
+    if r.lo == -math.inf:
+        raise FunctionSpecError(f"nonlinearity is not finite on [0, {float(t_max)}] x [0, {float(u_max)}]")
+    if r.lo < 0:
+        raise FunctionSpecError(f"nonlinearity is negative at (t, u) = {r.lo_at}: {r.lo} ({r.method} bound)")
+    return spec, r
 
 
-def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> tuple[FunctionSpec, Range]:
+def _parse_spec(doc: dict, where: str) -> FunctionSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FunctionSpecError(f"function spec must be an object with a 'kind': {doc!r}")
     kind = doc["kind"]
@@ -762,27 +742,26 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> tuple[Func
     if kind == "autonomous-rational-sigmoid":
         if len(params) != 1:
             raise FunctionSpecError("autonomous-rational-sigmoid takes params [scale]")
-        spec = RationalSigmoid(scale=params[0])
+        return RationalSigmoid(scale=params[0])
     elif kind == "constant":
         if len(params) != 1:
             raise FunctionSpecError("constant takes params [value]")
-        spec = PolynomialU(coeffs=(params[0],))
+        return PolynomialU(coeffs=(params[0],))
     elif kind == "polynomial":
         if not params:
             raise FunctionSpecError("polynomial needs at least one coefficient")
-        spec = PolynomialU(coeffs=tuple(params))
+        return PolynomialU(coeffs=tuple(params))
     elif kind == "piecewise":
-        spec = _parse_piecewise(doc.get("pieces", []), where)
+        return _parse_piecewise(doc.get("pieces", []), where)
     elif kind == "piecewise-linear-table":
         if len(params) < 4 or len(params) % 2:
             raise FunctionSpecError("piecewise-linear-table params are flattened (u, v) pairs")
         table = tuple((params[i], params[i + 1]) for i in range(0, len(params), 2))
-        spec = PiecewiseLinearTable(table=table)
+        return PiecewiseLinearTable(table=table)
     elif kind == "separable-exponential-piecewise":
         if len(params) != 1:
             raise FunctionSpecError("separable-exponential-piecewise takes params [rate]")
-        h = _parse_piecewise(doc.get("pieces", []), where)
-        spec = ProductF(time_factor=ExpDecay(rate=params[0]), u_factor=h)
+        return ProductF(time_factor=ExpDecay(rate=params[0]), u_factor=_parse_piecewise(doc.get("pieces", []), where))
     elif kind == "product":
         time_doc = doc.get("time")
         u_doc = doc.get("u")
@@ -800,13 +779,5 @@ def _parse_spec(doc: dict, t_max: float, u_max: float, where: str) -> tuple[Func
             tf = PolynomialT(coeffs=tuple(tparams))
         else:
             raise FunctionSpecError(f"unknown time-factor kind {tkind!r}")
-        spec = ProductF(time_factor=tf, u_factor=_parse_spec(u_doc, t_max, u_max, f"{where}.u")[0])
-    else:
-        raise FunctionSpecError(f"unknown function kind {kind!r}")
-
-    r = spec.range(0.0, float(t_max), 0.0, float(u_max))
-    if r.lo == -math.inf:
-        raise FunctionSpecError(f"nonlinearity is not finite on [0, {float(t_max)}] x [0, {float(u_max)}]")
-    if r.lo < 0:
-        raise FunctionSpecError(f"nonlinearity is negative at (t, u) = {r.lo_at}: {r.lo} ({r.method} bound)")
-    return spec, r
+        return ProductF(time_factor=tf, u_factor=_parse_spec(u_doc, f"{where}.u"))
+    raise FunctionSpecError(f"unknown function kind {kind!r}")

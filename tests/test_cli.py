@@ -7,6 +7,7 @@ import pytest
 from tribvp import cli, grid, validate_hypotheses
 from tribvp.cli import build_parser, main
 from tribvp.config import parse_run_config
+from tribvp.errors import ConfigError
 from tribvp.functions import RationalSigmoid
 from tribvp.runner import parse_axes, run, sweep
 
@@ -361,6 +362,26 @@ def test_certify_without_certifiable_thresholds_exits_4_and_echoes_each_factor(t
         "time": {"kind": "polynomial", "params": ["1/2"]},
         "u": {"kind": "polynomial", "params": ["3"]},
     }
+
+
+def test_a_zero_time_factor_times_a_negative_u_factor_fails_h1(tmp_path, capsys):
+    # the whole f, 0 * (-1), is bounded at construction and loads; H1 then finds it vanishing (exit 3)
+    f = {"kind": "product", "time": {"kind": "constant", "params": [0]}, "u": {"kind": "constant", "params": [-1]}}
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({"problem": {**json.loads(Path(SIGMOID).read_text())["problem"], "f": f}}))
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "o"), "--no-timing"]) == 3
+    assert "vanishes identically" in capsys.readouterr().err
+
+
+def test_a_grid_above_the_largest_is_a_config_error(tmp_path, capsys):
+    # refused before anything is allocated; the largest grid itself is accepted (and not run here)
+    doc = json.loads(Path(SIGMOID).read_text())
+    assert parse_run_config(doc, "solve", tmp_path, grid_n=65537).grid_n == 65537
+    with pytest.raises(ConfigError, match="grid_n = 65539 is above the largest grid, 65537"):
+        parse_run_config(doc, "solve", tmp_path, grid_n=65539)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", SIGMOID, "--out", str(out), "--grid", "65539"]) == 2
+    assert "above the largest grid" in capsys.readouterr().err and not out.exists()
 
 
 def test_sweep_csv_has_full_precision(tmp_path):

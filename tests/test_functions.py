@@ -180,6 +180,33 @@ def test_parse_product_with_vanishing_time_factor():
     assert (r.lo, r.hi, r.method) == (0.0, 100.0, "exact")
 
 
+def test_a_product_document_is_bounded_once_on_its_whole_f(monkeypatch):
+    # the u factor is not bounded on its own: its one range call is the product's
+    calls = []
+    bound = PolynomialU.range
+    monkeypatch.setattr(PolynomialU, "range", lambda self, *box: calls.append(box) or bound(self, *box))
+    doc = {
+        "kind": "product",
+        "time": {"kind": "polynomial", "params": [1, "-3/2", 1]},
+        "u": {"kind": "polynomial", "params": [1, -4, 6, -4, 1]},
+    }
+    parse_function_spec(doc, t_max=1.0, u_max=248.0)
+    assert calls == [(0.0, 1.0, 0.0, 248.0)]
+
+
+def test_a_product_is_nonnegative_or_negative_as_a_whole():
+    def product(time, u):
+        return {"kind": "product", "time": {"kind": "constant", "params": [time]}, "u": {"kind": "polynomial", "params": u}}
+
+    # two negative factors: -1 * (-1 - u) = 1 + u
+    assert parse_function_spec(product(-1, [-1, -1]))(0.5, 2.0) == 3.0
+    # a zero time factor makes any u factor nonnegative (H1 then finds f vanishing)
+    assert parse_function_spec(product(0, [-1]))(0.5, 2.0) == 0.0
+    # a negative u factor alone: the point and value are the product's, 2 * (1 - 10)
+    with pytest.raises(FunctionSpecError, match=r"negative at \(t, u\) = \(0.0, 10.0\): -18.0 \(exact bound\)$"):
+        parse_function_spec(product(2, [1, -1]))
+
+
 def test_parse_unsorted_breakpoints_rejected():
     doc = {
         "kind": "piecewise",
@@ -400,6 +427,45 @@ def test_numbers_beyond_float_range_are_checked_exactly():
     PiecewiseU(pieces=(Piece(F(2), "constant", (huge,)), Piece(None, "constant", (huge,))))
     with pytest.raises(FunctionSpecError, match="has a pole"):
         PiecewiseU(pieces=(Piece(F(2), "constant", (F(1),)), Piece(None, "rational-linear", (F(0), huge, F(1), -huge))))
+
+
+def test_fraction_breakpoints_with_float_parameters_are_checked_on_the_floats():
+    # a branch with float parameters is compared at float(b), as Piece.evaluate computes it: at b = 1 + 10^-20,
+    # 1e12 * u is the double 1e12, so it meets the constant 1e12, and the exact 10^12 * b, 10^-8 above, does not
+    b = 1 + F(1, 10**20)
+    PiecewiseU(pieces=(Piece(b, "linear", (1e12, 0.0)), Piece(None, "constant", (1e12,))))
+    with pytest.raises(FunctionSpecError, match=r"gives 1000000000000\.0, right branch gives 1000000000000\.0$"):
+        PiecewiseU(pieces=(Piece(b, "linear", (F(10**12), F(0))), Piece(None, "constant", (1e12,))))
+    # the pole test too: 3.0 * (1/3 + 10^-30) - 1.0 is 0.0 in floats, and 3 * 10^-30 in exact arithmetic
+    left = F(1, 3) + F(1, 10**30)
+    with pytest.raises(FunctionSpecError, match="has a pole"):
+        PiecewiseU(pieces=(Piece(left, "constant", (1.0,)), Piece(None, "rational-linear", (0.0, 1.0, 3.0, -1.0))))
+    PiecewiseU(pieces=(Piece(left, "constant", (F(1),)), Piece(None, "rational-linear", (F(0), 3 * left - 1, F(3), F(-1)))))
+
+
+def test_int_breakpoints_are_compared_on_float_values():
+    # Piece.evaluate takes an int u as a float, so at the breakpoint 3 both branches are the double 10^9,
+    # though exactly they lie 2 * 10^-9 apart, as they do at the Fraction 3
+    def pieces(b):
+        return Piece(b, "linear", (F(10**9, 3), F(0))), Piece(None, "constant", (10**9 + F(2, 10**9),))
+
+    PiecewiseU(pieces=pieces(3))
+    with pytest.raises(FunctionSpecError, match="discontinuity at breakpoint u = 3"):
+        PiecewiseU(pieces=pieces(F(3)))
+    # the ordering compares an int with a Fraction exactly
+    with pytest.raises(FunctionSpecError, match="strictly ascending, got 3 then 3$"):
+        PiecewiseU(pieces=(Piece(3, "constant", (F(1),)), Piece(F(3), "constant", (F(1),)), Piece(None, "constant", (F(1),))))
+    PiecewiseU(pieces=(Piece(3, "constant", (F(1),)), Piece(3 + F(1, 10**20), "constant", (F(1),)), Piece(None, "constant", (F(1),))))
+
+
+def test_an_infinite_branch_value_is_a_discontinuity_and_a_nan_one_is_not():
+    # |lo - hi| > BREAKPOINT_TOL on the float values: inf - x is inf, and NaN compares false
+    with pytest.raises(FunctionSpecError, match="left branch gives inf, right branch gives 1.0$"):
+        PiecewiseU(pieces=(Piece(F(10), "linear", (1e308, 0.0)), Piece(None, "constant", (1.0,))))
+    with pytest.raises(FunctionSpecError, match="left branch gives 1.0, right branch gives inf$"):
+        PiecewiseU(pieces=(Piece(F(10), "constant", (F(1),)), Piece(None, "linear", (1e308, 0.0))))
+    PiecewiseU(pieces=(Piece(1.0, "linear", (math.inf, -math.inf)), Piece(None, "constant", (5.0,))))  # NaN at u = 1
+    PiecewiseU(pieces=(Piece(F(10), "linear", (1e308, 0.0)), Piece(None, "constant", (math.inf,))))  # inf - inf is NaN
 
 
 def test_form_without_range_cannot_be_constructed():

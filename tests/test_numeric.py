@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribvp.numeric import filtered_sign, parse_field
+from tribvp.numeric import parse_field
 
 
 def _reference_parse(text: str):
@@ -52,18 +52,3 @@ def test_parse_field_reads_a_string_as_fraction_does(text):
                                          ("999999999999999/1", 999999999999999)])
 def test_parse_field_plain_numerals(text, value):
     assert parse_field(text, "x") == value and type(parse_field(text, "x")) is F
-
-
-def test_filtered_sign_calls_exact_only_inside_the_bound():
-    calls = []
-
-    def exact(q):
-        return lambda: calls.append(q) or q
-
-    assert filtered_sign(1.0, 0.5, exact(1)) == 1 and filtered_sign(-1.0, 0.5, exact(-1)) == -1
-    assert calls == []
-    # within the bound, or with a NaN approximation or an infinite bound, the exact value decides
-    assert filtered_sign(0.25, 0.5, exact(F(-1, 10**30))) == -1
-    assert filtered_sign(float("nan"), 0.5, exact(F(0))) == 0
-    assert filtered_sign(1e300, float("inf"), exact(F(1, 7))) == 1
-    assert calls == [F(-1, 10**30), 0, F(1, 7)]
