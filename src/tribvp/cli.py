@@ -29,29 +29,29 @@ from .runner import (
 
 @functools.cache  # parse_args returns a fresh Namespace, so every main call of a process can share one parser
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every argv; its `modes` maps each mode to its subparser, for parse_args."""
     parser = argparse.ArgumentParser(prog="tribvp", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
+    parser.modes = {}
 
-    def common(sp):
+    def add_mode(name, summary):
+        sp = parser.modes[name] = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=True, help="problem configuration JSON")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--no-timing", action="store_true", help="omit timings from the report")
+        return sp
 
-    sp = sub.add_parser("constants", help="validate and compute the certification constants")
-    common(sp)
+    add_mode("constants", "validate and compute the certification constants")
 
-    sp = sub.add_parser("certify", help="check the triple-solution growth conditions")
-    common(sp)
+    sp = add_mode("certify", "check the triple-solution growth conditions")
     sp.add_argument("--a", help="override threshold a")
     sp.add_argument("--b", help="override threshold b")
     sp.add_argument("--c", help="override threshold c")
 
-    sp = sub.add_parser("solve", help="search for multiple positive solutions")
-    common(sp)
+    sp = add_mode("solve", "search for multiple positive solutions")
     sp.add_argument("--grid", type=int, help="override the grid node count")
 
-    sp = sub.add_parser("sweep", help="tabulate constants/verdicts over parameter ranges")
-    common(sp)
+    sp = add_mode("sweep", "tabulate constants/verdicts over parameter ranges")
     sp.add_argument(
         "--axis",
         action="append",
@@ -63,8 +63,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv): an argv that starts with a mode goes to that mode's subparser alone.
+
+    This is what the full parser's subparser action does with it, without the full
+    parser's own pass over argv; arguments the mode leaves are the full parser's
+    "unrecognized arguments" error, as there.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    mode = parser.modes.get(argv[0]) if argv else None
+    if mode is None:
+        return parser.parse_args(argv)
+    args, extras = mode.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.mode = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     timer = StageTimer()
     try:
         kwargs = {"include_timing": not args.no_timing}

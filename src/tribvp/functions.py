@@ -427,10 +427,10 @@ def _sign_of_line(a, b, x) -> int:
 
 
 def _value_at(piece: Piece, b):
-    """The branch's value at breakpoint b as integers n, d with d > 0: exact when b is a Fraction and the
-    parameters are exact, else those of the float Piece.evaluate gives at float(b), which stays a float
-    when it is inf or NaN."""
-    if isinstance(b, Fraction) and is_exact(*piece.params):
+    """The branch's value at breakpoint b as integers n, d with d > 0: exact when b and the parameters
+    are exact, else those of the float Piece.evaluate gives at float(b), which stays a float when it is
+    inf or NaN."""
+    if is_exact(b, *piece.params):
         if piece.form == "constant":
             c = piece.params[0]
             return c.numerator, c.denominator
@@ -492,7 +492,7 @@ class PiecewiseU(FunctionSpec):
                     raise FunctionSpecError(f"rational-linear branch on [{left}, {piece.until}] has a pole")
         for i, b in enumerate(breakpoints):
             if _apart(_value_at(self.pieces[i], b), _value_at(self.pieces[i + 1], b)):
-                u = b if isinstance(b, Fraction) else float(b)
+                u = Fraction(b) if is_exact(b) else float(b)
                 lo, hi = (float(p.evaluate(u)) for p in self.pieces[i:i + 2])
                 raise FunctionSpecError(
                     f"discontinuity at breakpoint u = {b}: left branch gives {lo!r}, right branch gives {hi!r}"

@@ -278,9 +278,14 @@ def write_files(items) -> None:
     opened = []
     try:
         for path, data in items:
-            with open(path, "wb") as fh:
-                opened.append(path)
-                fh.write(data)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            opened.append(path)
+            try:
+                rest = memoryview(data)
+                while rest:  # os.write may write less than it is given
+                    rest = rest[os.write(fd, rest):]
+            finally:
+                os.close(fd)
     except OSError:
         remove_files(opened)
         raise

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +38,22 @@ class StageTimer:
     def __init__(self):
         self.stages: dict[str, float] = {}
 
-    @contextmanager
-    def time(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stages[name] = time.perf_counter() - start
+    def time(self, name: str) -> "_Stage":
+        """A context manager that stores its block's wall time as stage name, also when the block raises."""
+        return _Stage(self.stages, name)
+
+
+class _Stage:
+    __slots__ = ("stages", "name", "start")
+
+    def __init__(self, stages: dict, name: str):
+        self.stages, self.name = stages, name
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc_info):
+        self.stages[self.name] = time.perf_counter() - self.start
 
 
 def run(cfg: RunConfig, timer: StageTimer | None = None) -> RunOutcome:

@@ -446,6 +446,66 @@ def test_build_parser_builds_once_per_process(tmp_path, monkeypatch):
     assert len(built) == 5, built
 
 
+# argv lists that main must parse as the full parser does, each with the SystemExit code that parsing it
+# gives (None: it gives a Namespace): each mode with valid arguments, help at the top level and after each
+# mode, and the usage errors
+DISPATCH_CASES = {
+    "constants": (None, ["constants", "--config", EXP, "--out", "o", "--no-timing"]),
+    "certify": (None, ["certify", "--config", SIGMOID, "--a", "1/120", "--b", "2", "--c", "124"]),
+    "solve": (None, ["solve", "--no-timing", "--config", SIGMOID, "--grid", "65"]),
+    "sweep": (None, ["sweep", "--config", SIGMOID, "--axis", "beta:0.1:0.9:3", "--axis", "eta:0.3:0.6:2"]),
+    "help": (0, ["-h"]),
+    **{f"{mode}-help": (0, [mode, "-h"]) for mode in ("constants", "certify", "solve", "sweep")},
+    "missing-config": (2, ["certify", "--out", "o"]),
+    "unknown-option": (2, ["certify", "--config", SIGMOID, "--bogus", "1"]),
+    "extra-positional": (2, ["constants", "--config", SIGMOID, "extra"]),
+    "double-dash": (2, ["certify", "--config", SIGMOID, "--", "extra"]),
+    "abbreviated": (None, ["certify", "--conf", SIGMOID]),
+    "unknown-mode": (2, ["verify", "--config", SIGMOID]),
+    "no-mode": (2, []),
+    "certify-grid": (2, ["certify", "--config", SIGMOID, "--grid", "65"]),
+}
+
+
+class _Parsed(Exception):
+    """Raised in place of a job, with the Namespace that main would run it with."""
+
+
+def _parse_outcome(call, argv, capsys):
+    """The SystemExit code, stdout, stderr and Namespace of call(argv), which returns the Namespace or raises it in _Parsed."""
+    code = args = None
+    try:
+        args = call(argv)
+    except _Parsed as parsed:
+        args = parsed.args[0]
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, args
+
+
+@pytest.mark.parametrize("code, argv", DISPATCH_CASES.values(), ids=DISPATCH_CASES.keys())
+def test_main_parses_every_argv_as_the_full_parser_does(code, argv, monkeypatch, capsys):
+    parser, parse, full_pass = build_parser(), cli.parse_args, argparse.ArgumentParser.parse_known_args
+    expected = _parse_outcome(parser.parse_args, argv, capsys)
+    assert expected[0] == code and (expected[3] is None) == (code is not None), expected
+
+    def parsed(argv):
+        raise _Parsed(parse(argv))
+
+    passes = []
+
+    def counted(self, *args):
+        passes.append(self is parser)
+        return full_pass(self, *args)
+
+    monkeypatch.setattr(cli, "parse_args", parsed)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert _parse_outcome(main, argv, capsys) == expected
+    # a work count: an argv that starts with a mode is parsed by that mode's subparser alone
+    assert passes.count(True) == (0 if argv and argv[0] in parser.modes else 1)
+
+
 def _run_and_collect(argv, out, capsys):
     """Exit code, stderr and every output file of one main call, with the output directory masked."""
     try:

@@ -443,19 +443,27 @@ def test_fraction_breakpoints_with_float_parameters_are_checked_on_the_floats():
     PiecewiseU(pieces=(Piece(left, "constant", (F(1),)), Piece(None, "rational-linear", (F(0), 3 * left - 1, F(3), F(-1)))))
 
 
-def test_int_breakpoints_are_compared_on_float_values():
-    # Piece.evaluate takes an int u as a float, so at the breakpoint 3 both branches are the double 10^9,
-    # though exactly they lie 2 * 10^-9 apart, as they do at the Fraction 3
+def test_int_breakpoints_are_compared_on_exact_values():
+    # an int breakpoint is exact, as a Fraction one is: at 3 the branches lie 2 * 10^-9 apart,
+    # though both are the double 10^9 there
     def pieces(b):
         return Piece(b, "linear", (F(10**9, 3), F(0))), Piece(None, "constant", (10**9 + F(2, 10**9),))
 
-    PiecewiseU(pieces=pieces(3))
-    with pytest.raises(FunctionSpecError, match="discontinuity at breakpoint u = 3"):
-        PiecewiseU(pieces=pieces(F(3)))
+    for b in (3, F(3)):
+        with pytest.raises(FunctionSpecError, match="discontinuity at breakpoint u = 3: left branch gives 1000000000.0,"):
+            PiecewiseU(pieces=pieces(b))
     # the ordering compares an int with a Fraction exactly
     with pytest.raises(FunctionSpecError, match="strictly ascending, got 3 then 3$"):
         PiecewiseU(pieces=(Piece(3, "constant", (F(1),)), Piece(F(3), "constant", (F(1),)), Piece(None, "constant", (F(1),))))
     PiecewiseU(pieces=(Piece(3, "constant", (F(1),)), Piece(3 + F(1, 10**20), "constant", (F(1),)), Piece(None, "constant", (F(1),))))
+
+
+@pytest.mark.parametrize("b", [3, F(3)], ids=["int", "Fraction"])
+def test_a_branch_within_rounding_of_its_pole_at_an_exact_breakpoint_is_a_discontinuity(b):
+    # the denominator u - 3 - 10^-20 is 0.0 in floats at u = 3, so the branch is valued in exact arithmetic there
+    left = Piece(b, "rational-linear", (F(0), F(-1), F(1), -3 - F(1, 10**20)))
+    with pytest.raises(FunctionSpecError, match=r"^discontinuity at breakpoint u = 3: left branch gives 1e\+20, right branch gives 1e-20$"):
+        PiecewiseU(pieces=(left, Piece(None, "constant", (F(1, 10**20),))))
 
 
 def test_an_infinite_branch_value_is_a_discontinuity_and_a_nan_one_is_not():

@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from tribvp.grid import (
     interp_cubic,
     partial_integral,
     write_csv,
+    write_files,
 )
 
 from oracles import simpson_integral
@@ -183,6 +187,33 @@ def test_curve_csv_roundtrip(tmp_path):
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], curve.nodes)
     assert np.array_equal(back[:, 1], curve.values)  # 17 digits reproduce doubles exactly
+
+
+def test_write_files_finishes_short_writes(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is given: here at most 7 a call
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    items = [(tmp_path / "a.csv", bytes(range(256)) * 40), (tmp_path / "b.json", b"{}\n"), (tmp_path / "c", b"")]
+    (tmp_path / "a.csv").write_bytes(b"x" * 20000)  # a longer file is truncated
+    write_files(items)
+    assert [path.read_bytes() for path, _ in items] == [data for _, data in items]
+
+
+def test_a_failed_os_write_removes_every_file_of_the_call(tmp_path, monkeypatch):
+    write, close, calls, closed = os.write, os.close, [], []
+
+    def failing(fd, data):
+        calls.append(fd)
+        if len(calls) == 2:  # each file below takes one call: this is the second file's
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", failing)
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+    with pytest.raises(OSError, match="No space left on device"):
+        write_files([(tmp_path / name, name.encode()) for name in ("a", "b", "c")])
+    assert list(tmp_path.iterdir()) == []
+    assert closed == calls  # the failed file's descriptor is closed too
 
 
 def _row_by_row_csv(curve: SolutionCurve) -> bytes:
